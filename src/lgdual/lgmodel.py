@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .complexq import ComplexQ
 from .errors import (
+    EmptyInteriorError,
     GroupMismatchError,
     NotKopasepticError,
     RegularityError,
@@ -21,7 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import IntMatrix, cokernel
-from .polyhedra import HalfspaceSystem, strict_interior_nonempty
 from .toric import ToricData, bundle_over_p1, from_linear_data, point, product
 
 __all__ = [
@@ -71,7 +71,9 @@ class Superpotential:
         return len(self.terms)
 
     def exponents(self):
-        return tuple(exps for _, exps in self.terms)
+        # from a list, so the tuple recycles through CPython's free list
+        # (see IntMatrix.__init__)
+        return tuple([exps for _, exps in self.terms])
 
 
 def mon_matrix(w, rank=None):
@@ -369,16 +371,14 @@ class KopasepticReport:
 
 def is_kopaseptic(d):
     """Check the kopaseptic conditions of linear data in its given orientation."""
-    offset = d.k.im_lift()
-    interior = strict_interior_nonempty(HalfspaceSystem(d.a, offset))
     facet_report = None
-    kmap_exists = False
-    if interior:
-        try:
-            _, facet_report = from_linear_data(d.a, offset)
-            kmap_exists = True
-        except NotKopasepticError:
-            kmap_exists = False
+    try:
+        _, facet_report = from_linear_data(d.a, d.k.im_lift())
+        interior = kmap_exists = True
+    except EmptyInteriorError:
+        interior = kmap_exists = False
+    except NotKopasepticError:
+        interior, kmap_exists = True, False
     om = d.a @ d.b.transpose()
     negative = tuple(
         (i, j, om[i][j]) for i in range(om.rows) for j in range(om.cols) if om[i][j] < 0
@@ -397,15 +397,15 @@ def dualize(d):
     if not report.passed:
         cond = report.first_failure()
         raise NotKopasepticError("swapped linear data fails the %s condition" % cond, condition=cond)
-    labels = tuple("m%d" % (i + 1) for i in range(d.b.rows))
-    variety, facet_report = from_linear_data(d.b, d.l.im_lift(), labels=labels)
+    kept = report.facet_report.irredundant
+    labels = tuple("m%d" % (i + 1) for i in kept)
+    variety = ToricData(d.b.cols, labels, report.facet_report.primitive_normals)
     terms = []
     for j in range(d.a.rows):
         z = complex(d.k.lift[j])
         coeff = cmath.exp(2j * cmath.pi * z)
         terms.append((coeff, tuple(d.a[j])))
     potential = Superpotential(terms)
-    kept = facet_report.irredundant
     k_class = ChowClass(tuple(d.l.lift[i] for i in kept), variety.chow_group())
     return LGModel(variety, potential, k_class)
 

@@ -40,6 +40,37 @@ def xgcd(a, b):
     return x, y, g
 
 
+def _bareiss(entries, cols):
+    """Fraction-free row echelon reduction of integer rows (Bareiss 1968).
+
+    Returns (rank, sign, pivot): sign is the parity of the row swaps and
+    pivot the last nonzero pivot, which is the leading minor over the pivot
+    rows and columns, so a square matrix of full rank has determinant
+    sign * pivot.  Every division is exact (Sylvester's identity).
+    """
+    m = [list(row) for row in entries]
+    r, sign, prev = 0, 1, 1
+    for col in range(cols):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[col]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[col]
+            for j in range(col + 1, cols):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+        r += 1
+    return r, sign, prev
+
+
 class IntMatrix:
     """Immutable integer matrix, row-major, arbitrary precision.
 
@@ -50,7 +81,10 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        # tuples built from lists are allocated at their final size and so
+        # recycle through CPython's tuple free lists; tuples grown from
+        # generators bypass them when made but fill them when freed
+        entries = tuple([tuple([int(x) for x in row]) for row in entries])
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ShapeMismatchError(
                 "expected %dx%d entries, got %s" % (rows, cols, [len(r) for r in entries])
@@ -137,51 +171,12 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ShapeMismatchError("determinant of non-square %dx%d matrix" % (self.rows, self.cols))
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rank, sign, pivot = _bareiss(self.entries, self.cols)
+        return sign * pivot if rank == self.rows else 0
 
     def rank(self):
-        """Rank over the rationals."""
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        r = 0
-        for col in range(self.cols):
-            piv = None
-            for i in range(r, len(m)):
-                if m[i][col] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][col]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            r += 1
-            if r == len(m):
-                break
-        return r
+        """Rank over the rationals, via fraction-free (Bareiss) elimination."""
+        return _bareiss(self.entries, self.cols)[0]
 
     def is_unimodular(self):
         return self.rows == self.cols and self.det() in (1, -1)

@@ -8,6 +8,7 @@ the original rows.  On top of that sit facet/redundancy extraction and 2D
 vertex/ray enumeration for display.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -266,8 +267,6 @@ def _ccw_key(points):
     def half(p):
         x, y = p
         return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    import functools
 
     def cmp(p, q):
         hp, hq = half(p), half(q)

@@ -4,12 +4,19 @@ A model is self-dual when its dual has the same divisor matrix up to a choice
 of character basis and an ordering of the support: concretely, some subset of
 the exponent rows, a permutation, and a unimodular change of basis carry mon
 onto dv, and some K class reproduces the variety from its own halfspace data.
+
+When dv is corank 1, (n+1) x n with rows spanning Z^n as for every split
+bundle over the line, the row order is read off the charge vectors (the
+signed maximal minors, which generate the charge lattice of the class-group
+sequence) instead of being searched for.  Other shapes go through a
+depth-first search over row orders.
 """
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, gcd, prod
 
 from .complexq import ComplexQ
 from .errors import (
@@ -39,14 +46,94 @@ __all__ = [
 def matrix_self_dual(a, b):
     """Search for (perm, u) with b[perm] @ u == a and u unimodular.
 
-    Permutations are explored in lexicographic order, pruned by the row-gcd
-    invariant (unimodular right multiplication preserves each row's gcd).
-    Returns None when no pair exists.
+    The reported perm is the lexicographically first that works.  Corank-1
+    inputs, where a is (n+1) x n and its rows span Z^n, are decided from the
+    charge vectors: perm must carry the charges of b onto +-those of a, and
+    the unique u is then solved for.  Every other input goes through the
+    general depth-first search over row orders.  Returns None when no pair
+    exists.
     """
     if a.rows != b.rows:
         raise ShapeMismatchError("row counts differ: %d vs %d" % (a.rows, b.rows))
     if a.cols != b.cols:
         raise ShapeMismatchError("column counts differ: %d vs %d" % (a.cols, b.cols))
+    qa = _spanning_charge(a)
+    if qa is not None:
+        return _charge_self_dual(a, b, qa)
+    # the minor multisets cost comb(rows, cols) determinants; compute them
+    # only when the search below may visit at least as many row orders
+    orders = prod(factorial(k) for k in Counter(b.row_gcds()).values())
+    if a.rows >= a.cols and comb(a.rows, a.cols) <= orders:
+        if _abs_maximal_minors(a) != _abs_maximal_minors(b):
+            return None
+    return _row_order_search(a, b)
+
+
+def _charge(m):
+    """Signed maximal minors (-1)^i det(m without row i) of an (n+1) x n
+    matrix.  They generate its left kernel when m has rank n (Cramer), the
+    charge lattice of the class-group sequence, and vanish otherwise."""
+    rows = range(m.rows)
+    return tuple(
+        (-1) ** i * m.take_rows([j for j in rows if j != i]).det() for i in rows
+    )
+
+
+def _spanning_charge(a):
+    """The charge vector of a when a is (n+1) x n with rows spanning Z^n,
+    that is with coprime maximal minors, else None."""
+    if a.rows != a.cols + 1:
+        return None
+    qa = _charge(a)
+    return qa if gcd(*qa) == 1 else None
+
+
+def _first_assignment(qb, target):
+    """Lexicographically first perm with qb[perm[i]] == target[i], or None.
+
+    Rows with equal charge are interchangeable, so taking the smallest
+    unused index at every position is optimal."""
+    pools = {}
+    for j in reversed(range(len(qb))):
+        pools.setdefault(qb[j], []).append(j)
+    perm = []
+    for t in target:
+        pool = pools.get(t)
+        if not pool:
+            return None
+        perm.append(pool.pop())
+    return tuple(perm)
+
+
+def _charge_self_dual(a, b, qa):
+    """matrix_self_dual for a spanning corank-1 a with charge vector qa.
+
+    Surjections Z^(n+1) -> Z^n with equal kernels differ by a unique element
+    of GL(n, Z), and b[perm] has kernel qb[perm] for qb the charge vector of
+    b, so a match exists exactly when qb[perm] = +-qa (which forces b's
+    maximal minors to be coprime as well).
+    """
+    qb = _charge(b)
+    perms = [_first_assignment(qb, tuple(s * x for x in qa)) for s in (1, -1)]
+    perm = min((p for p in perms if p is not None), default=None)
+    if perm is None:
+        return None
+    u = right_equivalent(a, b.take_rows(perm))
+    assert u is not None and b.take_rows(perm) @ u == a and u.is_unimodular()
+    return perm, u
+
+
+def _abs_maximal_minors(m):
+    """Sorted |det| of every cols-row submatrix.  Unimodular right
+    multiplication and row order leave this multiset unchanged."""
+    subsets = itertools.combinations(range(m.rows), m.cols)
+    return sorted(abs(m.take_rows(s).det()) for s in subsets)
+
+
+def _row_order_search(a, b):
+    """General path: row orders of b in lexicographic order, depth first,
+    pruned by the row-gcd invariant (unimodular right multiplication
+    preserves each row's gcd), each leaf tested by Hermite forms."""
     ga, gb = a.row_gcds(), b.row_gcds()
     if Counter(ga) != Counter(gb):
         return None
@@ -125,7 +212,7 @@ class SelfDualityWitness:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a sweep keeps every verdict
 class BundleVerdict:
     """Classification of Tot(O(a_1) + ... + O(a_c)) with its generic sections."""
 
@@ -152,8 +239,10 @@ def _search_matrix_witness(dv, mon):
     order, so the reported witness is deterministic."""
     if mon.rows < dv.rows or mon.rank() != dv.rank():
         return None
+    qa = _spanning_charge(dv)
     for subset in itertools.combinations(range(mon.rows), dv.rows):
-        res = matrix_self_dual(dv, mon.take_rows(subset))
+        sub = mon.take_rows(subset)
+        res = matrix_self_dual(dv, sub) if qa is None else _charge_self_dual(dv, sub, qa)
         if res is not None:
             perm, u = res
             return subset, perm, u
@@ -183,7 +272,10 @@ def self_dual_witness(m):
 
 def model_self_dual(degrees):
     """Decide self-duality of the generic model on Tot(+O(a_i))."""
-    degrees = tuple(int(a) for a in degrees)
+    # a tuple of plain ints is kept as given, so the verdicts of a sweep
+    # share their degree tuples with the sweep's enumeration
+    if type(degrees) is not tuple or any(type(a) is not int for a in degrees):
+        degrees = tuple(int(a) for a in degrees)
     if not degrees:
         raise ValidationError("degrees must be nonempty")
     witness, failure = self_dual_witness(bundle_model(degrees))

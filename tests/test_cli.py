@@ -2,9 +2,11 @@
 
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+from lgdual import polyhedra
 from lgdual.cli import SWEEP_HEADER, main
 from lgdual.lgmodel import bundle_model
 from lgdual.modelfile import format_model, parse_model
@@ -131,6 +133,40 @@ def test_dualize_check_involution(model_file, capsys):
     assert "# involution: dv restored: yes" in out
     assert "# involution: mon restored: yes" in out
     assert "# involution: K equivalent: yes" in out
+
+
+@pytest.fixture
+def facet_pass_calls(monkeypatch):
+    """Calls of facets and strict_interior_nonempty, counted in every
+    lgdual namespace that binds them."""
+    counts = {}
+    spaces = [m for k, m in sys.modules.items() if k == "lgdual" or k.startswith("lgdual.")]
+    for name in ("facets", "strict_interior_nonempty"):
+        original = getattr(polyhedra, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for space in spaces:
+            for attr, val in list(vars(space).items()):
+                if val is original:
+                    monkeypatch.setattr(space, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("degrees", [[-2], [-1, -1]])
+def test_analyze_and_involution_run_one_facet_pass_each(
+    degrees, model_file, facet_pass_calls, capsys
+):
+    # analyze, dualize and the second dualize each settle the interior and
+    # the facets in one pass
+    path = model_file(degrees)
+    assert main(["analyze", path]) == 0
+    assert main(["dualize", path, "--check-involution"]) == 0
+    assert "# involution: K equivalent: yes" in capsys.readouterr().out
+    assert facet_pass_calls == {"facets": 3, "strict_interior_nonempty": 3}
 
 
 def test_dualize_not_kopaseptic_exits_4(tmp_path, capsys):

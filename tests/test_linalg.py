@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,55 @@ def test_rank_examples():
     assert IntMatrix.from_rows([(1, 2), (2, 4)]).rank() == 1
     assert IntMatrix.from_rows([(1, 0), (-1, 2), (0, 1)]).rank() == 2
     assert IntMatrix.from_rows([(0, 0)]).rank() == 0
+
+
+def fraction_rank(a):
+    """Rank by Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in a.entries]
+    r = 0
+    for col in range(a.cols):
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][col] / m[r][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def rank_cases(draw):
+    """Any shape from 0x0 to 6x6, small entries or entries near +-10^12,
+    sometimes with a row that combines others or a zero column."""
+    big = st.integers(10**12 - 3, 10**12 + 3)
+    elems = st.one_of(st.integers(-3, 3), big, big.map(lambda x: -x))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    m = [draw(st.lists(elems, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        m[-1] = [x + k * y for x, y in zip(m[0], m[1])]
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[j] = 0
+    return IntMatrix(rows, cols, m)
+
+
+@given(rank_cases())
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_fraction_elimination(a):
+    assert a.rank() == fraction_rank(a)
+    assert a.transpose().rank() == a.rank()
+
+
+def test_rank_of_empty_and_zero_matrices():
+    assert IntMatrix(0, 3, []).rank() == 0
+    assert IntMatrix(3, 0, [(), (), ()]).rank() == 0
+    assert IntMatrix.zero(2, 4).rank() == 0
+    assert IntMatrix(0, 0, []).det() == 1
 
 
 def test_cokernel_free_part():

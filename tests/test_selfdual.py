@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgdual import selfdual
 from lgdual.complexq import ComplexQ
 from lgdual.errors import ShapeMismatchError, ValidationError
 from lgdual.lgmodel import bundle_model, linear_data, dualize
 from lgdual.linalg import IntMatrix
 from lgdual.selfdual import (
+    _row_order_search,
+    _spanning_charge,
     classify_cy,
     k_reconstruction_class,
     matrix_self_dual,
@@ -116,6 +119,129 @@ def test_matrix_self_dual_vs_bounded_brute_force(a, b):
         assert b.take_rows(p) @ u == a and u.is_unimodular()
     if brute is not None:
         assert res is not None
+
+
+# --- corank-1 charge decision against the row-order search --------------------
+
+def unimodular(n):
+    """Products of elementary column operations and column sign flips."""
+    index = st.integers(0, n - 1)
+    step = st.tuples(index, index, st.integers(-2, 2), st.booleans())
+
+    def build(steps):
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i, j, k, flip in steps:
+            if i != j:
+                for row in u:
+                    row[j] += k * row[i]
+            if flip:
+                for row in u:
+                    row[i] = -row[i]
+        return IntMatrix(n, n, u)
+
+    return st.lists(step, max_size=6).map(build)
+
+
+def planted(draw, a):
+    """a @ u with its rows shuffled, for a drawn unimodular u."""
+    b = a @ draw(unimodular(a.cols))
+    return b.take_rows(tuple(draw(st.permutations(range(a.rows)))))
+
+
+def stacked(v):
+    """The identity with the row v below it; its charges are +-v_i and +-1."""
+    n = len(v)
+    return IntMatrix(n + 1, n, [[int(i == j) for j in range(n)] for i in range(n)] + [v])
+
+
+@st.composite
+def corank_one_pairs(draw):
+    """(kind, a, b) with a of shape 4x3 or 5x4."""
+    n = draw(st.sampled_from((3, 4)))
+    kind = draw(st.sampled_from(("planted", "ties", "rank-deficient-b", "sublattice-a")))
+    if kind == "ties":
+        # entries of v in {-1, 0, 1} tie and negate charges; b either matches
+        # or carries a signed reordering of v, which may not match
+        v = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        a = stacked(v) @ draw(unimodular(n))
+        if draw(st.booleans()):
+            return kind, a, planted(draw, a)
+        w = [x * draw(st.sampled_from((1, -1))) for x in draw(st.permutations(v))]
+        return kind, a, planted(draw, stacked(w))
+    a = draw(small_matrices(n + 1, n, 2))
+    if kind == "planted":
+        return kind, a, planted(draw, a)
+    if kind == "rank-deficient-b":
+        b = draw(small_matrices(n + 1, n, 2))
+        rows = [row[:-1] + (row[0],) for row in b.entries]  # last column repeats the first
+        return kind, a, IntMatrix(n + 1, n, rows)
+    # doubling the last column leaves every maximal minor even
+    scale = [[int(i == j) for j in range(n)] for i in range(n)]
+    scale[-1][-1] = 2
+    a = a @ IntMatrix(n, n, scale)
+    b = planted(draw, a) if draw(st.booleans()) else draw(small_matrices(n + 1, n, 2))
+    return kind, a, b
+
+
+@given(corank_one_pairs())
+@settings(max_examples=300, deadline=None)
+def test_charge_decision_matches_row_order_search(case):
+    kind, a, b = case
+    if kind == "sublattice-a":
+        assert _spanning_charge(a) is None
+    if kind == "ties":
+        assert _spanning_charge(a) is not None
+    if kind == "rank-deficient-b":
+        assert b.rank() < b.cols
+    res = matrix_self_dual(a, b)
+    assert res == _row_order_search(a, b)
+    if res is not None:
+        perm, u = res
+        assert b.take_rows(perm) @ u == a and u.is_unimodular()
+
+
+# --- search effort ------------------------------------------------------------
+
+@pytest.fixture
+def right_equivalent_calls(monkeypatch):
+    calls = []
+    original = selfdual.right_equivalent
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(selfdual, "right_equivalent", counted)
+    return calls
+
+
+def test_dense_pair_without_match_makes_no_leaf_test(right_equivalent_calls):
+    # every row gcd is 1 and both ranks are 4, so only the maximal-minor
+    # multisets tell these apart before the 5,040 row orders would
+    a = IntMatrix.from_rows([
+        (2, 1, 3, -3), (3, -3, -2, 2), (-3, -1, -3, -1), (1, 2, 3, 1),
+        (3, 1, 1, 3), (2, 1, -2, -1), (-3, -3, -2, 1),
+    ])
+    b = IntMatrix.from_rows([
+        (-2, -1, 3, 1), (3, -1, 1, 2), (1, 2, -1, 2), (2, 1, 2, -2),
+        (-1, 3, -3, -1), (2, 3, 3, -2), (3, -1, 2, 2),
+    ])
+    assert set(a.row_gcds()) == set(b.row_gcds()) == {1}
+    assert a.rank() == b.rank() == 4
+    assert matrix_self_dual(a, b) is None
+    assert right_equivalent_calls == []
+
+
+@pytest.mark.parametrize("degrees", [(-2,), (-1, -1), (0, 0, 0, -2), (0, 0, 0, -1, -1)])
+def test_self_dual_bundle_makes_one_leaf_test(degrees, right_equivalent_calls):
+    assert model_self_dual(degrees).self_dual
+    assert len(right_equivalent_calls) == 1
+
+
+def test_line_bundle_sweep_makes_one_leaf_test(right_equivalent_calls):
+    verdicts = sweep_line_bundles(20)
+    assert [v.degrees for v in verdicts if v.self_dual] == [(-2,)]
+    assert len(right_equivalent_calls) == 1
 
 
 # --- K reconstruction ---------------------------------------------------------
