@@ -71,9 +71,7 @@ class Superpotential:
         return len(self.terms)
 
     def exponents(self):
-        # from a list, so the tuple recycles through CPython's free list
-        # (see IntMatrix.__init__)
-        return tuple([exps for _, exps in self.terms])
+        return tuple([exps for _, exps in self.terms])  # see IntMatrix.__init__
 
 
 def mon_matrix(w, rank=None):

@@ -81,9 +81,9 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        # tuples built from lists are allocated at their final size and so
-        # recycle through CPython's tuple free lists; tuples grown from
-        # generators bypass them when made but fill them when freed
+        # built from lists: tuple() of a generator allocates 10 slots and
+        # shrinks, so its tuples land on CPython's per-size free lists
+        # without being taken from them, and those lists hold memory
         entries = tuple([tuple([int(x) for x in row]) for row in entries])
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ShapeMismatchError(

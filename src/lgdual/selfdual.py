@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import gcd
 
 from .complexq import ComplexQ
 from .errors import (
@@ -60,12 +60,6 @@ def matrix_self_dual(a, b):
     qa = _spanning_charge(a)
     if qa is not None:
         return _charge_self_dual(a, b, qa)
-    # the minor multisets cost comb(rows, cols) determinants; compute them
-    # only when the search below may visit at least as many row orders
-    orders = prod(factorial(k) for k in Counter(b.row_gcds()).values())
-    if a.rows >= a.cols and comb(a.rows, a.cols) <= orders:
-        if _abs_maximal_minors(a) != _abs_maximal_minors(b):
-            return None
     return _row_order_search(a, b)
 
 
@@ -130,15 +124,24 @@ def _abs_maximal_minors(m):
     return sorted(abs(m.take_rows(s).det()) for s in subsets)
 
 
-def _row_order_search(a, b):
+def _row_order_search(a, b, a_minors=None):
     """General path: row orders of b in lexicographic order, depth first,
     pruned by the row-gcd invariant (unimodular right multiplication
-    preserves each row's gcd), each leaf tested by Hermite forms."""
+    preserves each row's gcd), each leaf tested by Hermite forms.
+
+    Before the search, the multisets of |maximal minors| of a and b must
+    agree when rows >= cols; a_minors is a's multiset when the caller
+    already has it."""
     ga, gb = a.row_gcds(), b.row_gcds()
     if Counter(ga) != Counter(gb):
         return None
     if a.rank() != b.rank():
         return None
+    if a.rows >= a.cols:
+        if a_minors is None:
+            a_minors = _abs_maximal_minors(a)
+        if a_minors != _abs_maximal_minors(b):
+            return None
     candidates = [tuple(j for j in range(b.rows) if gb[j] == g) for g in ga]
     used = [False] * b.rows
     sel = []
@@ -212,7 +215,7 @@ class SelfDualityWitness:
         return True
 
 
-@dataclass(frozen=True, slots=True)  # slots: a sweep keeps every verdict
+@dataclass(frozen=True)
 class BundleVerdict:
     """Classification of Tot(O(a_1) + ... + O(a_c)) with its generic sections."""
 
@@ -240,9 +243,15 @@ def _search_matrix_witness(dv, mon):
     if mon.rows < dv.rows or mon.rank() != dv.rank():
         return None
     qa = _spanning_charge(dv)
+    minors = None
+    if qa is None and dv.rows >= dv.cols:
+        minors = _abs_maximal_minors(dv)
     for subset in itertools.combinations(range(mon.rows), dv.rows):
         sub = mon.take_rows(subset)
-        res = matrix_self_dual(dv, sub) if qa is None else _charge_self_dual(dv, sub, qa)
+        if qa is None:
+            res = _row_order_search(dv, sub, minors)
+        else:
+            res = _charge_self_dual(dv, sub, qa)
         if res is not None:
             perm, u = res
             return subset, perm, u
@@ -272,10 +281,7 @@ def self_dual_witness(m):
 
 def model_self_dual(degrees):
     """Decide self-duality of the generic model on Tot(+O(a_i))."""
-    # a tuple of plain ints is kept as given, so the verdicts of a sweep
-    # share their degree tuples with the sweep's enumeration
-    if type(degrees) is not tuple or any(type(a) is not int for a in degrees):
-        degrees = tuple(int(a) for a in degrees)
+    degrees = tuple(int(a) for a in degrees)
     if not degrees:
         raise ValidationError("degrees must be nonempty")
     witness, failure = self_dual_witness(bundle_model(degrees))

@@ -13,6 +13,7 @@ from lgdual.lgmodel import bundle_model, linear_data, dualize
 from lgdual.linalg import IntMatrix
 from lgdual.selfdual import (
     _row_order_search,
+    _search_matrix_witness,
     _spanning_charge,
     classify_cy,
     k_reconstruction_class,
@@ -215,21 +216,53 @@ def right_equivalent_calls(monkeypatch):
     return calls
 
 
+DENSE_A = IntMatrix.from_rows([
+    (2, 1, 3, -3), (3, -3, -2, 2), (-3, -1, -3, -1), (1, 2, 3, 1),
+    (3, 1, 1, 3), (2, 1, -2, -1), (-3, -3, -2, 1),
+])
+DENSE_B = IntMatrix.from_rows([
+    (-2, -1, 3, 1), (3, -1, 1, 2), (1, 2, -1, 2), (2, 1, 2, -2),
+    (-1, 3, -3, -1), (2, 3, 3, -2), (3, -1, 2, 2),
+])
+
+
+@pytest.fixture
+def minor_multisets(monkeypatch):
+    seen = []
+    original = selfdual._abs_maximal_minors
+
+    def counted(m):
+        seen.append(m)
+        return original(m)
+
+    monkeypatch.setattr(selfdual, "_abs_maximal_minors", counted)
+    return seen
+
+
 def test_dense_pair_without_match_makes_no_leaf_test(right_equivalent_calls):
     # every row gcd is 1 and both ranks are 4, so only the maximal-minor
     # multisets tell these apart before the 5,040 row orders would
-    a = IntMatrix.from_rows([
-        (2, 1, 3, -3), (3, -3, -2, 2), (-3, -1, -3, -1), (1, 2, 3, 1),
-        (3, 1, 1, 3), (2, 1, -2, -1), (-3, -3, -2, 1),
-    ])
-    b = IntMatrix.from_rows([
-        (-2, -1, 3, 1), (3, -1, 1, 2), (1, 2, -1, 2), (2, 1, 2, -2),
-        (-1, 3, -3, -1), (2, 3, 3, -2), (3, -1, 2, 2),
-    ])
+    a, b = DENSE_A, DENSE_B
     assert set(a.row_gcds()) == set(b.row_gcds()) == {1}
     assert a.rank() == b.rank() == 4
     assert matrix_self_dual(a, b) is None
     assert right_equivalent_calls == []
+
+
+def test_row_gcd_mismatch_rejects_before_minors(minor_multisets):
+    doubled = IntMatrix.from_rows([tuple(2 * x for x in DENSE_B[0])] + list(DENSE_B.entries[1:]))
+    assert matrix_self_dual(DENSE_A, doubled) is None
+    assert minor_multisets == []
+
+
+def test_general_search_takes_dv_minors_once(minor_multisets):
+    # dv is 6 x 4 (corank 2), so every one of the 7 subsets of mon goes
+    # through the general search and reaches the minor filter
+    dv = IntMatrix.from_rows(DENSE_A.entries[:6])
+    assert _spanning_charge(dv) is None
+    assert _search_matrix_witness(dv, DENSE_B) is None
+    assert sum(m is dv for m in minor_multisets) == 1
+    assert len(minor_multisets) == 1 + 7
 
 
 @pytest.mark.parametrize("degrees", [(-2,), (-1, -1), (0, 0, 0, -2), (0, 0, 0, -1, -1)])
