@@ -294,10 +294,8 @@ def bundle_model(degrees, k_values=None):
     potential = generic_sections(degrees)
     group = variety.chow_group()
     if k_values is None:
-        k = default_k_class(variety)
-    else:
-        k = canonical_class(group, k_values)
-    return LGModel(variety, potential, k)
+        k_values = [ComplexQ(0, 1)] * group.free_rank
+    return LGModel(variety, potential, canonical_class(group, k_values))
 
 
 def empty_model():

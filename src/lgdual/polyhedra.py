@@ -1,17 +1,18 @@
 """Exact rational halfspace systems.
 
 A system is a pair (c, offset) describing P = { xi : c @ xi + offset >= 0 }
-componentwise.  Feasibility (with per-row strictness) is decided by
-Fourier-Motzkin elimination over Fractions, carrying nonnegative multiplier
-certificates so that every infeasibility verdict can be replayed against
-the original rows.  On top of that sit facet/redundancy extraction and 2D
-vertex/ray enumeration for display.
+componentwise.  Feasibility and redundancy are decided by one exact
+simplex kernel on integer tableaux, and every answer is replayed against
+the original rows before it is returned: interior points, nonnegative
+multiplier certificates of emptiness, and the multipliers or separating
+functionals behind each facet verdict.  2D vertex/ray enumeration for
+display sits on top.
 """
 
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, EmptyInteriorError
 from .linalg import IntMatrix
@@ -69,127 +70,119 @@ class FacetReport:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin core.  Rows are (coef tuple, off, strict, cert) where cert
-# holds rational multipliers over the original input rows.
+# Exact simplex.  The tableau holds D * B^-1 [A | I | b] for the current basis
+# B, with D = |det B| and a cost row below, so every entry is an integer and
+# every pivot is one exact division (Edmonds 1967).  Bland's rule (Bland
+# 1977) picks the entering column and breaks ratio-test ties, so no basis
+# repeats.  The I columns belong to the phase-1 artificials: they never
+# re-enter, and their cost-row entries give the duals.
 
-def _seed_rows(coefs, offs, stricts):
-    rows = []
-    m = len(coefs)
-    for i in range(m):
-        cert = tuple(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        rows.append((tuple(Fraction(x) for x in coefs[i]), Fraction(offs[i]), stricts[i], cert))
-    return rows
-
-
-def _scale_row(row, s):
-    coef, off, strict, cert = row
-    return (
-        tuple(x * s for x in coef),
-        off * s,
-        strict,
-        tuple(x * s for x in cert),
-    )
+def _pivot(t, r, s, d):
+    top = t[r]
+    p = top[s]
+    for i, row in enumerate(t):
+        if i != r:
+            f = row[s]
+            t[i] = [(x * p - f * y) // d for x, y in zip(row, top)]
+    if p < 0:  # only when an artificial leaves; keep D positive
+        t[:] = [[-x for x in row] for row in t]
+    return abs(p)
 
 
-def _sift(rows):
-    """Drop duplicate directions (keep the tightest) and trivial constants.
+def _optimise(t, basis, n, d):
+    """Pivot until no structural column has a negative reduced cost."""
+    m = len(basis)
+    while True:
+        s = next((j for j in range(n) if t[m][j] < 0), None)
+        if s is None:
+            return d
+        r = None
+        for i in range(m):
+            a, rhs = t[i][s], t[i][-1]
+            if a <= 0:
+                if not (a and rhs == 0 and basis[i] >= n):
+                    continue
+                a = 1  # an artificial at zero leaves at ratio 0, so it never grows
+            if r is None or rhs * r_a < r_rhs * a or (rhs * r_a == r_rhs * a and basis[i] < basis[r]):
+                r, r_rhs, r_a = i, rhs, a
+        assert r is not None, "linear program is unbounded"
+        d = _pivot(t, r, s, d)
+        basis[r] = s
 
-    Returns (kept rows, violated constant row or None).
+
+def _simplex(cols, b, cost):
+    """Minimise cost . lam subject to sum_j lam_j cols[j] = b, lam >= 0.
+
+    All data are integers, and so are the results: (lam, y, d) stands for
+    the optimum lam / d and duals y / d, with y . cols[j] <= d cost[j] for
+    every j and y . b = cost . lam.  (None, y, d) means no lam is feasible,
+    y being a Farkas certificate: y . cols[j] <= 0 < y . b.  The program
+    must be bounded.
     """
-    by_dir = {}
-    order = []
-    for row in rows:
-        coef, off, strict, _ = row
-        lead = next((x for x in coef if x != 0), None)
-        if lead is None:
-            if off < 0 or (off == 0 and strict):
-                return [], row
-            continue  # trivially satisfied constant
-        norm = _scale_row(row, 1 / abs(lead))
-        key = norm[0]
-        cur = by_dir.get(key)
-        if cur is None:
-            by_dir[key] = norm
-            order.append(key)
-        else:
-            # same open/closed halfspace family: smaller offset is tighter
-            if norm[1] < cur[1] or (norm[1] == cur[1] and norm[2] and not cur[2]):
-                by_dir[key] = norm
-    return [by_dir[k] for k in order], None
+    m, n = len(b), len(cols)
+    sign = [1 if v >= 0 else -1 for v in b]
+    t = [
+        [sign[i] * col[i] for col in cols] + [int(k == i) for k in range(m)] + [sign[i] * b[i]]
+        for i in range(m)
+    ]
+    basis = list(range(n, n + m))
+    # phase 1: minimise the sum of the artificials
+    t.append([-sum(row[j] for row in t) if j < n or j == n + m else 0 for j in range(n + m + 1)])
+    d = _optimise(t, basis, n, 1)
+    if t[m][-1] < 0:
+        return None, tuple(sign[k] * (d - t[m][n + k]) for k in range(m)), d
+    # phase 2 from the feasible basis; basic artificials sit at zero
+    full = list(cost) + [0] * (m + 1)
+    t[m] = [d * full[j] - sum(full[k] * t[i][j] for i, k in enumerate(basis)) for j in range(n + m + 1)]
+    d = _optimise(t, basis, n, d)
+    lam = [0] * n
+    for i, k in enumerate(basis):
+        if k < n:
+            lam[k] = t[i][-1]
+    return tuple(lam), tuple(-sign[k] * t[m][n + k] for k in range(m)), d
 
 
-def _combine(p, q, var):
-    lp = -q[0][var]
-    lq = p[0][var]
-    coef = tuple(lp * a + lq * b for a, b in zip(p[0], q[0]))
-    off = lp * p[1] + lq * q[1]
-    cert = tuple(lp * a + lq * b for a, b in zip(p[3], q[3]))
-    return (coef, off, p[2] or q[2], cert)
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
-def _feasible(coefs, offs, stricts, n):
-    """Decide the mixed-strict system; return (True, point) or (False, cert)."""
-    cur = _seed_rows(coefs, offs, stricts)
-    stages = []
-    for var in reversed(range(n)):
-        cur, bad = _sift(cur)
-        if bad is not None:
-            return False, bad[3]
-        stages.append(cur)
-        pos = [r for r in cur if r[0][var] > 0]
-        neg = [r for r in cur if r[0][var] < 0]
-        passthrough = [r for r in cur if r[0][var] == 0]
-        cur = passthrough + [_combine(p, q, var) for p in pos for q in neg]
-    cur, bad = _sift(cur)
-    if bad is not None:
-        return False, bad[3]
+def _interior(h):
+    """The largest margin t <= 1 by which a point satisfies every row.
 
-    point = []
-    for var in range(n):
-        system = stages[n - 1 - var]
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for coef, off, strict, _ in system:
-            c = coef[var]
-            if c == 0:
-                continue
-            rest = off + sum(coef[j] * point[j] for j in range(var))
-            bound = -rest / c
-            if c > 0:
-                if lo is None or bound > lo or (bound == lo and strict):
-                    lo, lo_strict = bound, strict
-            else:
-                if hi is None or bound < hi or (bound == hi and strict):
-                    hi, hi_strict = bound, strict
-        if lo is None and hi is None:
-            point.append(Fraction(0))
-        elif lo is None:
-            point.append(hi - 1)
-        elif hi is None:
-            point.append(lo + 1)
-        else:
-            if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-                raise AssertionError("elimination stages disagree on feasibility")
-            point.append((lo + hi) / 2)
-    return True, tuple(point)
-
-
-def _system_rows(h):
-    return [tuple(row) for row in h.c.entries], list(h.offset)
+    Solves min L offset . lam + L mu subject to C^T lam = 0,
+    1 . lam + mu = 1, lam, mu >= 0, where L clears the offsets'
+    denominators.  The program is feasible and bounded, and its duals
+    (x, v) have C x + v <= L offset, v <= L and v = L t.  Returns (t, point,
+    lam): C point + offset >= t for point = -x / L, and lam >= 0 has
+    C^T lam = 0 and offset . lam <= t, so lam certifies emptiness when
+    t <= 0.  Both witnesses are replayed here.
+    """
+    rows, n = h.c.entries, h.c.cols
+    scale = lcm(*(o.denominator for o in h.offset))
+    offs = [int(o * scale) for o in h.offset]
+    lam, y, d = _simplex([row + (1,) for row in rows] + [(0,) * n + (1,)], (0,) * n + (1,), offs + [scale])
+    lam, v = lam[:-1], y[n]
+    if v > 0:
+        assert all(d * o - _dot(row, y) >= v for row, o in zip(rows, offs))
+    else:
+        assert min(lam) >= 0 and any(lam) and _dot(lam, offs) <= v
+        assert all(_dot(lam, col) == 0 for col in zip(*rows))
+    return (
+        Fraction(v, d * scale),
+        tuple(Fraction(-x, d * scale) for x in y[:n]),
+        tuple(Fraction(x, d) for x in lam),
+    )
 
 
 def strict_interior_nonempty(h):
     """True iff some rational point satisfies every constraint strictly."""
-    coefs, offs = _system_rows(h)
-    ok, _ = _feasible(coefs, offs, [True] * len(coefs), h.c.cols)
-    return ok
+    return _interior(h)[0] > 0
 
 
 def strict_interior_point(h):
     """A rational point strictly inside P, or None."""
-    coefs, offs = _system_rows(h)
-    ok, payload = _feasible(coefs, offs, [True] * len(coefs), h.c.cols)
-    return payload if ok else None
+    t, point, _ = _interior(h)
+    return point if t > 0 else None
 
 
 def infeasibility_certificate(h, strict=True):
@@ -199,30 +192,19 @@ def infeasibility_certificate(h, strict=True):
     The returned tuple lambda satisfies sum(lambda_i * row_i) = 0 and
     sum(lambda_i * offset_i) <= 0, with < 0 forced in the non-strict case.
     """
-    coefs, offs = _system_rows(h)
-    ok, payload = _feasible(coefs, offs, [strict] * len(coefs), h.c.cols)
-    return None if ok else payload
-
-
-def _row_negation_feasible(coefs, offs, j, n):
-    """Feasibility of: all rows except j (closed) plus row j strictly violated."""
-    cs = [coefs[i] for i in range(len(coefs)) if i != j]
-    os_ = [offs[i] for i in range(len(offs)) if i != j]
-    stricts = [False] * len(cs)
-    cs.append(tuple(-x for x in coefs[j]))
-    os_.append(-offs[j])
-    stricts.append(True)
-    ok, _ = _feasible(cs, os_, stricts, n)
-    return ok
+    t, _, lam = _interior(h)
+    return lam if t < 0 or (strict and t == 0) else None
 
 
 def facets(h):
     """Geometric redundancy removal.
 
-    A row is dropped iff strictly violating it while keeping every other
-    row is infeasible (the polyhedron does not change without it).  Exact
-    duplicate halfspaces keep their first occurrence only.  Requires a
-    nonempty strict interior.
+    A row is dropped iff the other rows imply it: some lambda >= 0 over
+    them has sum(lambda_i * row_i) = row_j and sum(lambda_i * offset_i) <=
+    offset_j.  As P is nonempty, this is the affine Farkas lemma for "no
+    point keeps the other rows and violates row j".  Exact duplicate
+    halfspaces keep their first occurrence only.  Requires a nonempty
+    strict interior.
     """
     if not strict_interior_nonempty(h):
         raise EmptyInteriorError("halfspace system has no strict interior point")
@@ -232,19 +214,27 @@ def facets(h):
     for i in range(r):
         g = h.c.row_gcd(i)
         if g == 0:
-            continue  # zero rows fall to the negation test
+            continue  # zero rows fall to the implication test
         key = (tuple(x // g for x in h.c[i]), h.offset[i] / g)
         if key in seen:
             dup.add(i)
         else:
             seen[key] = i
     base = [i for i in range(r) if i not in dup]
-    coefs = [tuple(h.c[i]) for i in base]
-    offs = [h.offset[i] for i in base]
+    # row i as the column (c_i, L offset_i); the last entry of a sum may fall short
+    scale = lcm(*(h.offset[i].denominator for i in base))
+    cols = [h.c[i] + (int(h.offset[i] * scale),) for i in base]
+    slack = (0,) * n + (1,)
     irredundant = []
     for pos, i in enumerate(base):
-        if _row_negation_feasible(coefs, offs, pos, n):
+        others = cols[:pos] + cols[pos + 1:]
+        lam, y, d = _simplex(others + [slack], cols[pos], [0] * len(cols))
+        if lam is None:
+            assert all(_dot(y, col) <= 0 for col in others + [slack]) and _dot(y, cols[pos]) > 0
             irredundant.append(i)
+        else:
+            assert min(lam) >= 0
+            assert [_dot(lam, row) for row in zip(*others, slack)] == [d * x for x in cols[pos]]
     kmap = [None] * r
     normals = []
     for facet_idx, i in enumerate(irredundant):

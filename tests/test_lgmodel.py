@@ -35,6 +35,7 @@ from lgdual.lgmodel import (
     order_matrix,
     sum_models,
 )
+from lgdual import linalg
 from lgdual.linalg import IntMatrix, cokernel
 from lgdual.toric import bundle_over_p1, projective_line
 
@@ -202,6 +203,18 @@ def test_group_mismatch_on_model_build():
     wrong = default_k_class(bundle_over_p1([-3]))
     with pytest.raises(GroupMismatchError):
         LGModel(x, generic_sections([-2]), wrong)
+
+
+@pytest.mark.parametrize("degrees", [(-2,), (-1, -1), (0, 0, 0, -2), (1, -3)])
+def test_bundle_model_takes_one_smith_form(monkeypatch, degrees):
+    # the default K is built from the class group already computed
+    calls = []
+    real = linalg.snf
+    monkeypatch.setattr(linalg, "snf", lambda a: calls.append(a) or real(a))
+    m = bundle_model(degrees)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert m.k_class == default_k_class(m.variety)
 
 
 def test_default_l_class_lives_on_exponent_cokernel():

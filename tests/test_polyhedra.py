@@ -1,12 +1,15 @@
-"""Fourier-Motzkin feasibility, redundancy removal, and 2D enumeration."""
+"""Simplex feasibility and redundancy removal, checked against the
+Fourier-Motzkin oracle in ``fm_oracle``, and 2D enumeration."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fm_oracle
 from lgdual.errors import DimensionMismatchError, EmptyInteriorError
 from lgdual.linalg import IntMatrix
 from lgdual.polyhedra import (
@@ -182,6 +185,131 @@ def test_facets_preserve_the_set(h):
     for x in span:
         for y in span:
             assert h.contains((x, y)) == sub.contains((x, y))
+
+
+# --- simplex against Fourier-Motzkin -------------------------------------------
+
+@st.composite
+def oracle_systems(draw):
+    """Systems in dimensions 0-4 with Fraction offsets, zero rows, exact and
+    scaled duplicate rows, and negated rows that empty the interior."""
+    n = draw(st.integers(0, 4))
+    r = draw(st.integers(0, 6 - n // 2))
+    rows = [draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(r)]
+    offsets = [
+        draw(st.fractions(min_value=-2, max_value=3, max_denominator=3))
+        for _ in range(r)
+    ]
+    for _ in range(draw(st.integers(0, 2)) if r else 0):
+        i = draw(st.integers(0, r - 1))
+        kind = draw(st.sampled_from(("exact", "scaled", "negated")))
+        k = draw(st.integers(2, 3))
+        if kind == "exact":
+            rows.append(rows[i])
+            offsets.append(offsets[i])
+        elif kind == "scaled":
+            rows.append(tuple(k * x for x in rows[i]))
+            offsets.append(k * offsets[i])
+        else:
+            rows.append(tuple(-x for x in rows[i]))
+            offsets.append(-offsets[i] + draw(st.integers(-1, 1)))
+    return system(rows, offsets, n)
+
+
+def row_values(h, point):
+    return [
+        sum(a * x for a, x in zip(h.c[i], point)) + h.offset[i]
+        for i in range(h.c.rows)
+    ]
+
+
+def check_emptiness_certificate(h, lam, strict):
+    assert len(lam) == h.c.rows and all(x >= 0 for x in lam) and any(lam)
+    for k in range(h.c.cols):
+        assert sum(l * h.c[i][k] for i, l in enumerate(lam)) == 0
+    value = sum(l * o for l, o in zip(lam, h.offset))
+    assert value <= 0 if strict else value < 0
+
+
+@given(oracle_systems())
+@example(system([], [], 3))
+@example(system([(), ()], [1, Fraction(1, 2)], 0))
+@example(system([(), ()], [1, 0], 0))
+@example(system([(0, 0), (1, 1)], [Fraction(1, 3), 0], 2))
+@example(system([(1, 2, 0), (-1, -2, 0), (0, 1, 1)], [Fraction(1, 2), Fraction(-1, 2), 1], 3))
+@settings(max_examples=150, deadline=None)
+def test_simplex_agrees_with_fourier_motzkin(h):
+    nonempty = strict_interior_nonempty(h)
+    assert nonempty == fm_oracle.strict_interior_nonempty(h)
+    point = strict_interior_point(h)
+    assert (point is not None) == nonempty
+    if nonempty:
+        assert len(point) == h.c.cols and all(v > 0 for v in row_values(h, point))
+    for strict in (True, False):
+        lam = infeasibility_certificate(h, strict)
+        assert (lam is None) == (fm_oracle.infeasibility_certificate(h, strict) is None)
+        if lam is not None:
+            check_emptiness_certificate(h, lam, strict)
+    if nonempty:
+        assert facets(h) == fm_oracle.facets(h)
+    else:
+        with pytest.raises(EmptyInteriorError):
+            facets(h)
+
+
+def dense_system(seed, n, kept, implied):
+    """Tangent rows of a sphere, each a facet, then rows they imply.
+
+    The kept rows c all have the same squared norm N and read c . x + N >= 0,
+    so -(1 + eps) c violates row c alone; each implied row is a nonnegative
+    integer combination of two to four of them with its offset loosened.
+    The system is then translated by an integer point and shrunk by a
+    rational factor.  Returns (system, separating points, multipliers).
+    """
+    rng = random.Random(seed)
+    normals = set()
+    while len(normals) < kept:
+        c = [rng.choice((-1, 1)) for _ in range(n)]
+        for k in rng.sample(range(n), 2):
+            c[k] *= 2
+        normals.add(tuple(c))
+    normals = sorted(normals, key=lambda c: rng.random())
+    norm = sum(x * x for x in normals[0])
+    rows, offsets, multipliers = list(normals), [norm] * kept, []
+    for _ in range(implied):
+        lam = [0] * kept
+        for i in rng.sample(range(kept), rng.randint(2, 4)):
+            lam[i] = rng.randint(1, 3)
+        rows.append(tuple(sum(l * c[k] for l, c in zip(lam, normals)) for k in range(n)))
+        offsets.append(sum(lam) * norm + rng.randint(0, 2))
+        multipliers.append(lam)
+    shift = [rng.randint(-3, 3) for _ in range(n)]
+    shrink = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    offsets = [
+        (o + sum(a * u for a, u in zip(row, shift))) / shrink
+        for row, o in zip(rows, offsets)
+    ]
+    eps = Fraction(1, 4 * norm)
+    points = [
+        tuple((-(1 + eps) * a - u) / shrink for a, u in zip(c, shift))
+        for c in normals
+    ]
+    return system(rows, offsets, n), points, multipliers
+
+
+@pytest.mark.parametrize("seed, n, kept, implied", [(5, 5, 8, 4), (6, 6, 12, 8), (7, 6, 14, 6)])
+def test_facets_of_dense_systems(seed, n, kept, implied):
+    h, points, multipliers = dense_system(seed, n, kept, implied)
+    rep = facets(h)
+    assert rep.irredundant == tuple(range(kept))
+    for j, p in enumerate(points):
+        values = row_values(h, p)
+        assert values[j] < 0
+        assert all(v >= 0 for i, v in enumerate(values) if i != j)
+    for j, lam in enumerate(multipliers, start=kept):
+        for k in range(n):
+            assert sum(l * h.c[i][k] for i, l in enumerate(lam)) == h.c[j][k]
+        assert sum(l * h.offset[i] for i, l in enumerate(lam)) <= h.offset[j]
 
 
 # --- 2D enumeration ----------------------------------------------------------
