@@ -215,7 +215,7 @@ class SelfDualityWitness:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BundleVerdict:
     """Classification of Tot(O(a_1) + ... + O(a_c)) with its generic sections."""
 
@@ -281,7 +281,9 @@ def self_dual_witness(m):
 
 def model_self_dual(degrees):
     """Decide self-duality of the generic model on Tot(+O(a_i))."""
-    degrees = tuple(int(a) for a in degrees)
+    degrees = tuple(degrees)  # a tuple of ints is kept as is: sweeps hold many verdicts
+    if not all(type(a) is int for a in degrees):
+        degrees = tuple(int(a) for a in degrees)
     if not degrees:
         raise ValidationError("degrees must be nonempty")
     witness, failure = self_dual_witness(bundle_model(degrees))
