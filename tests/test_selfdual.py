@@ -325,6 +325,17 @@ def test_verdict_failure_reasons():
     assert model_self_dual([-4]).failure_reason() == "no-matrix-witness"
 
 
+def test_verdict_keeps_a_given_degree_tuple():
+    # a sweep keeps every verdict: a tuple of ints is not copied, and a
+    # verdict carries no per-instance dict
+    degrees = (-1, -1)
+    v = model_self_dual(degrees)
+    assert v.degrees is degrees and not hasattr(v, "__dict__")
+    assert model_self_dual([-1, -1]).degrees == degrees
+    coerced = model_self_dual((True, -1.0)).degrees
+    assert coerced == (1, -1) and all(type(a) is int for a in coerced)
+
+
 def test_verdict_degrees_must_be_nonempty():
     with pytest.raises(ValidationError):
         model_self_dual([])
