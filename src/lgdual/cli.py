@@ -7,6 +7,7 @@ failure.
 """
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -170,7 +171,9 @@ def _print_witness(w):
 
 
 def cmd_selfdual(args):
-    if (args.path is None) == (args.degrees is None):
+    if args.path is None and args.degrees is None:
+        raise ParseError("give a model file or --degrees")
+    if args.path is not None and args.degrees is not None:
         raise ParseError("give a model file or --degrees, not both")
     if args.degrees is not None:
         degrees = _parse_degrees(args.degrees)
@@ -314,8 +317,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use; argparse parsers can be reused."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as e:

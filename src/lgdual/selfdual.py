@@ -8,8 +8,11 @@ onto dv, and some K class reproduces the variety from its own halfspace data.
 When dv is corank 1, (n+1) x n with rows spanning Z^n as for every split
 bundle over the line, the row order is read off the charge vectors (the
 signed maximal minors, which generate the charge lattice of the class-group
-sequence) instead of being searched for.  Other shapes go through a
-depth-first search over row orders.
+sequence) instead of being searched for.  The charges of every (n+1)-row
+subset of mon are read from one table of its n x n minors (the Plücker
+coordinates of its rows), computed once per model, and only a subset whose
+charges match +-those of dv reaches a Hermite-form check.  Other shapes go
+through a depth-first search over row orders.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .lgmodel import bundle_model, canonical_class, dualize, linear_data, sum_models
-from .linalg import IntMatrix, right_equivalent
+from .linalg import IntMatrix, _bareiss, right_equivalent
 from .toric import from_linear_data
 
 __all__ = [
@@ -58,19 +61,28 @@ def matrix_self_dual(a, b):
     if a.cols != b.cols:
         raise ShapeMismatchError("column counts differ: %d vs %d" % (a.cols, b.cols))
     qa = _spanning_charge(a)
-    if qa is not None:
-        return _charge_self_dual(a, b, qa)
-    return _row_order_search(a, b)
+    if qa is None:
+        return _row_order_search(a, b)
+    found = _charge_search(a, b, qa)  # b is its own single subset
+    return None if found is None else found[1:]
 
 
-def _charge(m):
-    """Signed maximal minors (-1)^i det(m without row i) of an (n+1) x n
-    matrix.  They generate its left kernel when m has rank n (Cramer), the
-    charge lattice of the class-group sequence, and vanish otherwise."""
-    rows = range(m.rows)
-    return tuple(
-        (-1) ** i * m.take_rows([j for j in rows if j != i]).det() for i in rows
-    )
+def _minor_table(rows, n):
+    """Plücker table of a row configuration: det of every n-row subset T of
+    rows, keyed by T.  Each subset's charges are read from it (_charges)."""
+    table = {}
+    for t in itertools.combinations(range(len(rows)), n):
+        rank, sign, pivot = _bareiss([rows[i] for i in t], n)
+        table[t] = sign * pivot if rank == n else 0
+    return table
+
+
+def _charges(table, s):
+    """Signed maximal minors q_i = (-1)^i det(rows s without s_i) of an
+    (n+1)-subset s.  They generate its left kernel when it has rank n
+    (Cramer), the charge lattice of the class-group sequence, and vanish
+    otherwise."""
+    return tuple((-1 if i & 1 else 1) * table[s[:i] + s[i + 1:]] for i in range(len(s)))
 
 
 def _spanning_charge(a):
@@ -78,7 +90,7 @@ def _spanning_charge(a):
     that is with coprime maximal minors, else None."""
     if a.rows != a.cols + 1:
         return None
-    qa = _charge(a)
+    qa = _charges(_minor_table(a.entries, a.cols), tuple(range(a.rows)))
     return qa if gcd(*qa) == 1 else None
 
 
@@ -99,29 +111,41 @@ def _first_assignment(qb, target):
     return tuple(perm)
 
 
-def _charge_self_dual(a, b, qa):
-    """matrix_self_dual for a spanning corank-1 a with charge vector qa.
+def _charge_search(a, mon, qa):
+    """First (subset, perm, u) with mon[subset][perm] @ u == a, for a
+    spanning corank-1 a with charge vector qa; subsets of a.rows rows of mon
+    in lexicographic order.
 
     Surjections Z^(n+1) -> Z^n with equal kernels differ by a unique element
     of GL(n, Z), and b[perm] has kernel qb[perm] for qb the charge vector of
-    b, so a match exists exactly when qb[perm] = +-qa (which forces b's
-    maximal minors to be coprime as well).
+    b, so a subset b matches exactly when qb[perm] = +-qa (which forces b's
+    maximal minors to be coprime as well).  Every qb is read from one minor
+    table of mon, and a subset whose sorted |qb| differs from sorted |qa|
+    cannot match.
     """
-    qb = _charge(b)
-    perms = [_first_assignment(qb, tuple(s * x for x in qa)) for s in (1, -1)]
-    perm = min((p for p in perms if p is not None), default=None)
-    if perm is None:
-        return None
-    u = right_equivalent(a, b.take_rows(perm))
-    assert u is not None and b.take_rows(perm) @ u == a and u.is_unimodular()
-    return perm, u
+    n = a.cols
+    table = _minor_table(mon.entries, n)
+    key = sorted(map(abs, qa))
+    targets = (qa, tuple(-x for x in qa))
+    for s in itertools.combinations(range(mon.rows), n + 1):
+        qb = _charges(table, s)
+        if sorted(map(abs, qb)) != key:
+            continue
+        perms = [_first_assignment(qb, t) for t in targets]
+        perm = min((p for p in perms if p is not None), default=None)
+        if perm is None:
+            continue
+        b = mon.take_rows([s[p] for p in perm])
+        u = right_equivalent(a, b)
+        assert u is not None and b @ u == a and u.is_unimodular()
+        return s, perm, u
+    return None
 
 
 def _abs_maximal_minors(m):
     """Sorted |det| of every cols-row submatrix.  Unimodular right
     multiplication and row order leave this multiset unchanged."""
-    subsets = itertools.combinations(range(m.rows), m.cols)
-    return sorted(abs(m.take_rows(s).det()) for s in subsets)
+    return sorted(map(abs, _minor_table(m.entries, m.cols).values()))
 
 
 def _row_order_search(a, b, a_minors=None):
@@ -198,10 +222,18 @@ class SelfDualityWitness:
         return tuple(self.monomial_subset[p] for p in self.row_permutation)
 
     def verify(self, dv, mon, check_k=True):
-        sub = mon.take_rows(self.monomial_subset)
-        if sub.take_rows(self.row_permutation) @ self.basis_change != dv:
+        """True when the witness replays against (dv, mon); False also for a
+        malformed witness: a subset that is not strictly increasing within
+        mon's rows, a permutation of the wrong indices, or a basis change
+        of the wrong shape."""
+        subset, perm, u = self.monomial_subset, self.row_permutation, self.basis_change
+        if list(subset) != sorted(set(subset)) or not all(0 <= i < mon.rows for i in subset):
             return False
-        if not self.basis_change.is_unimodular():
+        if sorted(perm) != list(range(len(subset))) or u.rows != mon.cols:
+            return False
+        if mon.take_rows(subset).take_rows(perm) @ u != dv:
+            return False
+        if not u.is_unimodular():
             return False
         if check_k:
             if self.k_class is None:
@@ -243,15 +275,11 @@ def _search_matrix_witness(dv, mon):
     if mon.rows < dv.rows or mon.rank() != dv.rank():
         return None
     qa = _spanning_charge(dv)
-    minors = None
-    if qa is None and dv.rows >= dv.cols:
-        minors = _abs_maximal_minors(dv)
+    if qa is not None:
+        return _charge_search(dv, mon, qa)
+    minors = _abs_maximal_minors(dv) if dv.rows >= dv.cols else None
     for subset in itertools.combinations(range(mon.rows), dv.rows):
-        sub = mon.take_rows(subset)
-        if qa is None:
-            res = _row_order_search(dv, sub, minors)
-        else:
-            res = _charge_self_dual(dv, sub, qa)
+        res = _row_order_search(dv, mon.take_rows(subset), minors)
         if res is not None:
             perm, u = res
             return subset, perm, u

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lgdual import polyhedra
+from lgdual import cli, polyhedra
 from lgdual.cli import SWEEP_HEADER, main
 from lgdual.lgmodel import bundle_model
 from lgdual.modelfile import format_model, parse_model
@@ -220,7 +220,9 @@ def test_selfdual_file_without_enough_monomials(model_file, capsys):
 
 def test_selfdual_requires_exactly_one_source(model_file, capsys):
     assert main(["selfdual"]) == 2
+    assert capsys.readouterr().err == "error: give a model file or --degrees\n"
     assert main(["selfdual", model_file([-2]), "--degrees=-2"]) == 2
+    assert capsys.readouterr().err == "error: give a model file or --degrees, not both\n"
 
 
 def test_selfdual_rejects_bad_degrees(capsys):
@@ -308,6 +310,28 @@ def test_polytope_missing_input_exits_2(tmp_path, capsys):
 def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    calls = []
+    original = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    runs = []
+    for _ in range(2):
+        code = main(["sweep", "--rank1", "3"])
+        runs.append((code, capsys.readouterr()))
+    assert calls == [1]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    with pytest.raises(SystemExit):
+        main(["sweep"])
+    assert main(["selfdual"]) == 2
+    assert calls == [1]
 
 
 @pytest.mark.skipif(

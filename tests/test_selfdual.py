@@ -1,9 +1,11 @@
 """Self-duality: matrix search, K reconstruction, verdicts, sweeps, products."""
 
+import dataclasses
 import itertools
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lgdual import selfdual
@@ -201,6 +203,65 @@ def test_charge_decision_matches_row_order_search(case):
         assert b.take_rows(perm) @ u == a and u.is_unimodular()
 
 
+# --- minor-table subset search against a per-subset row-order search -----------
+
+def per_subset_search(dv, mon):
+    """First (subset, perm, u) of a plain loop over the subsets of mon, each
+    decided by the row-order search."""
+    for subset in itertools.combinations(range(mon.rows), dv.rows):
+        res = _row_order_search(dv, mon.take_rows(subset))
+        if res is not None:
+            return (subset,) + res
+    return None
+
+
+@st.composite
+def corank_one_searches(draw):
+    """(kind, dv, mon): dv spanning of shape 3x2 or 4x3, mon of 4 to 9 rows."""
+    n = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("planted", "ties", "zero-and-duplicate", "low-rank")))
+    m = draw(st.integers(4, 9))
+    if kind == "ties":
+        # entries in {-1, 0, 1} tie and negate charges, in dv and in mon
+        v = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        dv = stacked(v) @ draw(unimodular(n))
+        w = [x * draw(st.sampled_from((1, -1))) for x in draw(st.permutations(v))]
+        plant = planted(draw, dv if draw(st.booleans()) else stacked(w))
+        rest = draw(small_matrices(m - n - 1, n, 1)).entries if m > n + 1 else ()
+        rows = list(plant.entries) + list(rest)
+    else:
+        dv = draw(small_matrices(n + 1, n, 2))
+        assume(_spanning_charge(dv) is not None)
+        rows = list(draw(small_matrices(m, n, 2)).entries)
+        if kind == "planted":
+            rows[: n + 1] = planted(draw, dv).entries
+        elif kind == "zero-and-duplicate":
+            if draw(st.booleans()):
+                rows[: n + 1] = planted(draw, dv).entries
+            rows[-1] = (0,) * n
+            rows[-2] = rows[draw(st.integers(0, m - 3))]
+        else:
+            rows = [row[:-1] + (row[0],) for row in rows]  # last column repeats the first
+    order = draw(st.permutations(range(len(rows))))
+    return kind, dv, IntMatrix.from_rows([rows[i] for i in order], n)
+
+
+@given(corank_one_searches())
+@settings(max_examples=250, deadline=None)
+def test_table_search_matches_per_subset_search(case):
+    kind, dv, mon = case
+    assert _spanning_charge(dv) is not None
+    if kind == "low-rank":
+        assert mon.rank() < dv.cols
+    found = _search_matrix_witness(dv, mon)
+    assert found == per_subset_search(dv, mon)
+    if kind == "planted":
+        assert found is not None
+    if found is not None:
+        subset, perm, u = found
+        assert mon.take_rows([subset[p] for p in perm]) @ u == dv
+
+
 # --- search effort ------------------------------------------------------------
 
 @pytest.fixture
@@ -277,6 +338,25 @@ def test_line_bundle_sweep_makes_one_leaf_test(right_equivalent_calls):
     assert len(right_equivalent_calls) == 1
 
 
+def test_line_bundle_takes_each_minor_once(monkeypatch):
+    # the subset loop reads every charge from one table of 2-row minors of
+    # mon, not from 3 determinants per 3-row subset
+    calls = []
+    original = selfdual._bareiss
+
+    def counted(rows, cols):
+        calls.append(tuple(map(tuple, rows)))
+        return original(rows, cols)
+
+    monkeypatch.setattr(selfdual, "_bareiss", counted)
+    dv, mon = bundle_over_p1([-20]).dv, bundle_model([-20]).mon()
+    assert model_self_dual((-20,)).failure == "no-matrix-witness"
+    pairs = list(itertools.combinations(mon.entries, 2))
+    assert len(calls) == dv.rows + comb(mon.rows, 2) < 3 * comb(mon.rows, 3)
+    assert sorted(calls[: dv.rows]) == sorted(itertools.combinations(dv.entries, 2))
+    assert calls[dv.rows:] == pairs
+
+
 # --- K reconstruction ---------------------------------------------------------
 
 def test_k_reconstruction_for_the_two_self_dual_cases():
@@ -347,6 +427,26 @@ def test_self_dual_witness_verifies_with_k():
     assert reason is None
     assert w.verify(m.variety.dv, m.mon(), check_k=True)
     assert w.selected_rows() == tuple(w.monomial_subset[p] for p in w.row_permutation)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"basis_change": IntMatrix.identity(3)},
+        {"monomial_subset": (0, 1, 7)},
+        {"row_permutation": (0, 2, 3)},
+        {"monomial_subset": (2, 1, 0), "row_permutation": (2, 0, 1)},
+    ],
+    ids=["basis-change-shape", "subset-out-of-range", "not-a-permutation", "subset-not-increasing"],
+)
+def test_verify_rejects_malformed_witness(change):
+    dv, mon = bundle_over_p1([-2]).dv, bundle_model([-2]).mon()
+    witness = model_self_dual((-2,)).witness
+    assert witness.verify(dv, mon)
+    assert (witness.monomial_subset, witness.row_permutation) == ((0, 1, 2), (0, 2, 1))
+    w = dataclasses.replace(witness, **change)
+    assert w.verify(dv, mon) is False
+    assert w.verify(dv, mon, check_k=False) is False
 
 
 def test_self_dual_witness_reason_strings():
