@@ -11,6 +11,7 @@ the two halves, which is implemented here as ``dualize``.
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .complexq import ComplexQ
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .linalg import IntMatrix, cokernel
+from .linalg import IntMatrix, _bareiss_solve, cokernel
 from .toric import ToricData, bundle_over_p1, from_linear_data, point, product
 
 __all__ = [
@@ -170,40 +171,13 @@ class ChowClass:
         return all(v.is_integer() for v in _mat_apply(self.group.free_projection(), diff))
 
 
-def _solve_underdetermined(mat, rhs):
-    """Particular rational solution x of mat @ x = rhs (mat full row rank)."""
-    rows = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(mat, rhs)]
-    ncols = mat.cols
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(rows)):
-        if rows[i][ncols] != 0:
-            raise ValidationError("inconsistent class value system")
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = rows[i][ncols]
-    return x
-
-
 def canonical_class(group, values):
     """Lift per-generator class values to an explicit vector.
 
     Puts each value's mass on the last coordinate where that generator's
     projection row has a +1 entry (failing that, a -1 entry) and the other
-    rows vanish; falls back to a rational solve when no such coordinate
+    rows vanish; falls back to the reduced row echelon solution, solved
+    fraction-free over one common denominator, when no such coordinate
     exists.  Different lifts of one class translate the halfspace
     polyhedron without changing its facet structure, so this choice only
     normalizes reported offsets and drawn coordinates.
@@ -236,9 +210,13 @@ def canonical_class(group, values):
         for g, j in placed.items():
             lift[j] = values[g] * Fraction(1, proj[g][j])
         return ChowClass(tuple(lift), group)
-    re = _solve_underdetermined(proj, [v.re for v in values])
-    im = _solve_underdetermined(proj, [v.im for v in values])
-    return ChowClass(tuple(ComplexQ(a, b) for a, b in zip(re, im)), group)
+    scale = lcm(*(q.denominator for v in values for q in (v.re, v.im)))
+    d, (re, im) = _bareiss_solve(
+        proj, [[int(v.re * scale) for v in values], [int(v.im * scale) for v in values]]
+    )
+    d *= scale
+    lift = tuple(ComplexQ(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im))
+    return ChowClass(lift, group)
 
 
 def default_k_class(variety):

@@ -7,7 +7,6 @@ immutable after construction.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import ShapeMismatchError
@@ -16,7 +15,6 @@ __all__ = [
     "IntMatrix",
     "SmithDecomposition",
     "ChowGroup",
-    "xgcd",
     "snf",
     "cokernel",
     "hnf_col",
@@ -25,32 +23,21 @@ __all__ = [
 ]
 
 
-def xgcd(a, b):
-    """Extended gcd: returns (x, y, g) with x*a + y*b == g >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 def _bareiss(entries, cols):
     """Fraction-free row echelon reduction of integer rows (Bareiss 1968).
 
-    Returns (rank, sign, pivot): sign is the parity of the row swaps and
-    pivot the last nonzero pivot, which is the leading minor over the pivot
-    rows and columns, so a square matrix of full rank has determinant
-    sign * pivot.  Every division is exact (Sylvester's identity).
+    Returns (pivots, sign, pivot, rows): pivots are the pivot columns, the
+    leftmost independent ones, so the rank is their count; sign is the
+    parity of the row swaps; pivot is the last nonzero pivot, which is the
+    leading minor over the pivot rows and columns, so a square matrix of
+    full rank has determinant sign * pivot; rows is the echelon form, read
+    only on and right of each row's pivot.  Every division is exact
+    (Sylvester's identity).
     """
     m = [list(row) for row in entries]
-    r, sign, prev = 0, 1, 1
+    pivots, sign, prev = [], 1, 1
     for col in range(cols):
+        r = len(pivots)
         if r == len(m):
             break
         piv = next((i for i in range(r, len(m)) if m[i][col]), None)
@@ -67,8 +54,35 @@ def _bareiss(entries, cols):
             for j in range(col + 1, cols):
                 row[j] = (row[j] * p - f * top[j]) // prev
         prev = p
-        r += 1
-    return r, sign, prev
+        pivots.append(col)
+    return pivots, sign, prev, m
+
+
+def _bareiss_solve(a, rhs):
+    """Integer x with a @ x == d * b for every integer vector b in rhs, and
+    their one common denominator d, for a consistent system; returns (d, xs).
+
+    One Bareiss elimination of a beside the columns of rhs, then
+    fraction-free back substitution over the pivot columns: d is the last
+    pivot, the minor of a on its pivot rows and columns, so d * x is
+    integral (Cramer) and every division is exact.  Coordinates off the
+    pivot columns are 0, so x / d is the reduced row echelon solution.
+    Each x is replayed against a before it is returned.
+    """
+    n = a.cols
+    rows = [row + tuple(b[i] for b in rhs) for i, row in enumerate(a.entries)]
+    pivots, _, d, m = _bareiss(rows, n + len(rhs))
+    pivots = [p for p in pivots if p < n]
+    xs = []
+    for t, b in enumerate(rhs):
+        x = [0] * n
+        for k in reversed(range(len(pivots))):
+            row, p = m[k], pivots[k]
+            x[p] = (d * row[n + t] - sum(row[q] * x[q] for q in pivots[k + 1:])) // row[p]
+        if any(sum(u * v for u, v in zip(row, x)) != d * bi for row, bi in zip(a.entries, b)):
+            raise ValueError("the system a @ x == b has no solution")
+        xs.append(x)
+    return d, xs
 
 
 class IntMatrix:
@@ -171,12 +185,12 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ShapeMismatchError("determinant of non-square %dx%d matrix" % (self.rows, self.cols))
-        rank, sign, pivot = _bareiss(self.entries, self.cols)
-        return sign * pivot if rank == self.rows else 0
+        pivots, sign, pivot, _ = _bareiss(self.entries, self.cols)
+        return sign * pivot if len(pivots) == self.rows else 0
 
     def rank(self):
         """Rank over the rationals, via fraction-free (Bareiss) elimination."""
-        return _bareiss(self.entries, self.cols)[0]
+        return len(_bareiss(self.entries, self.cols)[0])
 
     def is_unimodular(self):
         return self.rows == self.cols and self.det() in (1, -1)
@@ -425,77 +439,23 @@ def hnf_col_transform(a):
     return IntMatrix(a.rows, a.cols, m), IntMatrix(n, n, u), IntMatrix(n, n, uinv)
 
 
-def _first_independent_rows(b):
-    """Indices of the first maximal set of Q-linearly independent rows."""
-    basis = []  # reduced Fraction rows
-    picked = []
-    for i in range(b.rows):
-        vec = [Fraction(x) for x in b[i]]
-        for lead, red in basis:
-            if vec[lead]:
-                f = vec[lead]
-                vec = [x - f * y for x, y in zip(vec, red)]
-        lead = next((j for j, x in enumerate(vec) if x != 0), None)
-        if lead is None:
-            continue
-        inv = 1 / vec[lead]
-        basis.append((lead, [x * inv for x in vec]))
-        picked.append(i)
-        if len(picked) == b.cols:
-            break
-    return picked
-
-
-def _solve_square(mat, rhs):
-    """Solve mat @ x = rhs over the rationals; mat n x n invertible.
-
-    mat and rhs are lists of Fraction rows; returns list of Fraction rows.
-    """
-    n = len(mat)
-    aug = [list(mat[i]) + list(rhs[i]) for i in range(n)]
-    w = len(aug[0])
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:w] for row in aug]
-
-
 def right_equivalent(a, b):
     """Unimodular u with b @ u == a, or None when no such u exists.
 
-    Decided through equality of Hermite forms.  When b has full column
-    rank the witness is recovered by a rational row-select solve (it is
-    then unique); otherwise it is assembled from the tracked Hermite
-    transforms of both sides.
+    Decided through equality of Hermite forms: b @ ub == hb == ha == a @ ua
+    for the tracked Hermite transforms, so u = ub @ ua^-1.  When b has full
+    column rank u is unique.  The witness is replayed before it is returned.
     """
     if a.rows != b.rows or a.cols != b.cols:
         raise ShapeMismatchError(
             "right equivalence needs equal shapes, got %dx%d and %dx%d"
             % (a.rows, a.cols, b.rows, b.cols)
         )
-    n = a.cols
-    if n == 0:
-        return IntMatrix.identity(0)
-    ha, ua, ua_inv = hnf_col_transform(a)
-    hb, ub, ub_inv = hnf_col_transform(b)
+    ha, _, ua_inv = hnf_col_transform(a)
+    hb, ub, _ = hnf_col_transform(b)
     if ha != hb:
         return None
-    picked = _first_independent_rows(b)
-    if len(picked) == n:
-        bsel = [[Fraction(x) for x in b[i]] for i in picked]
-        asel = [[Fraction(x) for x in a[i]] for i in picked]
-        sol = _solve_square(bsel, asel)
-        if any(x.denominator != 1 for row in sol for x in row):
-            raise AssertionError("equivalent matrices produced a non-integral witness")
-        u = IntMatrix(n, n, [[int(x) for x in row] for row in sol])
-    else:
-        u = ub @ ua_inv
+    u = ub @ ua_inv
     if b @ u != a or not u.is_unimodular():
         raise AssertionError("right-equivalence witness failed verification")
     return u

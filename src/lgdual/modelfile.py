@@ -212,10 +212,6 @@ def load_model(path):
         return parse_model(fh.read())
 
 
-def _format_fraction(q):
-    return str(q)
-
-
 def format_model(m, header=None):
     """Serialize a model in explicit-matrix form (round-trips via parse_model)."""
     lines = []
@@ -227,7 +223,7 @@ def format_model(m, header=None):
     lines.append("labels = " + " ".join(m.variety.divisors))
     im = m.k_class.im_lift()
     if any(im):
-        lines.append("offset = " + " ".join(_format_fraction(q) for q in im))
+        lines.append("offset = " + " ".join(map(str, im)))
     lines.append("[potential]")
     for coeff, exps in m.potential.terms:
         lines.append(

@@ -72,8 +72,8 @@ def _minor_table(rows, n):
     rows, keyed by T.  Each subset's charges are read from it (_charges)."""
     table = {}
     for t in itertools.combinations(range(len(rows)), n):
-        rank, sign, pivot = _bareiss([rows[i] for i in t], n)
-        table[t] = sign * pivot if rank == n else 0
+        pivots, sign, pivot, _ = _bareiss([rows[i] for i in t], n)
+        table[t] = sign * pivot if len(pivots) == n else 0
     return table
 
 
@@ -262,10 +262,6 @@ class BundleVerdict:
     @property
     def sum_degree(self):
         return sum(self.degrees)
-
-    def failure_reason(self):
-        """Why selfDual is false: the first failing requirement, else None."""
-        return self.failure
 
 
 def _search_matrix_witness(dv, mon):

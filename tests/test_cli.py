@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lgdual import cli, polyhedra
+from lgdual import cli, lgmodel, polyhedra
 from lgdual.cli import SWEEP_HEADER, main
 from lgdual.lgmodel import bundle_model
 from lgdual.modelfile import format_model, parse_model
@@ -133,6 +133,111 @@ def test_dualize_check_involution(model_file, capsys):
     assert "# involution: dv restored: yes" in out
     assert "# involution: mon restored: yes" in out
     assert "# involution: K equivalent: yes" in out
+
+# A dense free-rank-4 model: no generator's projection row has a unit entry
+# where the other rows vanish, so its K lift is the rational solve's.
+DENSE_MODEL = """\
+# seed 11 model 3
+[variety]
+dv = 1 0 1 -1; 3 -1 -1 0; 2 -1 0 1; 1 0 0 -1; 3 0 1 0; 2 0 1 1; 1 -1 -1 -1; 2 -1 -1 -1
+[potential]
+term = 4/8-1i : 2 1 1 0
+term = 1/6+3i : 1 0 -1 -1
+term = 5/7-3i : 1 -1 1 1
+term = 2/2-2i : 2 -1 1 1
+term = 4/1+1i : 1 0 0 0
+term = 6/6+1i : 1 0 0 1
+term = 8/3+1i : 1 1 -1 0
+"""
+
+DENSE_ANALYZE = """\
+variety: 8 divisors, rank 4
+dv:
+  D1  1   0   1  -1
+  D2  3  -1  -1   0
+  D3  2  -1   0   1
+  D4  1   0   0  -1
+  D5  3   0   1   0
+  D6  2   0   1   1
+  D7  1  -1  -1  -1
+  D8  2  -1  -1  -1
+chow group: Z^4
+  free generator 1: (2, 3, 0, 1, -2, 0, 0, -3)
+  free generator 2: (0, 0, 0, 1, -1, 1, 0, 0)
+  free generator 3: (1, 2, 0, 1, -1, 0, 1, -3)
+  free generator 4: (1, 1, -1, -2, 0, 0, 0, 0)
+K class:
+  values: [0+1i, 0+1i, 0+1i, 0+1i]
+  lift: [0, 0, 0-3i, 0+1i, 0, 0, 0, 0]
+potential: 7 terms
+mon:
+  t1^2*t2*t3        2   1   1   0
+  t1*t3^-1*t4^-1    1   0  -1  -1
+  t1*t2^-1*t3*t4    1  -1   1   1
+  t1^2*t2^-1*t3*t4  2  -1   1   1
+  t1                1   0   0   0
+  t1*t4             1   0   0   1
+  t1*t2*t3^-1       1   1  -1   0
+L class:
+  values: [0+1i, 0+1i, 0+1i]
+  lift: [0, 0, 0+1i, 0, 0, 0+1i, 0+1i]
+order matrix (dv . mon^T):
+  D1  3  1  1  2  1  0  0
+  D2  4  4  3  6  3  3  3
+  D3  3  1  4  6  2  3  1
+  D4  2  2  0  1  1  0  1
+  D5  7  2  4  7  3  3  2
+  D6  5  0  4  6  2  3  1
+  D7  0  3  0  1  1  0  1
+  D8  2  4  1  3  2  1  2
+kopaseptic:
+  interior nonempty: yes
+  reconstruction map: yes (identity)
+  order matrix nonnegative: yes
+=> PASS
+"""
+
+DENSE_DUAL = """\
+# dual of m003.lg
+[variety]
+dv = 2 1 1 0; 1 0 -1 -1; 1 -1 1 1; 2 -1 1 1; 1 0 0 0; 1 0 0 1; 1 1 -1 0
+labels = m1 m2 m3 m4 m5 m6 m7
+offset = 0 0 1 0 0 1 1
+[potential]
+term = 1.0+0.0i : 1 0 1 -1  # t1*t3*t4^-1
+term = 1.0+0.0i : 3 -1 -1 0  # t1^3*t2^-1*t3^-1
+term = 153552935.39544657+0.0i : 2 -1 0 1  # t1^2*t2^-1*t4
+term = 0.0018674427317079893+0.0i : 1 0 0 -1  # t1*t4^-1
+term = 1.0+0.0i : 3 0 1 0  # t1^3*t3
+term = 1.0+0.0i : 2 0 1 1  # t1^2*t3*t4
+term = 1.0+0.0i : 1 -1 -1 -1  # t1*t2^-1*t3^-1*t4^-1
+term = 1.0+0.0i : 2 -1 -1 -1  # t1^2*t2^-1*t3^-1*t4^-1
+[kahler]
+class = 0+1i
+class = 0+1i
+class = 0+1i
+# self-dual (matrix level): no
+# involution: dv restored: yes
+# involution: mon restored: yes
+# involution: K equivalent: yes
+"""
+
+
+def test_dense_model_prints_the_solved_k_lift(tmp_path, capsys, monkeypatch):
+    solves = []
+    original = lgmodel._bareiss_solve
+
+    def counted(a, rhs):
+        solves.append(a.rows)
+        return original(a, rhs)
+
+    monkeypatch.setattr(lgmodel, "_bareiss_solve", counted)
+    path = write_text(tmp_path, DENSE_MODEL, "m003.lg")
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == DENSE_ANALYZE
+    assert solves == [4]
+    assert main(["dualize", path, "--check-involution"]) == 0
+    assert capsys.readouterr().out == DENSE_DUAL
 
 
 @pytest.fixture

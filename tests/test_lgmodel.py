@@ -167,6 +167,7 @@ def test_canonical_lift_rational_fallback():
     assert tuple(g.free_projection()[0]) == (3, -2)
     c = canonical_class(g, [ComplexQ(1, 1)])
     assert c.values() == (ComplexQ(1, 1),)
+    assert c.lift == (ComplexQ(Fraction(1, 3), Fraction(1, 3)), ComplexQ(0, 0))
 
 
 @given(st.integers(0, 6), st.integers(-3, 3), st.integers(-3, 3))

@@ -5,12 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import elimination_oracle
 from lgdual.errors import ShapeMismatchError
 from lgdual.linalg import (
     IntMatrix,
+    _bareiss_solve,
     cokernel,
     hnf_col,
     hnf_col_transform,
@@ -357,6 +359,85 @@ def test_right_equivalent_shape_mismatch():
     b = IntMatrix.from_rows([(1, 0), (0, 1)])
     with pytest.raises(ShapeMismatchError):
         right_equivalent(a, b)
+
+
+def test_right_equivalent_without_columns():
+    a, b = IntMatrix(2, 0, ((), ())), IntMatrix(2, 0, ((), ()))
+    assert right_equivalent(a, b) == IntMatrix.identity(0)
+
+
+@st.composite
+def planted_pairs(draw):
+    """(b @ w, b) for a planted unimodular w; b has n = 1..4 columns and
+    n..6 rows, of full column rank or, through a zero or repeated column,
+    of lower rank."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(n, 6))
+    b = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(rows)]
+    deficient = n > 1 and draw(st.booleans())
+    if deficient:
+        k = draw(st.integers(0, 2))
+        for row in b:
+            row[-1] = k * row[0]
+    b = IntMatrix.from_rows(b)
+    assume(deficient or b.rank() == n)
+    w = IntMatrix.identity(n)
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, k in draw(st.lists(ops, max_size=6)):
+        e = [[int(x == y) for y in range(n)] for x in range(n)]
+        if i == j:
+            e[i][i] = -1
+        else:
+            e[i][j] = k
+        w = w @ IntMatrix.from_rows(e)
+    return b @ w, b
+
+
+@given(planted_pairs())
+@settings(max_examples=200, deadline=None)
+def test_right_equivalent_matches_row_select_solve(pair):
+    # with full column rank the witness is unique, so the Hermite
+    # transforms give the matrix the old rational row-select solve gave
+    a, b = pair
+    u = right_equivalent(a, b)
+    assert u is not None and b @ u == a and u.is_unimodular()
+    if b.rank() == b.cols:
+        assert u == elimination_oracle.right_equivalent(a, b)
+
+
+@st.composite
+def full_row_rank_systems(draw):
+    """f x r integer systems of full row rank, f = 1..5 and r up to 9,
+    some columns zero, with two right-hand sides of small Fractions."""
+    f = draw(st.integers(1, 5))
+    r = draw(st.integers(f, 9))
+    zero = draw(st.sets(st.integers(0, r - 1), max_size=r - f))
+    entries = st.integers(-3, 3)
+    a = IntMatrix(f, r, [[0 if j in zero else draw(entries) for j in range(r)] for _ in range(f)])
+    assume(a.rank() == f)
+    q = st.fractions(-5, 5, max_denominator=6)
+    return a, draw(st.lists(st.lists(q, min_size=f, max_size=f), min_size=2, max_size=2))
+
+
+@given(full_row_rank_systems())
+@settings(max_examples=300, deadline=None)
+def test_bareiss_solve_matches_fraction_elimination(system):
+    # the class-lift solve: same pivot columns as the reduced row echelon
+    # form, so the same Fractions, from integers over one denominator
+    a, rhs = system
+    scale = math.lcm(*(q.denominator for b in rhs for q in b))
+    d, xs = _bareiss_solve(a, [[int(q * scale) for q in b] for b in rhs])
+    assert len(xs) == len(rhs)
+    for b, x in zip(rhs, xs):
+        want = elimination_oracle._solve_underdetermined(a, b)
+        assert [Fraction(v, d * scale) for v in x] == want
+
+
+def test_bareiss_solve_rejects_an_inconsistent_system():
+    a = IntMatrix.from_rows([(1, 2), (2, 4)])
+    assert _bareiss_solve(a, [[1, 2]]) == (1, [[1, 0]])
+    with pytest.raises(ValueError):
+        _bareiss_solve(a, [[1, 3]])
 
 
 @given(matrices(4, 3, st.integers(-3, 3)))

@@ -379,7 +379,7 @@ def test_verdict_cotangent_case():
     v = model_self_dual([-2])
     assert v.canonical_trivial and v.polystable and v.strong_cy and v.self_dual
     assert v.sum_degree == -2
-    assert v.failure_reason() is None
+    assert v.failure is None
     w = v.witness
     assert w.verify(bundle_over_p1([-2]).dv, bundle_model([-2]).mon())
 
@@ -400,9 +400,9 @@ def test_verdict_closing_remark_cases():
 
 
 def test_verdict_failure_reasons():
-    assert model_self_dual([-3]).failure_reason() == "no-matrix-witness"
-    assert model_self_dual([1]).failure_reason() == "not-enough-monomials"
-    assert model_self_dual([-4]).failure_reason() == "no-matrix-witness"
+    assert model_self_dual([-3]).failure == "no-matrix-witness"
+    assert model_self_dual([1]).failure == "not-enough-monomials"
+    assert model_self_dual([-4]).failure == "no-matrix-witness"
 
 
 def test_verdict_keeps_a_given_degree_tuple():
