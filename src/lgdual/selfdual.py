@@ -5,13 +5,15 @@ of character basis and an ordering of the support: concretely, some subset of
 the exponent rows, a permutation, and a unimodular change of basis carry mon
 onto dv, and some K class reproduces the variety from its own halfspace data.
 
+One search decides every shape of dv.  It walks the subsets of mon rows in
+lexicographic order and reads each subset's maximal minors from one table of
+the n x n minors of mon (the Plücker coordinates of its rows), computed once
+per search; a subset whose |minors| differ from those of dv is skipped.
 When dv is corank 1, (n+1) x n with rows spanning Z^n as for every split
-bundle over the line, the row order is read off the charge vectors (the
-signed maximal minors, which generate the charge lattice of the class-group
-sequence) instead of being searched for.  The charges of every (n+1)-row
-subset of mon are read from one table of its n x n minors (the Plücker
-coordinates of its rows), computed once per model, and only a subset whose
-charges match +-those of dv reaches a Hermite-form check.  Other shapes go
+bundle over the line, those minors are the charge vector (the signed maximal
+minors, which generate the charge lattice of the class-group sequence), the
+row order is read off it, and only a subset whose charges match +-those of
+dv reaches a Hermite-form check.  For other shapes each surviving subset goes
 through a depth-first search over row orders.
 """
 
@@ -49,49 +51,28 @@ __all__ = [
 def matrix_self_dual(a, b):
     """Search for (perm, u) with b[perm] @ u == a and u unimodular.
 
-    The reported perm is the lexicographically first that works.  Corank-1
-    inputs, where a is (n+1) x n and its rows span Z^n, are decided from the
-    charge vectors: perm must carry the charges of b onto +-those of a, and
-    the unique u is then solved for.  Every other input goes through the
-    general depth-first search over row orders.  Returns None when no pair
-    exists.
+    The reported perm is the lexicographically first that works.  This is
+    the subset search of _search_matrix_witness with b as its own single
+    subset: corank-1 inputs, where a is (n+1) x n and its rows span Z^n, are
+    decided from the charge vectors, every other input by the depth-first
+    search over row orders.  Returns None when no pair exists.
     """
     if a.rows != b.rows:
         raise ShapeMismatchError("row counts differ: %d vs %d" % (a.rows, b.rows))
     if a.cols != b.cols:
         raise ShapeMismatchError("column counts differ: %d vs %d" % (a.cols, b.cols))
-    qa = _spanning_charge(a)
-    if qa is None:
-        return _row_order_search(a, b)
-    found = _charge_search(a, b, qa)  # b is its own single subset
+    found = _search_matrix_witness(a, b)
     return None if found is None else found[1:]
 
 
 def _minor_table(rows, n):
     """Plücker table of a row configuration: det of every n-row subset T of
-    rows, keyed by T.  Each subset's charges are read from it (_charges)."""
+    rows, keyed by T."""
     table = {}
     for t in itertools.combinations(range(len(rows)), n):
         pivots, sign, pivot, _ = _bareiss([rows[i] for i in t], n)
         table[t] = sign * pivot if len(pivots) == n else 0
     return table
-
-
-def _charges(table, s):
-    """Signed maximal minors q_i = (-1)^i det(rows s without s_i) of an
-    (n+1)-subset s.  They generate its left kernel when it has rank n
-    (Cramer), the charge lattice of the class-group sequence, and vanish
-    otherwise."""
-    return tuple((-1 if i & 1 else 1) * table[s[:i] + s[i + 1:]] for i in range(len(s)))
-
-
-def _spanning_charge(a):
-    """The charge vector of a when a is (n+1) x n with rows spanning Z^n,
-    that is with coprime maximal minors, else None."""
-    if a.rows != a.cols + 1:
-        return None
-    qa = _charges(_minor_table(a.entries, a.cols), tuple(range(a.rows)))
-    return qa if gcd(*qa) == 1 else None
 
 
 def _first_assignment(qb, target):
@@ -111,61 +92,15 @@ def _first_assignment(qb, target):
     return tuple(perm)
 
 
-def _charge_search(a, mon, qa):
-    """First (subset, perm, u) with mon[subset][perm] @ u == a, for a
-    spanning corank-1 a with charge vector qa; subsets of a.rows rows of mon
-    in lexicographic order.
-
-    Surjections Z^(n+1) -> Z^n with equal kernels differ by a unique element
-    of GL(n, Z), and b[perm] has kernel qb[perm] for qb the charge vector of
-    b, so a subset b matches exactly when qb[perm] = +-qa (which forces b's
-    maximal minors to be coprime as well).  Every qb is read from one minor
-    table of mon, and a subset whose sorted |qb| differs from sorted |qa|
-    cannot match.
-    """
-    n = a.cols
-    table = _minor_table(mon.entries, n)
-    key = sorted(map(abs, qa))
-    targets = (qa, tuple(-x for x in qa))
-    for s in itertools.combinations(range(mon.rows), n + 1):
-        qb = _charges(table, s)
-        if sorted(map(abs, qb)) != key:
-            continue
-        perms = [_first_assignment(qb, t) for t in targets]
-        perm = min((p for p in perms if p is not None), default=None)
-        if perm is None:
-            continue
-        b = mon.take_rows([s[p] for p in perm])
-        u = right_equivalent(a, b)
-        assert u is not None and b @ u == a and u.is_unimodular()
-        return s, perm, u
-    return None
-
-
-def _abs_maximal_minors(m):
-    """Sorted |det| of every cols-row submatrix.  Unimodular right
-    multiplication and row order leave this multiset unchanged."""
-    return sorted(map(abs, _minor_table(m.entries, m.cols).values()))
-
-
-def _row_order_search(a, b, a_minors=None):
-    """General path: row orders of b in lexicographic order, depth first,
-    pruned by the row-gcd invariant (unimodular right multiplication
-    preserves each row's gcd), each leaf tested by Hermite forms.
-
-    Before the search, the multisets of |maximal minors| of a and b must
-    agree when rows >= cols; a_minors is a's multiset when the caller
-    already has it."""
+def _row_order_search(a, b):
+    """Row orders of b in lexicographic order, depth first, pruned by the
+    row-gcd invariant (unimodular right multiplication preserves each row's
+    gcd), each leaf tested by Hermite forms.  Returns (perm, u) or None."""
     ga, gb = a.row_gcds(), b.row_gcds()
     if Counter(ga) != Counter(gb):
         return None
     if a.rank() != b.rank():
         return None
-    if a.rows >= a.cols:
-        if a_minors is None:
-            a_minors = _abs_maximal_minors(a)
-        if a_minors != _abs_maximal_minors(b):
-            return None
     candidates = [tuple(j for j in range(b.rows) if gb[j] == g) for g in ga]
     used = [False] * b.rows
     sel = []
@@ -267,18 +202,48 @@ class BundleVerdict:
 def _search_matrix_witness(dv, mon):
     """First subset of mon rows that is right-equivalent to dv after a
     permutation, as (subset, perm, u), or None.  Subsets in lexicographic
-    order, so the reported witness is deterministic."""
-    if mon.rows < dv.rows or mon.rank() != dv.rank():
+    order, so the reported witness is deterministic.
+
+    Unimodular right multiplication and row order leave the multiset of
+    |maximal minors| unchanged, so a subset S whose n x n minors, read from
+    one table of mon's minors, differ from dv's in absolute value cannot
+    match.  When dv is (n+1) x n with coprime minors (rows spanning Z^n) the
+    minors of S are its charges q_i = (-1)^i det(S without s_i), which span
+    its left kernel.  Surjections Z^(n+1) -> Z^n with equal kernels differ by
+    a unique element of GL(n, Z), so S matches exactly when its charges in
+    some row order are +-those of dv, and one Hermite-form check gives u.
+    Every other dv goes through the row-order search on each surviving S.
+    """
+    n = dv.cols
+    # a subset's rank is at most mon's, but it may be below mon's and match
+    if mon.rows < dv.rows or mon.rank() < dv.rank():
         return None
-    qa = _spanning_charge(dv)
-    if qa is not None:
-        return _charge_search(dv, mon, qa)
-    minors = _abs_maximal_minors(dv) if dv.rows >= dv.cols else None
-    for subset in itertools.combinations(range(mon.rows), dv.rows):
-        res = _row_order_search(dv, mon.take_rows(subset), minors)
-        if res is not None:
-            perm, u = res
-            return subset, perm, u
+    minors = list(_minor_table(dv.entries, n).values())
+    key = sorted(map(abs, minors))
+    targets = None
+    if dv.rows == n + 1 and gcd(*minors) == 1:
+        # combinations list the minor without row i at position n - i
+        qa = tuple((-1) ** i * x for i, x in enumerate(reversed(minors)))
+        targets = (qa, tuple(-x for x in qa))
+    table = _minor_table(mon.entries, n)
+    for s in itertools.combinations(range(mon.rows), dv.rows):
+        minors = [table[t] for t in itertools.combinations(s, n)]
+        if sorted(map(abs, minors)) != key:
+            continue
+        if targets is None:
+            res = _row_order_search(dv, mon.take_rows(s))
+            if res is not None:
+                return (s,) + res
+            continue
+        qb = tuple((-1) ** i * x for i, x in enumerate(reversed(minors)))
+        perms = [_first_assignment(qb, t) for t in targets]
+        perm = min((p for p in perms if p is not None), default=None)
+        if perm is None:
+            continue
+        b = mon.take_rows([s[p] for p in perm])
+        u = right_equivalent(dv, b)
+        assert u is not None and b @ u == dv and u.is_unimodular()
+        return s, perm, u
     return None
 
 

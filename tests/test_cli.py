@@ -318,6 +318,26 @@ def test_selfdual_from_file(model_file, capsys):
     assert "self-dual: YES" in capsys.readouterr().out
 
 
+def test_selfdual_subset_of_higher_rank_mon(tmp_path, capsys):
+    # mon has rank 2 and dv rank 1; two of its rows still match dv
+    path = write_text(tmp_path, (
+        "[variety]\ndv = 1 0 0; -1 0 0\n"
+        "[potential]\nterm = 1 : 0 1 0\nterm = 1 : 0 -1 0\nterm = 1 : 0 0 1\n"
+    ))
+    assert main(["selfdual", path]) == 0
+    assert capsys.readouterr().out == (
+        "self-dual: YES\n"
+        "  monomial subset: [0, 1]\n"
+        "  row permutation: [0, 1]\n"
+        "  basis change U:\n"
+        "    0  1  0\n"
+        "    1  0  0\n"
+        "    0  0  1\n"
+        "  K values: [0+1i]\n"
+        "  K lift: [0, 0+1i]\n"
+    )
+
+
 def test_selfdual_file_without_enough_monomials(model_file, capsys):
     assert main(["selfdual", model_file([1])]) == 0
     assert "self-dual: NO (not-enough-monomials)" in capsys.readouterr().out

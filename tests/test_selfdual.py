@@ -2,7 +2,7 @@
 
 import dataclasses
 import itertools
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,10 +13,10 @@ from lgdual.complexq import ComplexQ
 from lgdual.errors import ShapeMismatchError, ValidationError
 from lgdual.lgmodel import bundle_model, linear_data, dualize
 from lgdual.linalg import IntMatrix
+from lgdual.modelfile import parse_model
 from lgdual.selfdual import (
     _row_order_search,
     _search_matrix_witness,
-    _spanning_charge,
     classify_cy,
     k_reconstruction_class,
     matrix_self_dual,
@@ -126,6 +126,17 @@ def test_matrix_self_dual_vs_bounded_brute_force(a, b):
 
 # --- corank-1 charge decision against the row-order search --------------------
 
+def abs_minors(m):
+    """Sorted |det| of every cols-row submatrix, one determinant each."""
+    subsets = itertools.combinations(range(m.rows), m.cols)
+    return sorted(abs(m.take_rows(t).det()) for t in subsets)
+
+
+def spans_corank_one(a):
+    """True when a is (n+1) x n with coprime maximal minors: its rows span Z^n."""
+    return a.rows == a.cols + 1 and gcd(*abs_minors(a)) == 1
+
+
 def unimodular(n):
     """Products of elementary column operations and column sign flips."""
     index = st.integers(0, n - 1)
@@ -191,9 +202,9 @@ def corank_one_pairs(draw):
 def test_charge_decision_matches_row_order_search(case):
     kind, a, b = case
     if kind == "sublattice-a":
-        assert _spanning_charge(a) is None
+        assert not spans_corank_one(a)
     if kind == "ties":
-        assert _spanning_charge(a) is not None
+        assert spans_corank_one(a)
     if kind == "rank-deficient-b":
         assert b.rank() < b.cols
     res = matrix_self_dual(a, b)
@@ -207,9 +218,14 @@ def test_charge_decision_matches_row_order_search(case):
 
 def per_subset_search(dv, mon):
     """First (subset, perm, u) of a plain loop over the subsets of mon, each
-    decided by the row-order search."""
+    decided by the row-order search once its |maximal minors|, taken one
+    determinant at a time, agree with those of dv."""
+    key = abs_minors(dv)
     for subset in itertools.combinations(range(mon.rows), dv.rows):
-        res = _row_order_search(dv, mon.take_rows(subset))
+        b = mon.take_rows(subset)
+        if abs_minors(b) != key:
+            continue
+        res = _row_order_search(dv, b)
         if res is not None:
             return (subset,) + res
     return None
@@ -231,7 +247,7 @@ def corank_one_searches(draw):
         rows = list(plant.entries) + list(rest)
     else:
         dv = draw(small_matrices(n + 1, n, 2))
-        assume(_spanning_charge(dv) is not None)
+        assume(spans_corank_one(dv))
         rows = list(draw(small_matrices(m, n, 2)).entries)
         if kind == "planted":
             rows[: n + 1] = planted(draw, dv).entries
@@ -250,7 +266,7 @@ def corank_one_searches(draw):
 @settings(max_examples=250, deadline=None)
 def test_table_search_matches_per_subset_search(case):
     kind, dv, mon = case
-    assert _spanning_charge(dv) is not None
+    assert spans_corank_one(dv)
     if kind == "low-rank":
         assert mon.rank() < dv.cols
     found = _search_matrix_witness(dv, mon)
@@ -260,6 +276,123 @@ def test_table_search_matches_per_subset_search(case):
     if found is not None:
         subset, perm, u = found
         assert mon.take_rows([subset[p] for p in perm]) @ u == dv
+
+
+@st.composite
+def general_searches(draw):
+    """(kind, planted, dv, mon) for dv that is not spanning corank 1."""
+    kinds = ("planted-6x4", "planted-5x3", "sublattice", "short", "low-rank-dv")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "planted-6x4":
+        dv, m = draw(small_matrices(6, 4, 2)), 8
+    elif kind == "planted-5x3":
+        dv, m = draw(small_matrices(5, 3, 2)), draw(st.integers(5, 7))
+    elif kind == "sublattice":
+        # doubling the last column leaves every maximal minor even: index 2
+        n = draw(st.sampled_from((2, 3)))
+        scale = [[int(i == j) for j in range(n)] for i in range(n)]
+        scale[-1][-1] = 2
+        dv = draw(small_matrices(n + 1, n, 2)) @ IntMatrix(n, n, scale)
+        m = draw(st.integers(n + 1, 7))
+    elif kind == "short":
+        n = draw(st.sampled_from((3, 4)))
+        dv, m = draw(small_matrices(draw(st.integers(1, n - 1)), n, 2)), draw(st.integers(n, 6))
+    else:
+        # the last column repeats the first, so dv has rank below n, while
+        # the random rows of mon mostly raise its rank above that of dv
+        n = draw(st.sampled_from((2, 3)))
+        dv = draw(small_matrices(draw(st.integers(1, n + 2)), n, 2))
+        dv = IntMatrix.from_rows([row[:-1] + (row[0],) for row in dv.entries], n)
+        m = draw(st.integers(dv.rows + 1, dv.rows + 3))
+    rows = list(draw(small_matrices(m, dv.cols, 2)).entries)
+    plant = kind != "sublattice" or draw(st.booleans())
+    if plant:
+        rows[: dv.rows] = planted(draw, dv).entries
+    order = draw(st.permutations(range(m)))
+    return kind, plant, dv, IntMatrix.from_rows([rows[i] for i in order], dv.cols)
+
+
+@given(general_searches())
+@settings(max_examples=150, deadline=None)
+def test_general_search_matches_per_subset_search(case):
+    _, plant, dv, mon = case
+    assert not spans_corank_one(dv)
+    found = _search_matrix_witness(dv, mon)
+    assert found == per_subset_search(dv, mon)
+    if plant:
+        assert found is not None
+    if found is not None:
+        subset, perm, u = found
+        assert mon.take_rows([subset[p] for p in perm]) @ u == dv and u.is_unimodular()
+
+
+HIGHER_RANK_MON = """\
+[variety]
+dv = 1 0 0; -1 0 0
+[potential]
+term = 1 : 0 1 0
+term = 1 : 0 -1 0
+term = 1 : 0 0 1
+"""
+
+
+def test_subset_of_higher_rank_mon_can_match():
+    # mon has rank 2 and dv rank 1, yet rows 0 and 1 of mon match dv after
+    # exchanging the first two coordinates
+    m = parse_model(HIGHER_RANK_MON)
+    dv, mon = m.variety.dv, m.mon()
+    assert mon.rank() > dv.rank()
+    w, reason = self_dual_witness(m)
+    assert reason is None
+    assert (w.monomial_subset, w.row_permutation) == ((0, 1), (0, 1))
+    assert w.basis_change == IntMatrix.from_rows([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
+    assert w.verify(dv, mon)
+
+
+# --- edge shapes ----------------------------------------------------------------
+
+def test_zero_row_dv_matches_the_empty_subset():
+    dv = IntMatrix(0, 2, [])
+    mon = IntMatrix.from_rows([(1, 0), (0, 1), (2, 3)])
+    assert _search_matrix_witness(dv, mon) == ((), (), IntMatrix.identity(2))
+    assert matrix_self_dual(dv, dv) == ((), IntMatrix.identity(2))
+
+
+def test_all_zero_dv_matches_only_zero_rows():
+    dv = IntMatrix.zero(2, 2)
+    mon = IntMatrix.from_rows([(1, 0), (0, 0), (2, 1), (0, 0)])
+    assert _search_matrix_witness(dv, mon) == ((1, 3), (0, 1), IntMatrix.identity(2))
+    assert _search_matrix_witness(dv, mon.take_rows((0, 1, 2))) is None
+
+
+@pytest.mark.parametrize("rows", range(5))
+def test_zero_columns(rows):
+    # with n = 0 every row is zero and the one minor, the empty determinant,
+    # is 1, so a 1 x 0 dv takes the charge path and the others the row orders
+    dv = IntMatrix(rows, 0, [()] * rows)
+    mon = IntMatrix(3, 0, [()] * 3)
+    found = _search_matrix_witness(dv, mon)
+    if rows > mon.rows:
+        assert found is None
+    else:
+        assert found == (tuple(range(rows)), tuple(range(rows)), IntMatrix(0, 0, []))
+
+
+@pytest.mark.parametrize(
+    "dv, mon, subset",
+    [
+        # spanning corank 1: the charge path
+        ([(1, 0), (-1, 2), (0, 1)], [(0, 0), (0, 1), (1, 0), (0, 1), (-1, 2)], (1, 2, 4)),
+        # index 2: the row-order path
+        ([(1, 0), (1, 2)], [(0, 0), (1, 2), (1, 2), (1, 0)], (1, 3)),
+    ],
+    ids=["corank-one", "sublattice"],
+)
+def test_zero_and_duplicate_mon_rows(dv, mon, subset):
+    dv, mon = IntMatrix.from_rows(dv), IntMatrix.from_rows(mon)
+    found = _search_matrix_witness(dv, mon)
+    assert found == per_subset_search(dv, mon)
+    assert found[0] == subset
 
 
 # --- search effort ------------------------------------------------------------
@@ -288,15 +421,15 @@ DENSE_B = IntMatrix.from_rows([
 
 
 @pytest.fixture
-def minor_multisets(monkeypatch):
+def minor_tables(monkeypatch):
     seen = []
-    original = selfdual._abs_maximal_minors
+    original = selfdual._minor_table
 
-    def counted(m):
-        seen.append(m)
-        return original(m)
+    def counted(rows, n):
+        seen.append(rows)
+        return original(rows, n)
 
-    monkeypatch.setattr(selfdual, "_abs_maximal_minors", counted)
+    monkeypatch.setattr(selfdual, "_minor_table", counted)
     return seen
 
 
@@ -310,20 +443,29 @@ def test_dense_pair_without_match_makes_no_leaf_test(right_equivalent_calls):
     assert right_equivalent_calls == []
 
 
-def test_row_gcd_mismatch_rejects_before_minors(minor_multisets):
+def test_row_gcd_mismatch_makes_no_leaf_test(right_equivalent_calls):
     doubled = IntMatrix.from_rows([tuple(2 * x for x in DENSE_B[0])] + list(DENSE_B.entries[1:]))
     assert matrix_self_dual(DENSE_A, doubled) is None
-    assert minor_multisets == []
+    # both determinants are -2, so only the row gcds tell these apart
+    a, b = IntMatrix.from_rows([(2, 0), (0, -1)]), IntMatrix.from_rows([(1, 1), (1, -1)])
+    assert abs_minors(a) == abs_minors(b) and a.row_gcds() != b.row_gcds()
+    assert matrix_self_dual(a, b) is None
+    assert right_equivalent_calls == []
 
 
-def test_general_search_takes_dv_minors_once(minor_multisets):
-    # dv is 6 x 4 (corank 2), so every one of the 7 subsets of mon goes
-    # through the general search and reaches the minor filter
-    dv = IntMatrix.from_rows(DENSE_A.entries[:6])
-    assert _spanning_charge(dv) is None
-    assert _search_matrix_witness(dv, DENSE_B) is None
-    assert sum(m is dv for m in minor_multisets) == 1
-    assert len(minor_multisets) == 1 + 7
+@pytest.mark.parametrize(
+    "dv, mon",
+    [
+        # 6 x 4 (corank 2): 7 subsets through the row-order path
+        (IntMatrix.from_rows(DENSE_A.entries[:6]), DENSE_B),
+        # O(-20): 1,330 subsets through the charge path
+        (bundle_over_p1([-20]).dv, bundle_model([-20]).mon()),
+    ],
+    ids=["corank-two", "line-bundle"],
+)
+def test_search_takes_two_minor_tables(dv, mon, minor_tables):
+    assert _search_matrix_witness(dv, mon) is None
+    assert minor_tables == [dv.entries, mon.entries]
 
 
 @pytest.mark.parametrize("degrees", [(-2,), (-1, -1), (0, 0, 0, -2), (0, 0, 0, -1, -1)])
