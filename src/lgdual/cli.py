@@ -20,8 +20,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .lgmodel import ChowClass, dualize, is_kopaseptic, linear_data, monomial_name
-from .linalg import cokernel
+from .lgmodel import dualize, is_kopaseptic, linear_data, monomial_name
 from .modelfile import format_model, load_model
 from .selfdual import (
     classify_cy,
@@ -84,7 +83,7 @@ def cmd_analyze(args):
     m = load_model(args.path)
     dv = m.variety.dv
     mon = m.mon()
-    group = m.variety.chow_group()
+    group = m.k_class.group
     out = ["variety: %d divisors, rank %d" % (dv.rows, m.variety.rank)]
     out.append("dv:")
     out += _matrix_lines(dv, m.variety.divisors)
@@ -136,9 +135,9 @@ def cmd_dualize(args):
         matched = None
     print("# self-dual (matrix level): %s" % _yn(matched is not None))
     if args.check_involution:
-        # L for the second swap is the original K, read in the dual's group
-        back = ChowClass(m.k_class.lift, cokernel(dual.mon()))
-        ddual = dualize(linear_data(dual, l=back))
+        # L for the second swap is the original K: the dual's monomials are
+        # the rows of dv, so K's group is already the cokernel of dual.mon()
+        ddual = dualize(linear_data(dual, l=m.k_class))
         try:
             k_restored = ddual.k_class.equivalent(m.k_class)
         except GroupMismatchError:

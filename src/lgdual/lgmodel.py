@@ -123,15 +123,26 @@ def generic_sections(degrees):
 # ---------------------------------------------------------------------------
 # Classes with C/Z coefficients
 
+def _numerators(vec):
+    """(d, re, im): the ComplexQ entries of vec as integer numerators over
+    one common denominator d."""
+    d = lcm(*(q.denominator for z in vec for q in (z.re, z.im)))
+    re = [z.re.numerator * (d // z.re.denominator) for z in vec]
+    im = [z.im.numerator * (d // z.im.denominator) for z in vec]
+    return d, re, im
+
+
 def _mat_apply(mat, vec):
-    out = []
-    for row in mat:
-        acc = ComplexQ(0, 0)
-        for a, z in zip(row, vec):
-            if a:
-                acc = acc + z * Fraction(a)
-        out.append(acc)
-    return tuple(out)
+    """mat @ vec for an integer mat and ComplexQ vec, taken on integer
+    numerators: one ComplexQ per output entry."""
+    d, re, im = _numerators(vec)
+    return tuple(
+        ComplexQ(
+            Fraction(sum(a * x for a, x in zip(row, re)), d),
+            Fraction(sum(a * x for a, x in zip(row, im)), d),
+        )
+        for row in mat
+    )
 
 
 @dataclass(frozen=True)
@@ -208,12 +219,10 @@ def canonical_class(group, values):
         placed[g] = pick
     if placed is not None:
         for g, j in placed.items():
-            lift[j] = values[g] * Fraction(1, proj[g][j])
+            lift[j] = values[g] if proj[g][j] == 1 else -values[g]
         return ChowClass(tuple(lift), group)
-    scale = lcm(*(q.denominator for v in values for q in (v.re, v.im)))
-    d, (re, im) = _bareiss_solve(
-        proj, [[int(v.re * scale) for v in values], [int(v.im * scale) for v in values]]
-    )
+    scale, re, im = _numerators(values)
+    d, (re, im) = _bareiss_solve(proj, [re, im])
     d *= scale
     lift = tuple(ComplexQ(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im))
     return ChowClass(lift, group)

@@ -1,12 +1,14 @@
 """Exact rational halfspace systems.
 
 A system is a pair (c, offset) describing P = { xi : c @ xi + offset >= 0 }
-componentwise.  Feasibility and redundancy are decided by one exact
-simplex kernel on integer tableaux, and every answer is replayed against
-the original rows before it is returned: interior points, nonnegative
-multiplier certificates of emptiness, and the multipliers or separating
-functionals behind each facet verdict.  2D vertex/ray enumeration for
-display sits on top.
+componentwise.  Feasibility is decided by one exact simplex kernel on
+integer tableaux.  Redundancy removal takes one interior point from it and
+certifies most kept rows by a functional on P's polar about that point;
+every other row takes one LP.  Every answer is replayed against the
+original rows before it is returned: interior points, nonnegative
+multiplier certificates of emptiness, the multipliers behind each dropped
+row, and the polar or Farkas vector behind each kept one.  2D vertex/ray
+enumeration for display sits on top.
 """
 
 import functools
@@ -205,8 +207,20 @@ def facets(h):
     point keeps the other rows and violates row j".  Exact duplicate
     halfspaces keep their first occurrence only.  Requires a nonempty
     strict interior.
+
+    A kept row is certified by a point that violates it alone.  Most such
+    points come from the polar of P about the interior point x0, whose
+    points are A_i = row_i / (slack of row i at x0): row j is a facet when
+    w = A_j - centroid has A_j . w > max(0, A_i . w) for every other row i,
+    and then the point just past row j on the ray from x0 along -w violates
+    row j alone (ray shooting, Clarkson 1994).  Every row this leaves open
+    takes one LP, which gives the multipliers of a dropped row or a Farkas
+    vector for a kept one.  Both kinds of kept-row certificate go through
+    the same Farkas check, and multipliers through theirs, before a verdict
+    is taken.
     """
-    if not strict_interior_nonempty(h):
+    x0 = strict_interior_point(h)
+    if x0 is None:
         raise EmptyInteriorError("halfspace system has no strict interior point")
     r, n = h.c.rows, h.c.cols
     seen = {}
@@ -221,14 +235,37 @@ def facets(h):
         else:
             seen[key] = i
     base = [i for i in range(r) if i not in dup]
+    rows = [h.c[i] for i in base]
     # row i as the column (c_i, L offset_i); the last entry of a sum may fall short
     scale = lcm(*(h.offset[i].denominator for i in base))
-    cols = [h.c[i] + (int(h.offset[i] * scale),) for i in base]
+    cols = [row + (int(h.offset[i] * scale),) for i, row in zip(base, rows)]
     slack = (0,) * n + (1,)
+    # x0 = u / D, where row i has slack b_i / (L D), b_i > 0; the polar
+    # points are A_i = e_i c_i with e_i = K / b_i and K = lcm(b)
+    den = lcm(*(x.denominator for x in x0))
+    u = [int(x * den) for x in x0]
+    b = [scale * _dot(row, u) + den * col[-1] for row, col in zip(rows, cols)]
+    k = lcm(*b)
+    e = [k // bi for bi in b]
+    gram = [[_dot(p, q) for q in rows] for p in rows]
+    dots = [_dot(e, g) for g in gram]  # A_i . sum(A) = e_i dots_i
+    total = [_dot(e, coord) for coord in zip(*rows)]  # sum(A)
+    m = len(base)
     irredundant = []
     for pos, i in enumerate(base):
         others = cols[:pos] + cols[pos + 1:]
-        lam, y, d = _simplex(others + [slack], cols[pos], [0] * len(cols))
+        # s_i = A_i . w for w = m A_j - sum(A)
+        s = [ei * (m * e[pos] * g[pos] - t) for ei, g, t in zip(e, gram, dots)]
+        top = max([0] + s[:pos] + s[pos + 1:])
+        if s[pos] > top:
+            # x = x0 - 2K w / (L D (s_j + top)) violates row j alone; the
+            # Farkas vector is (-L x, -1) cleared of denominators, with
+            # y . col_i = b_i (2 s_i - s_j - top)
+            lam, cut = None, s[pos] + top
+            w = [m * e[pos] * c - t for c, t in zip(rows[pos], total)]
+            y = [2 * k * wk - scale * cut * x for wk, x in zip(w, u)] + [-den * cut]
+        else:
+            lam, y, d = _simplex(others + [slack], cols[pos], [0] * len(cols))
         if lam is None:
             assert all(_dot(y, col) <= 0 for col in others + [slack]) and _dot(y, cols[pos]) > 0
             irredundant.append(i)

@@ -225,7 +225,8 @@ def _search_matrix_witness(dv, mon):
         # combinations list the minor without row i at position n - i
         qa = tuple((-1) ** i * x for i, x in enumerate(reversed(minors)))
         targets = (qa, tuple(-x for x in qa))
-    table = _minor_table(mon.entries, n)
+    # with fewer rows than n a subset has no n-row minor to read
+    table = _minor_table(mon.entries, n) if dv.rows >= n else {}
     for s in itertools.combinations(range(mon.rows), dv.rows):
         minors = [table[t] for t in itertools.combinations(s, n)]
         if sorted(map(abs, minors)) != key:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lgdual import cli, lgmodel, polyhedra
+from lgdual import cli, lgmodel, linalg, polyhedra
 from lgdual.cli import SWEEP_HEADER, main
 from lgdual.lgmodel import bundle_model
 from lgdual.modelfile import format_model, parse_model
@@ -240,13 +240,29 @@ def test_dense_model_prints_the_solved_k_lift(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == DENSE_DUAL
 
 
+def test_analyze_and_involution_take_six_smith_forms(tmp_path, monkeypatch, capsys):
+    # analyze: the groups of K and of L; dualize: those two, the dual
+    # variety's and the second dual's.  K's group serves as the class group
+    # of the dual's monomials, which are the rows of dv.
+    calls = []
+    real = linalg.snf
+    monkeypatch.setattr(linalg, "snf", lambda a: calls.append(a) or real(a))
+    path = write_text(tmp_path, DENSE_MODEL, "m003.lg")
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == DENSE_ANALYZE
+    assert len(calls) == 2
+    assert main(["dualize", path, "--check-involution"]) == 0
+    assert capsys.readouterr().out == DENSE_DUAL
+    assert len(calls) == 6
+
+
 @pytest.fixture
 def facet_pass_calls(monkeypatch):
-    """Calls of facets and strict_interior_nonempty, counted in every
-    lgdual namespace that binds them."""
+    """Calls of facets and strict_interior_point, counted in every lgdual
+    namespace that binds them."""
     counts = {}
     spaces = [m for k, m in sys.modules.items() if k == "lgdual" or k.startswith("lgdual.")]
-    for name in ("facets", "strict_interior_nonempty"):
+    for name in ("facets", "strict_interior_point"):
         original = getattr(polyhedra, name)
         counts[name] = 0
 
@@ -266,12 +282,12 @@ def test_analyze_and_involution_run_one_facet_pass_each(
     degrees, model_file, facet_pass_calls, capsys
 ):
     # analyze, dualize and the second dualize each settle the interior and
-    # the facets in one pass
+    # the facets in one pass, whose one interior LP gives the polar's centre
     path = model_file(degrees)
     assert main(["analyze", path]) == 0
     assert main(["dualize", path, "--check-involution"]) == 0
     assert "# involution: K equivalent: yes" in capsys.readouterr().out
-    assert facet_pass_calls == {"facets": 3, "strict_interior_nonempty": 3}
+    assert facet_pass_calls == {"facets": 3, "strict_interior_point": 3}
 
 
 def test_dualize_not_kopaseptic_exits_4(tmp_path, capsys):

@@ -199,6 +199,56 @@ def test_class_equivalence_needs_same_group():
         a.equivalent(b)
 
 
+def reference_apply(mat, vec):
+    """mat @ vec as one ComplexQ x Fraction product per nonzero entry."""
+    out = []
+    for row in mat:
+        acc = ComplexQ(0, 0)
+        for a, z in zip(row, vec):
+            if a:
+                acc = acc + z * Fraction(a)
+        out.append(acc)
+    return tuple(out)
+
+
+@st.composite
+def classes_on_groups(draw):
+    """A class group from a small integer matrix (free rank 0 included) and
+    two lifts with mixed denominators and zero entries; the second lift is
+    the first moved by an integer vector and a complex combination of the
+    matrix columns, then perturbed or not."""
+    r = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 3))
+    a = IntMatrix.from_rows([draw(st.tuples(*[st.integers(-3, 3)] * n)) for _ in range(r)], n)
+    group = cokernel(a)
+    part = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=12))
+    cq = st.builds(ComplexQ, part, part)
+    lift = draw(st.one_of(st.lists(cq, min_size=r, max_size=r), st.just([ComplexQ(0, 0)] * r)))
+    shift = [ComplexQ(draw(st.integers(-2, 2))) for _ in range(r)]
+    coeffs = [draw(cq) for _ in range(n)]
+    moved = [
+        z + s + sum((c * Fraction(x) for c, x in zip(coeffs, a[i])), ComplexQ(0, 0))
+        for i, (z, s) in enumerate(zip(lift, shift))
+    ]
+    if r and draw(st.booleans()):
+        i = draw(st.integers(0, r - 1))
+        moved[i] = moved[i] + draw(cq)
+    return group, ChowClass(tuple(lift), group), ChowClass(tuple(moved), group)
+
+
+@given(classes_on_groups())
+@settings(max_examples=150, deadline=None)
+def test_class_arithmetic_matches_complexq_products(case):
+    group, x, y = case
+    proj = group.free_projection()
+    assert x.values() == reference_apply(proj, x.lift)
+    assert y.values() == reference_apply(proj, y.lift)
+    diff = tuple(p - q for p, q in zip(x.lift, y.lift))
+    assert x.equivalent(y) == all(v.is_integer() for v in reference_apply(proj, diff))
+    # canonical_class places each value with a +-1 entry, or solves for it
+    assert canonical_class(group, x.values()).values() == x.values()
+
+
 def test_group_mismatch_on_model_build():
     x = bundle_over_p1([-2])
     wrong = default_k_class(bundle_over_p1([-3]))

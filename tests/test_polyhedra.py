@@ -4,17 +4,20 @@ Fourier-Motzkin oracle in ``fm_oracle``, and 2D enumeration."""
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fm_oracle
+from lgdual import polyhedra
 from lgdual.errors import DimensionMismatchError, EmptyInteriorError
 from lgdual.linalg import IntMatrix
 from lgdual.polyhedra import (
     FacetReport,
     HalfspaceSystem,
+    _simplex,
     facets,
     infeasibility_certificate,
     strict_interior_nonempty,
@@ -310,6 +313,130 @@ def test_facets_of_dense_systems(seed, n, kept, implied):
         for k in range(n):
             assert sum(l * h.c[i][k] for i, l in enumerate(lam)) == h.c[j][k]
         assert sum(l * h.offset[i] for i, l in enumerate(lam)) <= h.offset[j]
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    calls = []
+    original = polyhedra._simplex
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polyhedra, "_simplex", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "seed, n, kept, implied, polar",
+    [(5, 5, 8, 4, 5), (6, 6, 12, 8, 6), (7, 6, 14, 6, 8)],
+)
+def test_dense_systems_certify_kept_rows_from_the_polar(
+    seed, n, kept, implied, polar, simplex_calls
+):
+    # one interior LP, one LP per implied row, and one per kept row that the
+    # polar functional leaves open.  The interior LP stops at margin 1, where
+    # n of the tangent rows have slack 1, so the polar about that point is
+    # skewed and rays from it leave through those rows first: not every
+    # kept row is certified without an LP here.
+    h, _, _ = dense_system(seed, n, kept, implied)
+    assert facets(h).irredundant == tuple(range(kept))
+    assert len(simplex_calls) == 1 + implied + kept - polar
+
+
+@pytest.mark.parametrize("n, half", [(3, 2), (5, 4), (6, 1)])
+def test_box_facets_need_no_row_lp(n, half, simplex_calls):
+    # the 2n sides of the box |x_k| <= half, then rows they imply: a
+    # loosened copy of each side and the sum of two opposite corners' rows
+    rows, offsets = [], []
+    for k in range(n):
+        for sign in (1, -1):
+            rows.append(tuple(sign * int(i == k) for i in range(n)))
+            offsets.append(half)
+    implied = [(tuple(2 * x for x in row), 2 * o + 1) for row, o in zip(rows, offsets)]
+    implied.append((tuple([1] * n), n * half))
+    implied.append((tuple([-1] * n), n * half + Fraction(1, 2)))
+    h = system(rows + [r for r, _ in implied], offsets + [o for _, o in implied], n)
+    assert facets(h).irredundant == tuple(range(2 * n))
+    assert len(simplex_calls) == 1 + len(implied)
+
+
+def per_row_facets(h):
+    """Redundancy removal with one LP per row: the interior LP, then every
+    row that is not an exact duplicate halfspace against the others and the
+    slack, as the Farkas lemma in ``facets`` states it."""
+    if not strict_interior_nonempty(h):
+        raise EmptyInteriorError("no strict interior")
+    seen, base = set(), []
+    for i in range(h.c.rows):
+        g = h.c.row_gcd(i)
+        key = None if g == 0 else (tuple(x // g for x in h.c[i]), h.offset[i] / g)
+        if key is None or key not in seen:
+            seen.add(key)
+            base.append(i)
+    scale = lcm(*(h.offset[i].denominator for i in base))
+    cols = [h.c[i] + (int(h.offset[i] * scale),) for i in base]
+    slack = (0,) * h.c.cols + (1,)
+    kept = []
+    for pos, i in enumerate(base):
+        lam, _, _ = _simplex(cols[:pos] + cols[pos + 1:] + [slack], cols[pos], [0] * len(cols))
+        if lam is None:
+            kept.append(i)
+    normals = [tuple(x // h.c.row_gcd(i) for x in h.c[i]) for i in kept]
+    kmap = tuple(kept.index(i) if i in kept else None for i in range(h.c.rows))
+    return FacetReport(tuple(kept), IntMatrix(len(kept), h.c.cols, normals), kmap)
+
+
+@st.composite
+def polar_systems(draw):
+    """Systems in dimensions 3-6 with 6-14 rows: rows with positive offsets
+    around the origin, then exact, scaled and zero duplicates and implied
+    rows (nonnegative combinations of two or three rows, offsets loosened),
+    translated by an integer point and shrunk by a rational factor."""
+    n = draw(st.integers(3, 6))
+    r = draw(st.integers(6, 14))
+    base = draw(st.integers(max(1, r // 2), r))
+    entry = st.integers(-3, 3)
+    rows = [draw(st.tuples(*[entry] * n)) for _ in range(base)]
+    offsets = [Fraction(draw(st.integers(1, 6))) for _ in range(base)]
+    while len(rows) < r:
+        kind = draw(st.sampled_from(("exact", "scaled", "zero", "implied")))
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "exact":
+            rows.append(rows[i])
+            offsets.append(offsets[i])
+        elif kind == "scaled":
+            k = draw(st.integers(2, 3))
+            rows.append(tuple(k * x for x in rows[i]))
+            offsets.append(k * offsets[i])
+        elif kind == "zero":
+            rows.append((0,) * n)
+            offsets.append(Fraction(draw(st.integers(0, 2))))
+        else:
+            picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=3))
+            lam = [draw(st.integers(1, 3)) for _ in picks]
+            rows.append(tuple(sum(l * rows[j][k] for l, j in zip(lam, picks)) for k in range(n)))
+            offsets.append(sum(l * offsets[j] for l, j in zip(lam, picks)) + draw(st.integers(0, 2)))
+    shift = [draw(st.integers(-3, 3)) for _ in range(n)]
+    shrink = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    offsets = [
+        (o + sum(a * u for a, u in zip(row, shift))) / shrink
+        for row, o in zip(rows, offsets)
+    ]
+    return system(rows, offsets, n)
+
+
+@given(polar_systems())
+@settings(max_examples=100, deadline=None)
+def test_polar_certificates_match_per_row_lps(h):
+    try:
+        expected = per_row_facets(h)
+    except EmptyInteriorError:
+        with pytest.raises(EmptyInteriorError):
+            facets(h)
+        return
+    assert facets(h) == expected
 
 
 # --- 2D enumeration ----------------------------------------------------------

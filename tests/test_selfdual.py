@@ -468,6 +468,18 @@ def test_search_takes_two_minor_tables(dv, mon, minor_tables):
     assert minor_tables == [dv.entries, mon.entries]
 
 
+def test_short_dv_builds_no_mon_minor_table(minor_tables):
+    # a 1 x 4 dv has no 4-row minor, so no subset reads a table of mon's
+    # C(14, 4) = 1,001 minors; only dv's own (empty) table is taken
+    mon = IntMatrix.from_rows(DENSE_A.entries + DENSE_B.entries)
+    dv = IntMatrix.from_rows([(0, 2, -1, 3)])
+    found = _search_matrix_witness(dv, mon)
+    assert minor_tables == [dv.entries]
+    assert found == per_subset_search(dv, mon)
+    subset, perm, u = found
+    assert mon.take_rows(subset).take_rows(perm) @ u == dv and u.is_unimodular()
+
+
 @pytest.mark.parametrize("degrees", [(-2,), (-1, -1), (0, 0, 0, -2), (0, 0, 0, -1, -1)])
 def test_self_dual_bundle_makes_one_leaf_test(degrees, right_equivalent_calls):
     assert model_self_dual(degrees).self_dual
