@@ -5,10 +5,13 @@ of character basis and an ordering of the support: concretely, some subset of
 the exponent rows, a permutation, and a unimodular change of basis carry mon
 onto dv, and some K class reproduces the variety from its own halfspace data.
 
-One search decides every shape of dv.  It walks the subsets of mon rows in
-lexicographic order and reads each subset's maximal minors from one table of
+One search decides every shape of dv.  It walks the subsets of mon rows
+depth first in lexicographic order, reading maximal minors from one table of
 the n x n minors of mon (the Plücker coordinates of its rows), computed once
-per search; a subset whose |minors| differ from those of dv is skipped.
+per search.  Each row appended to a prefix completes the minors that contain
+it; each |minor| is taken off the multiset of dv's |maximal minors|, and a
+prefix with a minor outside what is left is cut with all its extensions, so
+only subsets whose |minors| are exactly those of dv are reached.
 When dv is corank 1, (n+1) x n with rows spanning Z^n as for every split
 bundle over the line, those minors are the charge vector (the signed maximal
 minors, which generate the charge lattice of the class-group sequence), the
@@ -73,6 +76,48 @@ def _minor_table(rows, n):
         pivots, sign, pivot, _ = _bareiss([rows[i] for i in t], n)
         table[t] = sign * pivot if len(pivots) == n else 0
     return table
+
+
+def _minor_walk(table, m, r, n, counts):
+    """The r-subsets of range(m) whose n x n minors, read from table, have
+    exactly the |values| counted by counts, in lexicographic order.  counts
+    holds C(r, n) values, as the |maximal minors| of an r-row dv do.
+
+    Depth first over increasing indices: appending i to a prefix completes
+    one minor per (n-1)-subset of the prefix, and each |minor| is taken off
+    counts.  A value that counts no longer holds cuts i with every extension
+    of that prefix.  A complete subset has taken off all C(r, n) of its
+    minors, so its |minors| are the multiset counts started with.  counts is
+    restored before the walk returns."""
+    if n == 0:
+        # the one minor of every subset is the empty determinant
+        if counts.get(abs(table[()])):
+            yield from itertools.combinations(range(m), r)
+        return
+    prefix = []
+
+    def extend(start):
+        k = len(prefix)
+        if k == r:
+            yield tuple(prefix)
+            return
+        heads = list(itertools.combinations(prefix, n - 1))
+        for i in range(start, m - r + k + 1):
+            taken = []
+            for t in heads:
+                v = abs(table[t + (i,)])
+                if not counts.get(v):
+                    break
+                counts[v] -= 1
+                taken.append(v)
+            else:
+                prefix.append(i)
+                yield from extend(i + 1)
+                prefix.pop()
+            for v in taken:
+                counts[v] += 1
+
+    yield from extend(0)
 
 
 def _first_assignment(qb, target):
@@ -184,12 +229,12 @@ class SelfDualityWitness:
 
 @dataclass(frozen=True, slots=True)
 class BundleVerdict:
-    """Classification of Tot(O(a_1) + ... + O(a_c)) with its generic sections."""
+    """Classification of Tot(O(a_1) + ... + O(a_c)) with its generic sections.
+
+    Only the search's outcome is stored; the degree flags are read off the
+    degrees, so a sweep that keeps every verdict keeps no more than that."""
 
     degrees: tuple
-    canonical_trivial: bool
-    polystable: bool
-    strong_cy: bool
     self_dual: bool
     witness: object = None
     failure: object = None
@@ -197,6 +242,18 @@ class BundleVerdict:
     @property
     def sum_degree(self):
         return sum(self.degrees)
+
+    @property
+    def canonical_trivial(self):
+        return sum(self.degrees) == -2
+
+    @property
+    def polystable(self):
+        return len(set(self.degrees)) == 1
+
+    @property
+    def strong_cy(self):
+        return self.canonical_trivial and self.polystable
 
 
 def _search_matrix_witness(dv, mon):
@@ -207,19 +264,22 @@ def _search_matrix_witness(dv, mon):
     Unimodular right multiplication and row order leave the multiset of
     |maximal minors| unchanged, so a subset S whose n x n minors, read from
     one table of mon's minors, differ from dv's in absolute value cannot
-    match.  When dv is (n+1) x n with coprime minors (rows spanning Z^n) the
-    minors of S are its charges q_i = (-1)^i det(S without s_i), which span
-    its left kernel.  Surjections Z^(n+1) -> Z^n with equal kernels differ by
-    a unique element of GL(n, Z), so S matches exactly when its charges in
-    some row order are +-those of dv, and one Hermite-form check gives u.
-    Every other dv goes through the row-order search on each surviving S.
+    match.  _minor_walk reaches only the other subsets, cutting a prefix at
+    the first minor it completes that is not left in dv's multiset.  When
+    dv is (n+1) x n with coprime minors (rows spanning Z^n) the minors of a
+    reached S, read again in subset order, are its charges
+    q_i = (-1)^i det(S without s_i), which span its left kernel.
+    Surjections Z^(n+1) -> Z^n with equal kernels differ by a unique element
+    of GL(n, Z), so S matches exactly when its charges in some row order are
+    +-those of dv, and one Hermite-form check gives u.  Every other dv goes
+    through the row-order search on each reached S.
     """
     n = dv.cols
     # a subset's rank is at most mon's, but it may be below mon's and match
     if mon.rows < dv.rows or mon.rank() < dv.rank():
         return None
     minors = list(_minor_table(dv.entries, n).values())
-    key = sorted(map(abs, minors))
+    counts = Counter(map(abs, minors))
     targets = None
     if dv.rows == n + 1 and gcd(*minors) == 1:
         # combinations list the minor without row i at position n - i
@@ -227,15 +287,13 @@ def _search_matrix_witness(dv, mon):
         targets = (qa, tuple(-x for x in qa))
     # with fewer rows than n a subset has no n-row minor to read
     table = _minor_table(mon.entries, n) if dv.rows >= n else {}
-    for s in itertools.combinations(range(mon.rows), dv.rows):
-        minors = [table[t] for t in itertools.combinations(s, n)]
-        if sorted(map(abs, minors)) != key:
-            continue
+    for s in _minor_walk(table, mon.rows, dv.rows, n, counts):
         if targets is None:
             res = _row_order_search(dv, mon.take_rows(s))
             if res is not None:
                 return (s,) + res
             continue
+        minors = [table[t] for t in itertools.combinations(s, n)]
         qb = tuple((-1) ** i * x for i, x in enumerate(reversed(minors)))
         perms = [_first_assignment(qb, t) for t in targets]
         perm = min((p for p in perms if p is not None), default=None)
@@ -277,16 +335,8 @@ def model_self_dual(degrees):
     if not degrees:
         raise ValidationError("degrees must be nonempty")
     witness, failure = self_dual_witness(bundle_model(degrees))
-    canonical_trivial = sum(degrees) == -2
-    polystable = len(set(degrees)) == 1
     return BundleVerdict(
-        degrees=degrees,
-        canonical_trivial=canonical_trivial,
-        polystable=polystable,
-        strong_cy=canonical_trivial and polystable,
-        self_dual=witness is not None,
-        witness=witness,
-        failure=failure,
+        degrees=degrees, self_dual=witness is not None, witness=witness, failure=failure
     )
 
 

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, and output contracts."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -401,6 +402,40 @@ def test_sweep_cy_table(capsys):
     assert lines[3].startswith("0,-2\t")
 
 
+SWEEP_CY_3_3 = """\
+-2\t-2\ttrue\ttrue\ttrue\ttrue
+-1,-1\t-2\ttrue\ttrue\ttrue\ttrue
+0,-2\t-2\ttrue\tfalse\tfalse\ttrue
+1,-3\t-2\ttrue\tfalse\tfalse\tfalse
+0,-1,-1\t-2\ttrue\tfalse\tfalse\ttrue
+0,0,-2\t-2\ttrue\tfalse\tfalse\ttrue
+1,-1,-2\t-2\ttrue\tfalse\tfalse\tfalse
+1,0,-3\t-2\ttrue\tfalse\tfalse\tfalse
+2,-2,-2\t-2\ttrue\tfalse\tfalse\tfalse
+2,-1,-3\t-2\ttrue\tfalse\tfalse\tfalse
+3,-2,-3\t-2\ttrue\tfalse\tfalse\tfalse
+"""
+
+SWEEP_RANK1_3 = """\
+0\t0\tfalse\ttrue\tfalse\tfalse
+-1\t-1\tfalse\ttrue\tfalse\tfalse
+-2\t-2\ttrue\ttrue\ttrue\ttrue
+-3\t-3\tfalse\ttrue\tfalse\tfalse
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [(["--cy", "3", "3"], SWEEP_CY_3_3), (["--rank1", "3"], SWEEP_RANK1_3)],
+    ids=["cy", "rank1"],
+)
+def test_sweep_table_bytes(argv, rows, capsys):
+    # the flag columns are read off each verdict's degrees; every combination
+    # of canonicalTrivial, polystable, strongCY and selfDual that occurs is here
+    assert main(["sweep"] + argv) == 0
+    assert capsys.readouterr().out == SWEEP_HEADER + "\n" + rows
+
+
 def test_sweep_small_bound_stays_consistent(capsys):
     # k=2 is outside the window, so no self-dual rows are expected either
     assert main(["sweep", "--rank1", "1"]) == 0
@@ -473,6 +508,19 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
         main(["sweep"])
     assert main(["selfdual"]) == 2
     assert calls == [1]
+
+
+def test_python_m_lgdual_matches_main(tmp_path, capsys):
+    # a checkout runs the command line as python -m lgdual with src on the path
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["sweep", "--rank1", "6"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lgdual"] + argv, capture_output=True, env=env, cwd=tmp_path
+    )
+    code = main(argv)
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out.encode())
+    assert code == 0 and proc.stdout.startswith(SWEEP_HEADER.encode())
 
 
 @pytest.mark.skipif(

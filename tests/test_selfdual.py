@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import sys
+from collections import Counter
 from math import comb, gcd
 
 import pytest
@@ -279,6 +281,49 @@ def test_table_search_matches_per_subset_search(case):
 
 
 @st.composite
+def minor_walks(draw):
+    """(table, m, r, n, key): a random table of n-subset minors of range(m)
+    and the |minors| key of r-subsets to find, planted from one subset or
+    drawn at random, with zeros and repeated |values| throughout."""
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(n, 7))
+    shape = draw(st.sampled_from(("any", "r == n", "r == m", "r < n")))
+    if shape == "r == n":
+        r = n
+    elif shape == "r == m":
+        r = m
+    elif shape == "r < n" and n > 0:
+        r = draw(st.integers(0, n - 1))
+    else:
+        r = draw(st.integers(0, m))
+    values = st.integers(-2, 2)
+    table = {t: draw(values) for t in itertools.combinations(range(m), n)}
+    if draw(st.booleans()):
+        s = draw(st.sampled_from(list(itertools.combinations(range(m), r))))
+        key = [abs(table[t]) for t in itertools.combinations(s, n)]
+    else:
+        key = [abs(draw(values)) for _ in range(comb(r, n))]
+    if r < n:
+        table = {}  # as in the search: no r-subset has an n-row minor to read
+    return table, m, r, n, key
+
+
+@given(minor_walks())
+@settings(max_examples=400, deadline=None)
+def test_minor_walk_yields_every_matching_subset_in_order(case):
+    table, m, r, n, key = case
+    counts = Counter(key)
+    before = dict(counts)
+    walked = list(selfdual._minor_walk(table, m, r, n, counts))
+    expected = [
+        s for s in itertools.combinations(range(m), r)
+        if sorted(abs(table[t]) for t in itertools.combinations(s, n)) == sorted(key)
+    ]
+    assert walked == expected
+    assert dict(counts) == before  # restored
+
+
+@st.composite
 def general_searches(draw):
     """(kind, planted, dv, mon) for dv that is not spanning corank 1."""
     kinds = ("planted-6x4", "planted-5x3", "sublattice", "short", "low-rank-dv")
@@ -511,6 +556,25 @@ def test_line_bundle_takes_each_minor_once(monkeypatch):
     assert calls[dv.rows:] == pairs
 
 
+def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
+    # reading 3 minors for each of the 7,315 3-row subsets would take 21,945
+    # reads; the walk cuts a prefix at its first minor outside dv's multiset
+    reads = []
+
+    class CountedTable(dict):
+        def __getitem__(self, t):
+            reads.append(t)
+            return dict.__getitem__(self, t)
+
+    original = selfdual._minor_table
+    monkeypatch.setattr(selfdual, "_minor_table", lambda rows, n: CountedTable(original(rows, n)))
+    verdicts = sweep_line_bundles(20)
+    assert [v.degrees for v in verdicts if v.self_dual] == [(-2,)]
+    subsets = sum(comb(bundle_model((-k,)).mon().rows, 3) for k in range(21))
+    assert 3 * subsets == 21_945
+    assert len(reads) == 2_682
+
+
 # --- K reconstruction ---------------------------------------------------------
 
 def test_k_reconstruction_for_the_two_self_dual_cases():
@@ -568,6 +632,22 @@ def test_verdict_keeps_a_given_degree_tuple():
     assert model_self_dual([-1, -1]).degrees == degrees
     coerced = model_self_dual((True, -1.0)).degrees
     assert coerced == (1, -1) and all(type(a) is int for a in coerced)
+
+
+def test_verdict_stores_only_the_search_outcome():
+    # the degree flags are read off the degrees, so a NO verdict is an
+    # object of four slots: 64 bytes on 64-bit CPython, where seven took 88
+    class FourSlots:
+        __slots__ = ("a", "b", "c", "d")
+
+    v = model_self_dual((-3,))
+    assert selfdual.BundleVerdict.__slots__ == ("degrees", "self_dual", "witness", "failure")
+    assert sys.getsizeof(v) == sys.getsizeof(FourSlots())
+    if sys.maxsize > 2**32:
+        assert sys.getsizeof(v) == 64
+    assert (v.canonical_trivial, v.polystable, v.strong_cy) == (False, True, False)
+    flipped = dataclasses.replace(v, self_dual=True, witness=None)
+    assert flipped.self_dual and flipped.degrees is v.degrees
 
 
 def test_verdict_degrees_must_be_nonempty():
