@@ -355,36 +355,36 @@ def cokernel(a):
     return ChowGroup(a.rows - k, torsion, projection, a)
 
 
-def _hnf_col_ops(a):
-    """Column-reduce a to Hermite form, returning (h, u, u_inv) as lists."""
+def _hnf_col_ops(a, with_u=True, with_uinv=True):
+    """Column-reduce a to Hermite form, returning (h, u, u_inv) as lists.
+
+    A transform that is not asked for comes back as [] and costs nothing:
+    u_inv is kept transposed while reducing, so every step is a column
+    operation on each of h, u and u_inv^T, and an untracked one is a
+    matrix without rows.
+    """
     r, n = a.rows, a.cols
     m = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if with_u else []
+    vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if with_uinv else []
 
     def swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in u:
-            row[i], row[j] = row[j], row[i]
-        uinv[i], uinv[j] = uinv[j], uinv[i]
+        for t in (m, u, vt):
+            for row in t:
+                row[i], row[j] = row[j], row[i]
 
     def negate(j):
-        for row in m:
-            row[j] = -row[j]
-        for row in u:
-            row[j] = -row[j]
-        uinv[j] = [-x for x in uinv[j]]
+        for t in (m, u, vt):
+            for row in t:
+                row[j] = -row[j]
 
     def addmul(j, i, q):
         # col_j += q * col_i; inverse transform: row_i -= q * row_j
-        for row in m:
-            row[j] += q * row[i]
-        for row in u:
-            row[j] += q * row[i]
-        ri, rj = uinv[i], uinv[j]
-        for k in range(n):
-            ri[k] -= q * rj[k]
+        for t in (m, u):
+            for row in t:
+                row[j] += q * row[i]
+        for row in vt:
+            row[i] -= q * row[j]
 
     pivot_col = 0
     for row_idx in range(r):
@@ -419,7 +419,7 @@ def _hnf_col_ops(a):
             if q:
                 addmul(j, pivot_col, -q)
         pivot_col += 1
-    return m, u, uinv
+    return m, u, [list(row) for row in zip(*vt)]
 
 
 def hnf_col(a):
@@ -428,15 +428,22 @@ def hnf_col(a):
     Convention: pivots positive, entries left of a pivot within its row lie
     in [0, pivot), zero columns pushed rightmost.
     """
-    m, _, _ = _hnf_col_ops(a)
+    m, _, _ = _hnf_col_ops(a, with_u=False, with_uinv=False)
     return IntMatrix(a.rows, a.cols, m)
 
 
-def hnf_col_transform(a):
-    """Hermite form plus the transform pair: returns (h, u, u_inv)."""
-    m, u, uinv = _hnf_col_ops(a)
+def hnf_col_transform(a, with_u=True, with_uinv=True):
+    """Hermite form plus the transform pair: returns (h, u, u_inv).
+
+    A transform that is not asked for is not tracked and comes back as None.
+    """
+    m, u, uinv = _hnf_col_ops(a, with_u, with_uinv)
     n = a.cols
-    return IntMatrix(a.rows, a.cols, m), IntMatrix(n, n, u), IntMatrix(n, n, uinv)
+    return (
+        IntMatrix(a.rows, a.cols, m),
+        IntMatrix(n, n, u) if with_u else None,
+        IntMatrix(n, n, uinv) if with_uinv else None,
+    )
 
 
 def right_equivalent(a, b):
@@ -451,8 +458,8 @@ def right_equivalent(a, b):
             "right equivalence needs equal shapes, got %dx%d and %dx%d"
             % (a.rows, a.cols, b.rows, b.cols)
         )
-    ha, _, ua_inv = hnf_col_transform(a)
-    hb, ub, _ = hnf_col_transform(b)
+    ha, _, ua_inv = hnf_col_transform(a, with_u=False)
+    hb, ub, _ = hnf_col_transform(b, with_uinv=False)
     if ha != hb:
         return None
     u = ub @ ua_inv

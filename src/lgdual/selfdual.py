@@ -18,17 +18,30 @@ minors, which generate the charge lattice of the class-group sequence), the
 row order is read off it, and only a subset whose charges match +-those of
 dv reaches a Hermite-form check.  For other shapes each surviving subset goes
 through a depth-first search over row orders.
+
+The K step asks for a class K = +-i per free generator whose halfspaces
+dv xi + Im K >= 0 keep every row as a facet.  When dv is corank 1 with
+primitive rows, the slack map carries that polyhedron onto
+{s >= 0 : q . s = beta}, q the charge vector (the free row of the class
+group, the Gale dual of the rays) and beta = q . Im K, so the answer is read
+off the signs of q and beta; other shapes go through the facet pass.  Over
+the line, q = (1, 1, a_1, ..., a_c) and K = i gives beta = 1: the two
+charges equal to 1 keep the interior and every row (row i is kept by
+q_i < 0, or by a charge 1 on another row, since beta + q_i >= 1 when
+q_i >= 0).  So the K step holds for every degree tuple at the first sign,
+and a YES verdict over the line rests on the matrix witness alone.
 """
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .complexq import ComplexQ
 from .errors import (
     EmptyInteriorError,
+    GroupMismatchError,
     NotKopasepticError,
     ShapeMismatchError,
     ValidationError,
@@ -173,12 +186,105 @@ def _row_order_search(a, b):
     return perm, u
 
 
-def k_reconstruction_class(variety):
+def _charge_row(dv, group):
+    """The charge vector q of dv, the free projection row of its class group,
+    when the K step can be read off it: free rank 1 and dv (n+1) x n with
+    primitive rows; None otherwise.  q . dv = 0 and one nonzero n x n minor
+    are replayed, so dv has rank n and q spans its left kernel."""
+    n = dv.cols
+    if group.free_rank != 1 or dv.rows != n + 1:
+        return None
+    if any(dv.row_gcd(i) != 1 for i in range(dv.rows)):
+        return None
+    q = group.projection[0]
+    i = next(i for i, x in enumerate(q) if x)
+    if any(sum(x * row[j] for x, row in zip(q, dv.entries)) for j in range(n)) or not (
+        dv.take_rows([k for k in range(dv.rows) if k != i]).det()
+    ):
+        raise AssertionError("class group row is not the charge vector of dv")
+    return q
+
+
+def _slack_holds(q, beta, s, den, cut=None):
+    """s / den is the slack vector C xi + b of a point of the affine hyperplane
+    q . s = beta (den > 0): strictly inside every row, or, for a row cut,
+    past that row and inside every other."""
+    if den <= 0 or sum(x * y for x, y in zip(q, s)) != den * beta:
+        return False
+    if cut is None:
+        return min(s) > 0
+    return s[cut] < 0 and all(x >= 0 for k, x in enumerate(s) if k != cut)
+
+
+def _charge_k_step(q, offset):
+    """True when from_linear_data(dv, offset) keeps every row, for dv with
+    the charge vector q of _charge_row; False also when the strict interior
+    is empty.
+
+    C = dv is injective with image {s : q . s = 0}, so xi -> C xi + b carries
+    P = {xi : C xi + b >= 0} onto {s >= 0 : q . s = beta}, with beta = q . b
+    (b cleared to integers, which scales s and beta alike).  The interior is
+    nonempty iff some q_j beta > 0, or, when beta = 0, q has both signs.
+    Row i cuts a facet iff some s with s_i < 0 <= s_j (j != i) has
+    q . s = beta: iff q_i beta < 0 (s = beta q_i e_i), or some j != i has
+    q_j != 0 and (beta + q_i) q_j >= 0 (s_i = -q_j^2, s_j = (beta + q_i) q_j).
+    Equal (row, offset) pairs, which facets keeps once, need no test of
+    their own: equal primitive rows force q = +-(e_i - e_j), so equal
+    offsets give beta = 0 and the row rule drops both.  Each slack vector
+    is replayed before its row is taken.
+    """
+    den = lcm(*(x.denominator for x in offset))
+    beta = sum(x * (y.numerator * (den // y.denominator)) for x, y in zip(q, offset))
+    r = len(q)
+    if beta:
+        j = next((j for j in range(r) if q[j] * beta > 0), None)
+        if j is None:
+            return False
+        rest = sum(q) - q[j]
+        d = abs(q[j]) * (abs(rest) + 1)
+        s = [abs(q[j])] * r
+        s[j] = (abs(rest) + 1) * abs(beta) - (rest if q[j] > 0 else -rest)
+    else:
+        pos = sum(x for x in q if x > 0)
+        neg = -sum(x for x in q if x < 0)
+        if not (pos and neg):
+            return False
+        d, s = 1, [neg if x > 0 else pos if x < 0 else 1 for x in q]
+    assert _slack_holds(q, beta, s, d)
+    for i in range(r):
+        if q[i] * beta < 0:
+            d, s = q[i] ** 2, [0] * r
+            s[i] = beta * q[i]
+        else:
+            j = next((j for j in range(r) if j != i and q[j] and (beta + q[i]) * q[j] >= 0), None)
+            if j is None:
+                return False
+            d, s = q[j] ** 2, [0] * r
+            s[i], s[j] = -d, (beta + q[i]) * q[j]
+        assert _slack_holds(q, beta, s, d, cut=i)
+    return True
+
+
+def k_reconstruction_class(variety, group=None):
     """A K class with value +-i per free generator whose halfspace data
-    reproduces the variety with the identity reconstruction map, or None."""
-    group = variety.chow_group()
+    reproduces the variety with the identity reconstruction map, or None.
+
+    group is the variety's class group when the caller holds it, so it is
+    not computed again.  When dv is corank 1 with primitive rows each sign
+    is decided from the charge vector (_charge_k_step); otherwise by the
+    facet pass of from_linear_data.
+    """
+    if group is None:
+        group = variety.chow_group()
+    elif group.source != variety.dv:
+        raise GroupMismatchError("class group is not the variety's divisor class group")
+    q = _charge_row(variety.dv, group)
     for signs in itertools.product((Fraction(1), Fraction(-1)), repeat=group.free_rank):
         k = canonical_class(group, [ComplexQ(0, s) for s in signs])
+        if q is not None:
+            if _charge_k_step(q, k.im_lift()):
+                return k
+            continue
         try:
             _, report = from_linear_data(variety.dv, k.im_lift(), labels=variety.divisors)
         except (NotKopasepticError, EmptyInteriorError):
@@ -320,7 +426,7 @@ def self_dual_witness(m):
     found = _search_matrix_witness(dv, mon)
     if found is None:
         return None, "no-matrix-witness"
-    k = k_reconstruction_class(m.variety)
+    k = k_reconstruction_class(m.variety, m.k_class.group)
     if k is None:
         return None, "no-K-reconstruction"
     subset, perm, u = found

@@ -9,10 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import elimination_oracle
+from lgdual import linalg
 from lgdual.errors import ShapeMismatchError
 from lgdual.linalg import (
     IntMatrix,
     _bareiss_solve,
+    _hnf_col_ops,
     cokernel,
     hnf_col,
     hnf_col_transform,
@@ -179,6 +181,52 @@ def test_hnf_is_column_equivalent_and_shaped(a):
     assert a @ u == h
     assert u @ uinv == IntMatrix.identity(a.cols)
     assert hnf_shape_ok(h)
+
+
+@given(
+    st.one_of(matrices(min_cols=0), st.integers(0, 3).map(lambda c: IntMatrix(0, c, []))),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=150)
+def test_hnf_tracks_only_the_transforms_asked_for(a, with_u, with_uinv):
+    h, u, uinv = _hnf_col_ops(a)
+    hp, up, uinvp = _hnf_col_ops(a, with_u=with_u, with_uinv=with_uinv)
+    assert hp == h
+    assert up == (u if with_u else [])
+    assert uinvp == (uinv if with_uinv else [])
+    ht, ut, uinvt = hnf_col_transform(a, with_u=with_u, with_uinv=with_uinv)
+    assert ht.entries == tuple(map(tuple, h))
+    assert ut == (IntMatrix(a.cols, a.cols, u) if with_u else None)
+    assert uinvt == (IntMatrix(a.cols, a.cols, uinv) if with_uinv else None)
+
+
+def test_hnf_callers_track_only_what_they_read(monkeypatch):
+    calls = []
+
+    def counted(a, with_u=True, with_uinv=True):
+        calls.append((a, with_u, with_uinv))
+        return _hnf_col_ops(a, with_u, with_uinv)
+
+    monkeypatch.setattr(linalg, "_hnf_col_ops", counted)
+    a = IntMatrix.from_rows([(1, 0), (-1, 2), (0, 1)])
+    b = a @ IntMatrix.from_rows([(2, 1), (1, 1)])
+    linalg.hnf_col(a)
+    assert calls == [(a, False, False)]
+    calls.clear()
+    public = []
+    transform = linalg.hnf_col_transform
+    monkeypatch.setattr(
+        linalg, "hnf_col_transform", lambda m, **kw: public.append(m) or transform(m, **kw)
+    )
+    u = right_equivalent(a, b)
+    assert b @ u == a
+    assert calls == [(a, False, True), (b, True, False)]
+    assert public == [a, b]  # the Hermite time is spent under the public name
+    monkeypatch.setattr(linalg, "hnf_col_transform", transform)
+    calls.clear()
+    hnf_col_transform(a)
+    assert calls == [(a, True, True)]
 
 
 @given(matrices(4, 2, st.integers(-3, 3), min_cols=2))

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import sys
 from collections import Counter
+from fractions import Fraction
 from math import comb, gcd
 
 import pytest
@@ -12,11 +13,19 @@ from hypothesis import strategies as st
 
 from lgdual import selfdual
 from lgdual.complexq import ComplexQ
-from lgdual.errors import ShapeMismatchError, ValidationError
-from lgdual.lgmodel import bundle_model, linear_data, dualize
-from lgdual.linalg import IntMatrix
+from lgdual.errors import (
+    EmptyInteriorError,
+    GroupMismatchError,
+    NotKopasepticError,
+    ShapeMismatchError,
+    ValidationError,
+)
+from lgdual.lgmodel import bundle_model, canonical_class, linear_data, dualize
+from lgdual.linalg import IntMatrix, cokernel
 from lgdual.modelfile import parse_model
 from lgdual.selfdual import (
+    _charge_k_step,
+    _charge_row,
     _row_order_search,
     _search_matrix_witness,
     classify_cy,
@@ -28,7 +37,7 @@ from lgdual.selfdual import (
     sweep_line_bundles,
     sweep_rank_two,
 )
-from lgdual.toric import ToricData, bundle_over_p1
+from lgdual.toric import ToricData, bundle_over_p1, from_linear_data
 
 UNIMODULAR_2X2 = [
     IntMatrix.from_rows([(a, b), (c, d)])
@@ -589,6 +598,182 @@ def test_k_reconstruction_none_when_every_sign_fails():
     # for every choice of signs on the two free generators
     x = ToricData(1, ("a", "b", "c"), IntMatrix.from_rows([(1,), (-1,), (2,)]))
     assert k_reconstruction_class(x) is None
+
+
+def keeps_every_row(dv, offset):
+    """The general K step for one lift: the facet pass keeps every row."""
+    try:
+        _, report = from_linear_data(dv, offset)
+    except (NotKopasepticError, EmptyInteriorError):
+        return False
+    return report.is_identity()
+
+
+def general_k_class(variety):
+    """k_reconstruction_class as the facet pass decides it, for every shape."""
+    group = variety.chow_group()
+    for signs in itertools.product((1, -1), repeat=group.free_rank):
+        k = canonical_class(group, [ComplexQ(0, s) for s in signs])
+        if keeps_every_row(variety.dv, k.im_lift()):
+            return k
+    return None
+
+
+def test_charge_k_step_matches_facets_on_bundles():
+    # every degree tuple with up to 3 summands in [-5, 3], both signs of K
+    tried = 0
+    for c in (1, 2, 3):
+        for degrees in itertools.product(range(-5, 4), repeat=c):
+            x = bundle_over_p1(degrees)
+            group = x.chow_group()
+            q = _charge_row(x.dv, group)
+            assert q == (1, 1) + degrees
+            for sign in (1, -1):
+                lift = canonical_class(group, [ComplexQ(0, sign)]).im_lift()
+                assert _charge_k_step(q, lift) == keeps_every_row(x.dv, lift)
+                tried += 1
+    assert tried == 2 * 819
+
+
+@st.composite
+def corank_one_systems(draw):
+    """(dv, offset): an (n+1) x n dv with small entries and rational offsets,
+    sometimes with a duplicate row, a zero charge (a row that is the sum of
+    two others), a non-primitive row, or beta = q . offset forced to 0."""
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(n + 1)]
+    rows = [[x // (gcd(*row) or 1) for x in row] for row in rows]
+    kind = draw(st.sampled_from(["plain", "duplicate", "zero-charge", "non-primitive"]))
+    if kind == "duplicate":
+        rows[1] = list(rows[0])
+    elif kind == "zero-charge" and n >= 2:
+        rows[2] = [x + y for x, y in zip(rows[0], rows[1])]
+    elif kind == "non-primitive":
+        rows[0] = [2 * x for x in rows[0]]
+    dv = IntMatrix.from_rows(rows)
+    assume(dv.rank() == n)
+    offset = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in range(n + 1)]
+    if kind == "duplicate" and draw(st.booleans()):
+        offset[1] = offset[0]
+    if draw(st.booleans()):
+        q = cokernel(dv).projection[0]
+        i = next(i for i, x in enumerate(q) if x)
+        offset[i] = -sum(x * y for k, (x, y) in enumerate(zip(q, offset)) if k != i) / q[i]
+    return dv, tuple(offset)
+
+
+@given(corank_one_systems())
+@settings(max_examples=400, deadline=None)
+def test_charge_k_step_matches_facets_on_random_systems(case):
+    dv, offset = case
+    group = cokernel(dv)
+    x = ToricData(dv.cols, tuple("D%d" % i for i in range(dv.rows)), dv)
+    assert k_reconstruction_class(x) == general_k_class(x)
+    q = _charge_row(dv, group)
+    if q is None:
+        # a zero or non-primitive row leaves the K step to the facet pass
+        assert any(g != 1 for g in dv.row_gcds())
+        return
+    assert q == tuple(group.projection[0])
+    assert _charge_k_step(q, offset) == keeps_every_row(dv, offset)
+
+
+@pytest.mark.parametrize(
+    "rows, values",
+    [
+        # q = (1, -1, -1): K = i drops row 0, K = -i keeps every row
+        ([(1, 1), (1, 0), (0, 1)], (ComplexQ(0, -1),)),
+        # q = (1, -1): either sign drops a row
+        ([(1,), (1,)], None),
+    ],
+    ids=["second-sign", "no-sign"],
+)
+def test_charge_k_step_picks_the_sign_facets_picks(rows, values):
+    dv = IntMatrix.from_rows(rows)
+    x = ToricData(dv.cols, tuple("D%d" % i for i in range(dv.rows)), dv)
+    assert _charge_row(dv, x.chow_group()) is not None
+    k = k_reconstruction_class(x)
+    assert k == general_k_class(x)
+    assert (None if k is None else k.values()) == values
+
+
+@pytest.mark.parametrize(
+    "rows, offset, reason",
+    [
+        # q = (1, 1, 1) and beta = -1: every slack vector sums to -1
+        ([(1, 0), (0, 1), (-1, -1)], (-1, 0, 0), EmptyInteriorError),
+        # q = (1, 1, -1) and beta = -1: x >= 0 and y >= 0 imply x + y >= -1
+        ([(1, 0), (0, 1), (1, 1)], (0, 0, 1), "dropped"),
+        # the same halfspace twice: facets keeps the first only
+        ([(1,), (1,)], (Fraction(1, 2), Fraction(1, 2)), "duplicate"),
+    ],
+    ids=["empty-interior", "dropped-row", "duplicate-row"],
+)
+def test_charge_k_step_planted_failures(rows, offset, reason):
+    dv = IntMatrix.from_rows(rows)
+    q = _charge_row(dv, cokernel(dv))
+    assert q is not None
+    assert _charge_k_step(q, offset) is False
+    if reason is EmptyInteriorError:
+        with pytest.raises(EmptyInteriorError):
+            from_linear_data(dv, offset)
+    else:
+        _, report = from_linear_data(dv, offset)
+        assert report.irredundant == ((0, 1) if reason == "dropped" else (0,))
+
+
+def test_charge_k_step_keeps_a_zero_charge_row_at_beta_zero():
+    # q = (1, 1, -1, -1, 0) and beta = 0: row 4 is cut by s = -e_4, the one
+    # case where the facet rule's (beta + q_i) q_j is 0
+    dv = IntMatrix.from_rows([(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, -1, 0), (0, 0, 0, 1)])
+    q = _charge_row(dv, cokernel(dv))
+    assert sorted(map(abs, q)) == [0, 1, 1, 1, 1] and q[4] == 0
+    offset = (0, 0, 0, 0, 1)
+    assert _charge_k_step(q, offset) is True
+    assert keeps_every_row(dv, offset)
+
+
+def test_charge_row_replays_the_charge_vector():
+    dv = bundle_over_p1([-2]).dv
+    group = cokernel(dv)
+    assert _charge_row(dv, group) == (1, 1, -2)
+    wrong = dataclasses.replace(group, projection=IntMatrix.from_rows([(1, 1, 1)]))
+    with pytest.raises(AssertionError):
+        _charge_row(dv, wrong)
+    other = cokernel(bundle_over_p1([-3]).dv)
+    with pytest.raises(GroupMismatchError):
+        k_reconstruction_class(bundle_over_p1([-2]), other)
+
+
+def test_k_step_holds_for_every_bundle_at_the_first_sign(monkeypatch):
+    # q = (1, 1, a_1, ..., a_c) and K = i give beta = 1 > 0: the two charges
+    # equal to 1 keep the interior and every row, so no facet pass runs
+    def no_facets(*args, **kwargs):
+        raise AssertionError("the facet pass ran")
+
+    monkeypatch.setattr(selfdual, "from_linear_data", no_facets)
+    for c in (1, 2, 3, 4):
+        for degrees in itertools.product(range(-6, 7), repeat=c):
+            x = bundle_over_p1(degrees)
+            group = x.chow_group()
+            # bundle_model's default K
+            assert k_reconstruction_class(x, group) == canonical_class(group, [ComplexQ(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "verdicts",
+    [lambda: classify_cy(4, 4), lambda: sweep_rank_two(6)],
+    ids=["classify_cy(4,4)", "sweep_rank_two(6)"],
+)
+def test_yes_witnesses_replay_their_k_class_through_facets(verdicts):
+    # verify(check_k=True) runs the facet pass, so it replays the K class the
+    # charge decision returned without using it
+    yes = [v for v in verdicts() if v.self_dual]
+    assert yes
+    for v in yes:
+        m = bundle_model(v.degrees)
+        assert v.witness.k_class == m.k_class
+        assert v.witness.verify(m.variety.dv, m.mon(), check_k=True)
 
 
 # --- verdicts -----------------------------------------------------------------
