@@ -51,6 +51,8 @@ def _bareiss(entries, cols):
         for i in range(r + 1, len(m)):
             row = m[i]
             f = row[col]
+            if not f and p == prev:  # the update would leave the row as it is
+                continue
             for j in range(col + 1, cols):
                 row[j] = (row[j] * p - f * top[j]) // prev
         prev = p

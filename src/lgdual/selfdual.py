@@ -7,17 +7,17 @@ onto dv, and some K class reproduces the variety from its own halfspace data.
 
 One search decides every shape of dv.  It walks the subsets of mon rows
 depth first in lexicographic order, reading maximal minors from one table of
-the n x n minors of mon (the Plücker coordinates of its rows), computed once
-per search.  Each row appended to a prefix completes the minors that contain
-it; each |minor| is taken off the multiset of dv's |maximal minors|, and a
-prefix with a minor outside what is left is cut with all its extensions, so
-only subsets whose |minors| are exactly those of dv are reached.
+mon's n x n minors (its Plücker coordinates; one elimination for n + 1 rows)
+built per search.  Each row appended to a prefix completes the minors that
+contain it; each |minor| is taken off the multiset of dv's |maximal minors|,
+and a prefix with a minor outside what is left is cut with all its
+extensions, so only subsets with exactly dv's |minors| are reached.
 When dv is corank 1, (n+1) x n with rows spanning Z^n as for every split
 bundle over the line, those minors are the charge vector (the signed maximal
 minors, which generate the charge lattice of the class-group sequence), the
 row order is read off it, and only a subset whose charges match +-those of
-dv reaches a Hermite-form check.  For other shapes each surviving subset goes
-through a depth-first search over row orders.
+dv reaches one Hermite-form solve for u.  For other shapes each surviving
+subset goes through a depth-first search over row orders.
 
 The K step asks for a class K = +-i per free generator whose halfspaces
 dv xi + Im K >= 0 keep every row as a facet.  When dv is corank 1 with
@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .lgmodel import bundle_model, canonical_class, dualize, linear_data, sum_models
-from .linalg import IntMatrix, _bareiss, right_equivalent
+from .linalg import IntMatrix, _bareiss, hnf_col_transform, right_equivalent
 from .toric import from_linear_data
 
 __all__ = [
@@ -83,12 +83,30 @@ def matrix_self_dual(a, b):
 
 def _minor_table(rows, n):
     """Plücker table of a row configuration: det of every n-row subset T of
-    rows, keyed by T."""
-    table = {}
-    for t in itertools.combinations(range(len(rows)), n):
-        pivots, sign, pivot, _ = _bareiss([rows[i] for i in t], n)
-        table[t] = sign * pivot if len(pivots) == n else 0
-    return table
+    rows, keyed by T in lexicographic order.
+
+    n + 1 rows take one fraction-free elimination of their n x (n + 1)
+    transpose A: at rank n, c_i = (-1)^i det(A without column i) spans its
+    kernel, and c_f = (-1)^f sign d at the free column f (the pivot columns
+    have det sign * d), so back substitution gives c.  Other row counts
+    take one elimination per T."""
+    m = len(rows)
+    subsets = itertools.combinations(range(m), n)
+    if m != n + 1:
+        table = {}
+        for t in subsets:
+            pivots, sign, pivot, _ = _bareiss([rows[i] for i in t], n)
+            table[t] = sign * pivot if len(pivots) == n else 0
+        return table
+    pivots, sign, d, echelon = _bareiss(list(zip(*rows)), m)
+    c = [0] * m
+    if len(pivots) == n:
+        f = sum(range(m)) - sum(pivots)
+        c[f] = (-1) ** f * sign * d
+        for row, p in reversed(list(zip(echelon, pivots))):
+            c[p] = -sum(row[j] * c[j] for j in range(p + 1, m)) // row[p]
+    # combinations list the subset without row i at position n - i
+    return {t: (-1) ** i * c[i] for t, i in zip(subsets, reversed(range(m)))}
 
 
 def _minor_walk(table, m, r, n, counts):
@@ -150,6 +168,26 @@ def _first_assignment(qb, target):
     return tuple(perm)
 
 
+def _basis_change(a, b, drop):
+    """The u with b @ u == a, for b whose charges match a's row by row,
+    solved on the rows of b other than drop, whose minor is nonzero: their
+    Hermite form b_T @ ub = h is lower triangular, so u = ub @ x for
+    h @ x == a_T by forward substitution.  u is replayed on every row."""
+    keep = [i for i in range(b.rows) if i != drop]
+    h, ub, _ = hnf_col_transform(b.take_rows(keep), with_uinv=False)
+    x = []
+    for hi, k in zip(h.entries, keep):
+        row = a.entries[k]
+        for c, xt in zip(hi, x):
+            if c:
+                row = [v - c * w for v, w in zip(row, xt)]
+        x.append([v // hi[len(x)] for v in row])
+    u = ub @ IntMatrix(b.cols, b.cols, x)
+    if b @ u != a or not u.is_unimodular():
+        raise AssertionError("basis change failed verification")
+    return u
+
+
 def _row_order_search(a, b):
     """Row orders of b in lexicographic order, depth first, pruned by the
     row-gcd invariant (unimodular right multiplication preserves each row's
@@ -179,11 +217,8 @@ def _row_order_search(a, b):
         return None
 
     u = extend(0)
-    if u is None:
-        return None
-    perm = tuple(sel)
-    assert b.take_rows(perm) @ u == a and u.is_unimodular()
-    return perm, u
+    # right_equivalent has replayed u
+    return None if u is None else (tuple(sel), u)
 
 
 def _charge_row(dv, group):
@@ -377,22 +412,26 @@ def _search_matrix_witness(dv, mon):
     q_i = (-1)^i det(S without s_i), which span its left kernel.
     Surjections Z^(n+1) -> Z^n with equal kernels differ by a unique element
     of GL(n, Z), so S matches exactly when its charges in some row order are
-    +-those of dv, and one Hermite-form check gives u.  Every other dv goes
+    +-those of dv, and one Hermite-form solve gives u.  Every other dv goes
     through the row-order search on each reached S.
     """
     n = dv.cols
-    # a subset's rank is at most mon's, but it may be below mon's and match
-    if mon.rows < dv.rows or mon.rank() < dv.rank():
+    corank_one = dv.rows == mon.rows == n + 1
+    # a subset's rank is at most mon's, but it may be below mon's and match;
+    # two (n + 1)-row tables hold the ranks, as rank n is a nonzero minor
+    if mon.rows < dv.rows or not corank_one and mon.rank() < dv.rank():
         return None
     minors = list(_minor_table(dv.entries, n).values())
+    # with fewer rows than n a subset has no n-row minor to read
+    table = _minor_table(mon.entries, n) if dv.rows >= n else {}
+    if corank_one and any(minors) and not any(table.values()):
+        return None
     counts = Counter(map(abs, minors))
     targets = None
     if dv.rows == n + 1 and gcd(*minors) == 1:
         # combinations list the minor without row i at position n - i
         qa = tuple((-1) ** i * x for i, x in enumerate(reversed(minors)))
         targets = (qa, tuple(-x for x in qa))
-    # with fewer rows than n a subset has no n-row minor to read
-    table = _minor_table(mon.entries, n) if dv.rows >= n else {}
     for s in _minor_walk(table, mon.rows, dv.rows, n, counts):
         if targets is None:
             res = _row_order_search(dv, mon.take_rows(s))
@@ -405,10 +444,9 @@ def _search_matrix_witness(dv, mon):
         perm = min((p for p in perms if p is not None), default=None)
         if perm is None:
             continue
-        b = mon.take_rows([s[p] for p in perm])
-        u = right_equivalent(dv, b)
-        assert u is not None and b @ u == dv and u.is_unimodular()
-        return s, perm, u
+        # b's row i is s[perm[i]], whose minor without it sits at n - perm[i]
+        drop = min((abs(minors[n - p]), i) for i, p in enumerate(perm) if minors[n - p])[1]
+        return s, perm, _basis_change(dv, mon.take_rows([s[p] for p in perm]), drop)
     return None
 
 

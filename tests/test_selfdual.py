@@ -21,11 +21,13 @@ from lgdual.errors import (
     ValidationError,
 )
 from lgdual.lgmodel import bundle_model, canonical_class, linear_data, dualize
-from lgdual.linalg import IntMatrix, cokernel
+from lgdual.linalg import IntMatrix, _bareiss, cokernel, right_equivalent
 from lgdual.modelfile import parse_model
 from lgdual.selfdual import (
+    _basis_change,
     _charge_k_step,
     _charge_row,
+    _minor_table,
     _row_order_search,
     _search_matrix_witness,
     classify_cy,
@@ -289,6 +291,103 @@ def test_table_search_matches_per_subset_search(case):
         assert mon.take_rows([subset[p] for p in perm]) @ u == dv
 
 
+def per_subset_table(rows, n):
+    """(T, det) for every n-row subset T in lexicographic order, one Bareiss
+    elimination each."""
+    out = []
+    for t in itertools.combinations(range(len(rows)), n):
+        pivots, sign, pivot, _ = _bareiss([rows[i] for i in t], n)
+        out.append((t, sign * pivot if len(pivots) == n else 0))
+    return out
+
+
+@st.composite
+def plucker_configurations(draw):
+    """(kind, rows, n): n + 1 rows of length n, n = 0..6, with entries up to
+    +-10^12 and rank below n, zero rows and duplicate rows among them."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("random", "low-rank", "zero-row", "duplicate-row")))
+    bound = draw(st.sampled_from((2, 10**12)))
+    vectors = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    rows = [draw(vectors) for _ in range(n + 1)]
+    if kind == "low-rank" and n:
+        # combinations of k < n vectors
+        basis = [draw(vectors) for _ in range(draw(st.integers(0, n - 1)))]
+        coefficients = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+        mix = [draw(coefficients) for _ in range(n + 1)]
+        rows = [[sum(c * v[j] for c, v in zip(cs, basis)) for j in range(n)] for cs in mix]
+    i, j = draw(st.permutations(range(n + 1)))[:2] if n else (0, 0)
+    vanish = set()  # rows over which every minor is 0
+    if kind == "zero-row":
+        rows[i], vanish = [0] * n, {i}
+    elif kind == "duplicate-row":
+        rows[i], vanish = rows[j], {i, j}
+    return kind, [tuple(row) for row in rows], n, vanish
+
+
+@given(plucker_configurations())
+@settings(max_examples=300, deadline=None)
+def test_one_elimination_table_matches_per_subset_determinants(case):
+    kind, rows, n, vanish = case
+    table = _minor_table(rows, n)
+    assert list(table.items()) == per_subset_table(rows, n)
+    if kind == "low-rank" and n:
+        assert not any(table.values())
+    assert all(table[t] == 0 for t in table if vanish and vanish <= set(t))
+
+
+@st.composite
+def corank_one_leaves(draw):
+    """(kind, dv, mon): dv (n+1) x n spanning Z^n and mon its n + 1 rows in
+    a planted order times a planted unimodular u."""
+    kind = draw(st.sampled_from(("random", "ties", "no-unit-minor")))
+    if kind == "no-unit-minor":
+        # diag(p) over the all-ones row, for distinct primes p_i: its minors
+        # +-prod(p) and +-prod(p) / p_i are coprime, and none is +-1
+        n = draw(st.sampled_from((2, 3)))
+        p = draw(st.permutations((2, 3, 5, 7)))[:n]
+        rows = [[p[i] * (i == j) for j in range(n)] for i in range(n)] + [[1] * n]
+        dv = IntMatrix(n + 1, n, rows) @ draw(unimodular(n))
+    elif kind == "ties":
+        n = draw(st.integers(1, 4))
+        dv = stacked(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+        dv = dv @ draw(unimodular(n))
+    else:
+        n = draw(st.integers(1, 4))
+        dv = draw(small_matrices(n + 1, n, 2))
+        assume(spans_corank_one(dv))
+    return kind, dv, planted(draw, dv)
+
+
+@given(corank_one_leaves())
+@settings(max_examples=250, deadline=None)
+def test_corank_one_leaf_matches_right_equivalent(case):
+    kind, dv, mon = case
+    assert spans_corank_one(dv) and mon.rows == dv.rows
+    if kind == "no-unit-minor":
+        assert min(abs_minors(dv)) > 1
+    found = _search_matrix_witness(dv, mon)
+    assert found == per_subset_search(dv, mon)
+    subset, perm, u = found
+    assert subset == tuple(range(mon.rows))
+    assert u == right_equivalent(dv, mon.take_rows(perm))
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        # u = 1 on rows 0 and 1 fails on row 2
+        [(1, 0), (0, 1), (1, 2)],
+        # h = diag(2, 1) does not divide row 0 of a, so no integer u exists
+        [(2, 0), (0, 1), (1, 1)],
+    ],
+)
+def test_basis_change_rejects_rows_whose_charges_differ(b):
+    a = IntMatrix.from_rows([(1, 0), (0, 1), (1, 1)])
+    with pytest.raises(AssertionError, match="failed verification"):
+        _basis_change(a, IntMatrix.from_rows(b), 2)
+
+
 @st.composite
 def minor_walks(draw):
     """(table, m, r, n, key): a random table of n-subset minors of range(m)
@@ -507,19 +606,48 @@ def test_row_gcd_mismatch_makes_no_leaf_test(right_equivalent_calls):
     assert right_equivalent_calls == []
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts of selfdual's own Bareiss eliminations and of IntMatrix.rank calls."""
+    counts = Counter()
+    original, rank = selfdual._bareiss, IntMatrix.rank
+
+    def counted(rows, cols):
+        counts["bareiss"] += 1
+        return original(rows, cols)
+
+    def counted_rank(m):
+        counts["rank"] += 1
+        return rank(m)
+
+    monkeypatch.setattr(selfdual, "_bareiss", counted)
+    monkeypatch.setattr(IntMatrix, "rank", counted_rank)
+    return counts
+
+
+LINE_MON = bundle_model([-20]).mon()
+
+
 @pytest.mark.parametrize(
-    "dv, mon",
+    "dv, mon, bareiss, ranks",
     [
-        # 6 x 4 (corank 2): 7 subsets through the row-order path
-        (IntMatrix.from_rows(DENSE_A.entries[:6]), DENSE_B),
-        # O(-20): 1,330 subsets through the charge path
-        (bundle_over_p1([-20]).dv, bundle_model([-20]).mon()),
+        # 6 x 4 (corank 2): 7 subsets through the row-order path; one
+        # elimination per minor, C(6, 4) + C(7, 4), and the two ranks
+        (IntMatrix.from_rows(DENSE_A.entries[:6]), DENSE_B, 15 + 35, 2),
+        # O(-20): 1,330 subsets through the charge path; dv's 3 minors from
+        # one elimination of its transpose, mon's C(21, 2) one at a time
+        (bundle_over_p1([-20]).dv, LINE_MON, 1 + comb(LINE_MON.rows, 2), 2),
+        # two 4 x 3 tables, one elimination each, stand in for both ranks
+        (bundle_over_p1([-1, -1]).dv, bundle_over_p1([0, -2]).dv, 2, 0),
+        # O(1) + O(-3): mon's table is all zero, so its rank is below dv's
+        (bundle_over_p1([1, -3]).dv, bundle_model([1, -3]).mon(), 2, 0),
     ],
-    ids=["corank-two", "line-bundle"],
+    ids=["corank-two", "line-bundle", "corank-one-pair", "rank-below"],
 )
-def test_search_takes_two_minor_tables(dv, mon, minor_tables):
+def test_search_takes_two_minor_tables(dv, mon, bareiss, ranks, minor_tables, eliminations):
     assert _search_matrix_witness(dv, mon) is None
     assert minor_tables == [dv.entries, mon.entries]
+    assert eliminations == Counter(bareiss=bareiss, rank=ranks)
 
 
 def test_short_dv_builds_no_mon_minor_table(minor_tables):
@@ -534,21 +662,39 @@ def test_short_dv_builds_no_mon_minor_table(minor_tables):
     assert mon.take_rows(subset).take_rows(perm) @ u == dv and u.is_unimodular()
 
 
+@pytest.fixture
+def hermite_transforms(monkeypatch):
+    calls = []
+    original = selfdual.hnf_col_transform
+
+    def counted(a, **tracked):
+        calls.append(a)
+        return original(a, **tracked)
+
+    monkeypatch.setattr(selfdual, "hnf_col_transform", counted)
+    return calls
+
+
 @pytest.mark.parametrize("degrees", [(-2,), (-1, -1), (0, 0, 0, -2), (0, 0, 0, -1, -1)])
-def test_self_dual_bundle_makes_one_leaf_test(degrees, right_equivalent_calls):
-    assert model_self_dual(degrees).self_dual
-    assert len(right_equivalent_calls) == 1
+def test_self_dual_bundle_makes_one_leaf_test(degrees, right_equivalent_calls, hermite_transforms):
+    # the leaf solves for U from one Hermite form of n rows, not two of n + 1
+    verdict = model_self_dual(degrees)
+    assert verdict.self_dual
+    assert right_equivalent_calls == []
+    assert [h.rows for h in hermite_transforms] == [verdict.witness.basis_change.rows]
 
 
-def test_line_bundle_sweep_makes_one_leaf_test(right_equivalent_calls):
+def test_line_bundle_sweep_makes_one_leaf_test(right_equivalent_calls, hermite_transforms):
     verdicts = sweep_line_bundles(20)
     assert [v.degrees for v in verdicts if v.self_dual] == [(-2,)]
-    assert len(right_equivalent_calls) == 1
+    assert right_equivalent_calls == []
+    assert len(hermite_transforms) == 1
 
 
 def test_line_bundle_takes_each_minor_once(monkeypatch):
     # the subset loop reads every charge from one table of 2-row minors of
-    # mon, not from 3 determinants per 3-row subset
+    # mon, not from 3 determinants per 3-row subset; dv's 3 minors come
+    # from one elimination of its 2 x 3 transpose
     calls = []
     original = selfdual._bareiss
 
@@ -560,9 +706,9 @@ def test_line_bundle_takes_each_minor_once(monkeypatch):
     dv, mon = bundle_over_p1([-20]).dv, bundle_model([-20]).mon()
     assert model_self_dual((-20,)).failure == "no-matrix-witness"
     pairs = list(itertools.combinations(mon.entries, 2))
-    assert len(calls) == dv.rows + comb(mon.rows, 2) < 3 * comb(mon.rows, 3)
-    assert sorted(calls[: dv.rows]) == sorted(itertools.combinations(dv.entries, 2))
-    assert calls[dv.rows:] == pairs
+    assert len(calls) == 1 + comb(mon.rows, 2) < 3 * comb(mon.rows, 3)
+    assert calls[0] == tuple(zip(*dv.entries))
+    assert calls[1:] == pairs
 
 
 def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
