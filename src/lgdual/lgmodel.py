@@ -272,17 +272,13 @@ class LGModel:
         return mon_matrix(self.potential, rank=self.variety.rank)
 
 
-def bundle_model(degrees, k_values=None):
-    """Model on Tot(⊕O(a_i)) with its generic superpotential.
-
-    ``k_values`` are per-generator class values for K (default i each).
-    """
+def bundle_model(degrees):
+    """Model on Tot(⊕O(a_i)) with its generic superpotential and K = i on
+    each free generator of the class group."""
     variety = bundle_over_p1(degrees)
     potential = generic_sections(degrees)
     group = variety.chow_group()
-    if k_values is None:
-        k_values = [ComplexQ(0, 1)] * group.free_rank
-    return LGModel(variety, potential, canonical_class(group, k_values))
+    return LGModel(variety, potential, canonical_class(group, [ComplexQ(0, 1)] * group.free_rank))
 
 
 def empty_model():

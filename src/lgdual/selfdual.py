@@ -11,13 +11,15 @@ mon's n x n minors (its Plücker coordinates; one elimination for n + 1 rows)
 built per search.  Each row appended to a prefix completes the minors that
 contain it; each |minor| is taken off the multiset of dv's |maximal minors|,
 and a prefix with a minor outside what is left is cut with all its
-extensions, so only subsets with exactly dv's |minors| are reached.
-When dv is corank 1, (n+1) x n with rows spanning Z^n as for every split
-bundle over the line, those minors are the charge vector (the signed maximal
-minors, which generate the charge lattice of the class-group sequence), the
-row order is read off it, and only a subset whose charges match +-those of
-dv reaches one Hermite-form solve for u.  For other shapes each surviving
-subset goes through a depth-first search over row orders.
+extensions, so only subsets with exactly dv's |minors| are reached.  A
+reached subset goes through one depth-first search over row orders, which
+places at each position a row with dv's key there.  The key is the charge
+when dv is corank 1, (n+1) x n with rows spanning Z^n as for every split
+bundle over the line (the signed maximal minors, which generate the charge
+lattice of the class-group sequence), and the row gcd otherwise, where each
+minor of the placed rows is also checked against dv's.  When dv has a
+nonzero maximal minor one Hermite-form solve decides each order, else
+right_equivalent does.
 
 The K step asks for a class K = +-i per free generator whose halfspaces
 dv xi + Im K >= 0 keep every row as a facet.  When dv is corank 1 with
@@ -36,6 +38,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from math import gcd, lcm
 
 from .complexq import ComplexQ
@@ -67,11 +70,9 @@ __all__ = [
 def matrix_self_dual(a, b):
     """Search for (perm, u) with b[perm] @ u == a and u unimodular.
 
-    The reported perm is the lexicographically first that works.  This is
-    the subset search of _search_matrix_witness with b as its own single
-    subset: corank-1 inputs, where a is (n+1) x n and its rows span Z^n, are
-    decided from the charge vectors, every other input by the depth-first
-    search over row orders.  Returns None when no pair exists.
+    The reported perm is the lexicographically first that works: this is
+    the search of _search_matrix_witness with b as its own single subset.
+    Returns None when no pair exists.
     """
     if a.rows != b.rows:
         raise ShapeMismatchError("row counts differ: %d vs %d" % (a.rows, b.rows))
@@ -151,29 +152,11 @@ def _minor_walk(table, m, r, n, counts):
     yield from extend(0)
 
 
-def _first_assignment(qb, target):
-    """Lexicographically first perm with qb[perm[i]] == target[i], or None.
-
-    Rows with equal charge are interchangeable, so taking the smallest
-    unused index at every position is optimal."""
-    pools = {}
-    for j in reversed(range(len(qb))):
-        pools.setdefault(qb[j], []).append(j)
-    perm = []
-    for t in target:
-        pool = pools.get(t)
-        if not pool:
-            return None
-        perm.append(pool.pop())
-    return tuple(perm)
-
-
-def _basis_change(a, b, drop):
-    """The u with b @ u == a, for b whose charges match a's row by row,
-    solved on the rows of b other than drop, whose minor is nonzero: their
-    Hermite form b_T @ ub = h is lower triangular, so u = ub @ x for
-    h @ x == a_T by forward substitution.  u is replayed on every row."""
-    keep = [i for i in range(b.rows) if i != drop]
+def _basis_change(a, b, keep):
+    """The unimodular u with b @ u == a, or None, for rows keep of b whose
+    minor is nonzero: their Hermite form b_T @ ub = h is lower triangular,
+    so u = ub @ x for h @ x == a_T by forward substitution.  u is replayed
+    on every row, which also fails when a division in x is not exact."""
     h, ub, _ = hnf_col_transform(b.take_rows(keep), with_uinv=False)
     x = []
     for hi, k in zip(h.entries, keep):
@@ -183,42 +166,42 @@ def _basis_change(a, b, drop):
                 row = [v - c * w for v, w in zip(row, xt)]
         x.append([v // hi[len(x)] for v in row])
     u = ub @ IntMatrix(b.cols, b.cols, x)
-    if b @ u != a or not u.is_unimodular():
-        raise AssertionError("basis change failed verification")
-    return u
+    return u if b @ u == a and u.is_unimodular() else None
 
 
-def _row_order_search(a, b):
-    """Row orders of b in lexicographic order, depth first, pruned by the
-    row-gcd invariant (unimodular right multiplication preserves each row's
-    gcd), each leaf tested by Hermite forms.  Returns (perm, u) or None."""
-    ga, gb = a.row_gcds(), b.row_gcds()
-    if Counter(ga) != Counter(gb):
-        return None
-    if a.rank() != b.rank():
-        return None
-    candidates = [tuple(j for j in range(b.rows) if gb[j] == g) for g in ga]
-    used = [False] * b.rows
-    sel = []
+def _row_orders(keys, target, checks, table, s):
+    """Orders perm of the rows s of mon with keys[perm[i]] == target[i] and
+    matching |maximal minors|, in lexicographic order, depth first.
+    checks[k] lists each maximal minor whose last position is k as its other
+    positions and dv's |minor| there, read off mon's table once k is placed."""
+    if sorted(keys) != sorted(target):
+        return
+    used = [False] * len(keys)
+    perm = []
 
-    def extend(i):
-        if i == a.rows:
-            return right_equivalent(a, b.take_rows(tuple(sel)))
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            used[j] = True
-            sel.append(j)
-            u = extend(i + 1)
-            if u is not None:
-                return u
-            sel.pop()
-            used[j] = False
-        return None
+    def fits(j, head, v):
+        return abs(table[tuple(s[i] for i in sorted([perm[h] for h in head] + [j]))]) == v
 
-    u = extend(0)
-    # right_equivalent has replayed u
-    return None if u is None else (tuple(sel), u)
+    def extend(k):
+        if k == len(target):
+            yield tuple(perm)
+            return
+        t, check = target[k], checks[k]
+        for j, x in enumerate(keys):
+            if x == t and not used[j] and (not check or all(fits(j, h, v) for h, v in check)):
+                used[j] = True
+                perm.append(j)
+                yield from extend(k + 1)
+                perm.pop()
+                used[j] = False
+
+    yield from extend(0)
+
+
+def _charges(minors):
+    """q_i = (-1)^i det(without row i) from the n-row minors of n + 1 rows in
+    lexicographic order, which list the minor without row i at position n - i."""
+    return tuple((-1) ** i * x for i, x in enumerate(reversed(minors)))
 
 
 def _charge_row(dv, group):
@@ -321,7 +304,7 @@ def k_reconstruction_class(variety, group=None):
                 return k
             continue
         try:
-            _, report = from_linear_data(variety.dv, k.im_lift(), labels=variety.divisors)
+            _, report = from_linear_data(variety.dv, k.im_lift())
         except (NotKopasepticError, EmptyInteriorError):
             continue
         if report.is_identity():
@@ -405,15 +388,17 @@ def _search_matrix_witness(dv, mon):
     Unimodular right multiplication and row order leave the multiset of
     |maximal minors| unchanged, so a subset S whose n x n minors, read from
     one table of mon's minors, differ from dv's in absolute value cannot
-    match.  _minor_walk reaches only the other subsets, cutting a prefix at
-    the first minor it completes that is not left in dv's multiset.  When
-    dv is (n+1) x n with coprime minors (rows spanning Z^n) the minors of a
-    reached S, read again in subset order, are its charges
-    q_i = (-1)^i det(S without s_i), which span its left kernel.
+    match.  _minor_walk reaches only the other subsets, and _row_orders
+    lists the orders of each.  When dv is (n+1) x n with coprime minors
+    (rows spanning Z^n) the rows are keyed by the charges
+    q_i = (-1)^i det(S without s_i), which span the left kernel of S.
     Surjections Z^(n+1) -> Z^n with equal kernels differ by a unique element
-    of GL(n, Z), so S matches exactly when its charges in some row order are
-    +-those of dv, and one Hermite-form solve gives u.  Every other dv goes
-    through the row-order search on each reached S.
+    of GL(n, Z), so an order matches exactly when its charges are +-those
+    of dv.  Other shapes are keyed by row gcds, which u preserves.  When dv
+    has a nonzero maximal minor u is unique, and _basis_change solves for it
+    on the rows of dv's smallest nonzero |minor| (the last such n-subset, so
+    a corank-1 dv drops its first row of smallest |charge|); otherwise
+    right_equivalent decides each order of an S of dv's rank.
     """
     n = dv.cols
     corank_one = dv.rows == mon.rows == n + 1
@@ -421,32 +406,46 @@ def _search_matrix_witness(dv, mon):
     # two (n + 1)-row tables hold the ranks, as rank n is a nonzero minor
     if mon.rows < dv.rows or not corank_one and mon.rank() < dv.rank():
         return None
-    minors = list(_minor_table(dv.entries, n).values())
+    minors = _minor_table(dv.entries, n)
     # with fewer rows than n a subset has no n-row minor to read
     table = _minor_table(mon.entries, n) if dv.rows >= n else {}
-    if corank_one and any(minors) and not any(table.values()):
+    if corank_one and any(minors.values()) and not any(table.values()):
         return None
-    counts = Counter(map(abs, minors))
     targets = None
-    if dv.rows == n + 1 and gcd(*minors) == 1:
-        # combinations list the minor without row i at position n - i
-        qa = tuple((-1) ** i * x for i, x in enumerate(reversed(minors)))
-        targets = (qa, tuple(-x for x in qa))
-    for s in _minor_walk(table, mon.rows, dv.rows, n, counts):
+    for s in _minor_walk(table, mon.rows, dv.rows, n, Counter(map(abs, minors.values()))):
         if targets is None:
-            res = _row_order_search(dv, mon.take_rows(s))
-            if res is not None:
-                return (s,) + res
-            continue
-        minors = [table[t] for t in itertools.combinations(s, n)]
-        qb = tuple((-1) ** i * x for i, x in enumerate(reversed(minors)))
-        perms = [_first_assignment(qb, t) for t in targets]
-        perm = min((p for p in perms if p is not None), default=None)
-        if perm is None:
-            continue
-        # b's row i is s[perm[i]], whose minor without it sits at n - perm[i]
-        drop = min((abs(minors[n - p]), i) for i, p in enumerate(perm) if minors[n - p])[1]
-        return s, perm, _basis_change(dv, mon.take_rows([s[p] for p in perm]), drop)
+            # built at the first subset reached, as most searches reach none
+            spanning = dv.rows == n + 1 and gcd(*minors.values()) == 1
+            if spanning:
+                qa = _charges(minors.values())
+                targets = (qa, tuple(-x for x in qa))
+            else:
+                targets, gcds = (dv.row_gcds(),), mon.row_gcds()
+            # each minor is checked once its last row is placed; a charge is
+            # the |minor| without its row, so matching charges match them all
+            checks = [[] for _ in range(dv.rows)]
+            for t, x in minors.items():
+                if t and not spanning:
+                    checks[t[-1]].append((t[:-1], abs(x)))
+            nonzero = {t: abs(x) for t, x in minors.items() if x}
+            keep = min(reversed(nonzero), key=nonzero.get, default=None)
+        if spanning:
+            keys = _charges([table[t] for t in itertools.combinations(s, n)])
+        else:
+            keys = [gcds[i] for i in s]
+            # equal |minors| give equal ranks only when one is nonzero
+            if keep is None and mon.take_rows(s).rank() != dv.rank():
+                continue
+        for perm in merge(*(_row_orders(keys, t, checks, table, s) for t in targets)):
+            b = mon.take_rows([s[p] for p in perm])
+            if keep is None:
+                u = right_equivalent(dv, b)
+            else:
+                u = _basis_change(dv, b, keep)
+                if u is None and spanning:
+                    raise AssertionError("charges match but the basis change failed")
+            if u is not None:
+                return s, perm, u
     return None
 
 

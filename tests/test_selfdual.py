@@ -28,7 +28,6 @@ from lgdual.selfdual import (
     _charge_k_step,
     _charge_row,
     _minor_table,
-    _row_order_search,
     _search_matrix_witness,
     classify_cy,
     k_reconstruction_class,
@@ -40,6 +39,7 @@ from lgdual.selfdual import (
     sweep_rank_two,
 )
 from lgdual.toric import ToricData, bundle_over_p1, from_linear_data
+from row_order_oracle import _row_order_search
 
 UNIMODULAR_2X2 = [
     IntMatrix.from_rows([(a, b), (c, d)])
@@ -384,8 +384,15 @@ def test_corank_one_leaf_matches_right_equivalent(case):
 )
 def test_basis_change_rejects_rows_whose_charges_differ(b):
     a = IntMatrix.from_rows([(1, 0), (0, 1), (1, 1)])
-    with pytest.raises(AssertionError, match="failed verification"):
-        _basis_change(a, IntMatrix.from_rows(b), 2)
+    assert _basis_change(a, IntMatrix.from_rows(b), (0, 1)) is None
+
+
+def test_search_raises_when_matching_charges_have_no_basis_change(monkeypatch):
+    # equal charges up to sign always give a u, so a failed solve at a
+    # spanning corank-1 order is a fault, not a NO verdict
+    monkeypatch.setattr(selfdual, "_basis_change", lambda a, b, keep: None)
+    with pytest.raises(AssertionError, match="charges match"):
+        model_self_dual((-2,))
 
 
 @st.composite
@@ -434,10 +441,13 @@ def test_minor_walk_yields_every_matching_subset_in_order(case):
 @st.composite
 def general_searches(draw):
     """(kind, planted, dv, mon) for dv that is not spanning corank 1."""
-    kinds = ("planted-6x4", "planted-5x3", "sublattice", "short", "low-rank-dv")
+    kinds = ("planted-6x4", "planted-7x4", "planted-5x3", "sublattice", "short", "low-rank-dv")
     kind = draw(st.sampled_from(kinds))
     if kind == "planted-6x4":
         dv, m = draw(small_matrices(6, 4, 2)), 8
+    elif kind == "planted-7x4":
+        # corank 3
+        dv, m = draw(small_matrices(7, 4, 2)), 9
     elif kind == "planted-5x3":
         dv, m = draw(small_matrices(5, 3, 2)), draw(st.integers(5, 7))
     elif kind == "sublattice":
@@ -593,6 +603,16 @@ def test_dense_pair_without_match_makes_no_leaf_test(right_equivalent_calls):
     assert set(a.row_gcds()) == set(b.row_gcds()) == {1}
     assert a.rank() == b.rank() == 4
     assert matrix_self_dual(a, b) is None
+    assert right_equivalent_calls == []
+
+
+def test_reversed_dense_rows_take_no_hermite_pair(right_equivalent_calls):
+    # every row gcd is 1, so only the minors of the placed rows narrow the
+    # 5,040 row orders; dv has a nonzero minor, so one solve decides the order
+    reversed_rows = DENSE_A.take_rows(tuple(reversed(range(DENSE_A.rows))))
+    perm, u = matrix_self_dual(DENSE_A, reversed_rows)
+    assert perm == (6, 5, 4, 3, 2, 1, 0)
+    assert u == IntMatrix.identity(4)
     assert right_equivalent_calls == []
 
 
