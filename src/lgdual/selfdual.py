@@ -5,21 +5,17 @@ of character basis and an ordering of the support: concretely, some subset of
 the exponent rows, a permutation, and a unimodular change of basis carry mon
 onto dv, and some K class reproduces the variety from its own halfspace data.
 
-One search decides every shape of dv.  It walks the subsets of mon rows
-depth first in lexicographic order, reading maximal minors from one table of
-mon's n x n minors (its Plücker coordinates; one elimination for n + 1 rows)
-built per search.  Each row appended to a prefix completes the minors that
-contain it; each |minor| is taken off the multiset of dv's |maximal minors|,
-and a prefix with a minor outside what is left is cut with all its
-extensions, so only subsets with exactly dv's |minors| are reached.  A
-reached subset goes through one depth-first search over row orders, which
-places at each position a row with dv's key there.  The key is the charge
-when dv is corank 1, (n+1) x n with rows spanning Z^n as for every split
-bundle over the line (the signed maximal minors, which generate the charge
-lattice of the class-group sequence), and the row gcd otherwise, where each
-minor of the placed rows is also checked against dv's.  When dv has a
-nonzero maximal minor one Hermite-form solve decides each order, else
-right_equivalent does.
+One search decides every shape of dv.  A depth-first walk over the subsets
+of mon rows, in lexicographic order, reads maximal minors from one table of
+mon's n x n minors (its Plücker coordinates) built per search, and reaches
+only the subsets whose |minors| are exactly dv's (_minor_walk).  A reached
+subset goes through one depth-first search over row orders, which places at
+each position a row with dv's key there: the charge when dv is corank 1,
+(n+1) x n with rows spanning Z^n as for every split bundle over the line
+(the signed maximal minors, which generate the charge lattice of the
+class-group sequence), and the row gcd otherwise, where each minor of the
+placed rows is also checked against dv's.  When dv has a nonzero maximal
+minor one Hermite-form solve decides each order, else right_equivalent does.
 
 The K step asks for a class K = +-i per free generator whose halfspaces
 dv xi + Im K >= 0 keep every row as a facet.  When dv is corank 1 with
@@ -38,7 +34,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
 from math import gcd, lcm
 
 from .complexq import ComplexQ
@@ -171,31 +166,35 @@ def _basis_change(a, b, keep):
 
 def _row_orders(keys, target, checks, table, s):
     """Orders perm of the rows s of mon with keys[perm[i]] == target[i] and
-    matching |maximal minors|, in lexicographic order, depth first.
-    checks[k] lists each maximal minor whose last position is k as its other
-    positions and dv's |minor| there, read off mon's table once k is placed."""
-    if sorted(keys) != sorted(target):
-        return
-    used = [False] * len(keys)
-    perm = []
+    matching |maximal minors|, in lexicographic order, depth first, for keys
+    equal to target as multisets.  checks[k] lists each maximal minor whose
+    last position is k as its other positions and dv's |minor| there, read
+    off mon's table once k is placed.  A loop over one candidate iterator
+    per position: nested generators cost a YES verdict more."""
+    pools = {}
+    for j, x in enumerate(keys):
+        pools.setdefault(x, []).append(j)
+    perm, levels = [], [iter(pools[t]) for t in target[:1]]
 
     def fits(j, head, v):
         return abs(table[tuple(s[i] for i in sorted([perm[h] for h in head] + [j]))]) == v
 
-    def extend(k):
-        if k == len(target):
-            yield tuple(perm)
-            return
-        t, check = target[k], checks[k]
-        for j, x in enumerate(keys):
-            if x == t and not used[j] and (not check or all(fits(j, h, v) for h, v in check)):
-                used[j] = True
+    if not target:
+        yield ()
+    while levels:
+        k = len(levels) - 1
+        del perm[k:]  # perm holds the rows placed before position k
+        check = checks[k]
+        for j in levels[k]:
+            if j not in perm and (not check or all(fits(j, h, v) for h, v in check)):
                 perm.append(j)
-                yield from extend(k + 1)
-                perm.pop()
-                used[j] = False
-
-    yield from extend(0)
+                if k + 1 < len(target):
+                    levels.append(iter(pools[target[k + 1]]))
+                else:
+                    yield tuple(perm)
+                break
+        else:
+            levels.pop()
 
 
 def _charges(minors):
@@ -436,7 +435,12 @@ def _search_matrix_witness(dv, mon):
             # equal |minors| give equal ranks only when one is nonzero
             if keep is None and mon.take_rows(s).rank() != dv.rank():
                 continue
-        for perm in merge(*(_row_orders(keys, t, checks, table, s) for t in targets)):
+        ks = sorted(keys)
+        runs = [_row_orders(keys, t, checks, table, s) for t in targets if sorted(t) == ks]
+        if spanning:
+            # u is unique, so the first order of either sign decides
+            runs = [sorted(p for p in (next(r, None) for r in runs) if p is not None)[:1]]
+        for perm in itertools.chain(*runs):
             b = mon.take_rows([s[p] for p in perm])
             if keep is None:
                 u = right_equivalent(dv, b)
