@@ -7,8 +7,10 @@ onto dv, and some K class reproduces the variety from its own halfspace data.
 
 One search decides every shape of dv.  A depth-first walk over the subsets
 of mon rows, in lexicographic order, reads maximal minors from one table of
-mon's n x n minors (its Plücker coordinates) built per search, and reaches
-only the subsets whose |minors| are exactly dv's (_minor_walk).  A reached
+mon's n x n minors (its Plücker coordinates) per search, and reaches only
+the subsets whose |minors| are exactly dv's (_minor_walk).  The table works
+a minor out when first read, as the cofactor vector of its first n - 1 rows
+(kept per head) times its last row (_minor_table).  A reached
 subset goes through one depth-first search over row orders, which places at
 each position a row with dv's key there: the charge when dv is corank 1,
 (n+1) x n with rows spanning Z^n as for every split bundle over the line
@@ -35,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .complexq import ComplexQ
 from .errors import (
@@ -77,31 +80,63 @@ def matrix_self_dual(a, b):
     return None if found is None else found[1:]
 
 
+def _cofactors(rows, cols):
+    """c_j = (-1)^j det(A without column j) for the k x (k + 1) matrix A of
+    rows (cols = k + 1), by one fraction-free elimination: at rank k, c spans
+    A's right kernel, and c_f = (-1)^f sign d at the free column f (the
+    pivot columns have det sign * d), so back substitution gives c.  At
+    lower rank c is 0; with no rows (k = 0) it is [1]."""
+    pivots, sign, d, echelon = _bareiss(rows, cols)
+    c = [0] * cols
+    if len(pivots) == cols - 1:
+        f = sum(range(cols)) - sum(pivots)
+        c[f] = (-1) ** f * sign * d
+        for row, p in reversed(list(zip(echelon, pivots))):
+            c[p] = -sum(row[j] * c[j] for j in range(p + 1, cols)) // row[p]
+    return c
+
+
+class _Minors(dict):
+    """det of the n-row subsets T of rows, keyed by T in lexicographic order,
+    each worked out when first read and kept.  Expanding along T's last row
+    i, det(T) = (-1)^(n-1) c(H) . rows[i] for the cofactors c(H) of the
+    other n - 1 rows H, taken once per H: the walk reads one H with many i.
+    The empty subset of n = 0 has det 1."""
+
+    __slots__ = ("rows", "n", "heads")
+
+    def __init__(self, rows, n):
+        self.rows, self.n, self.heads = rows, n, {}
+
+    def __missing__(self, t):
+        if not t:
+            return 1
+        h = t[:-1]
+        c = self.heads.get(h)
+        if c is None:
+            c = _cofactors([self.rows[k] for k in h], self.n)
+            if self.n % 2 == 0:
+                c = [-x for x in c]
+            self.heads[h] = c
+        v = self[t] = sum(map(mul, c, self.rows[t[-1]]))
+        return v
+
+
 def _minor_table(rows, n):
     """Plücker table of a row configuration: det of every n-row subset T of
     rows, keyed by T in lexicographic order.
 
-    n + 1 rows take one fraction-free elimination of their n x (n + 1)
-    transpose A: at rank n, c_i = (-1)^i det(A without column i) spans its
-    kernel, and c_f = (-1)^f sign d at the free column f (the pivot columns
-    have det sign * d), so back substitution gives c.  Other row counts
-    take one elimination per T."""
+    n + 1 rows fill a dict from the cofactors c of their n x (n + 1)
+    transpose: det(without row i) = (-1)^i c_i.  Any other row count gives
+    a _Minors, which works each minor out when it is first read and holds
+    only those read so far, so a caller that needs every minor reads every
+    key."""
     m = len(rows)
-    subsets = itertools.combinations(range(m), n)
     if m != n + 1:
-        table = {}
-        for t in subsets:
-            pivots, sign, pivot, _ = _bareiss([rows[i] for i in t], n)
-            table[t] = sign * pivot if len(pivots) == n else 0
-        return table
-    pivots, sign, d, echelon = _bareiss(list(zip(*rows)), m)
-    c = [0] * m
-    if len(pivots) == n:
-        f = sum(range(m)) - sum(pivots)
-        c[f] = (-1) ** f * sign * d
-        for row, p in reversed(list(zip(echelon, pivots))):
-            c[p] = -sum(row[j] * c[j] for j in range(p + 1, m)) // row[p]
+        return _Minors(rows, n)
+    c = _cofactors(list(zip(*rows)), m)
     # combinations list the subset without row i at position n - i
+    subsets = itertools.combinations(range(m), n)
     return {t: (-1) ** i * c[i] for t, i in zip(subsets, reversed(range(m)))}
 
 
@@ -405,7 +440,9 @@ def _search_matrix_witness(dv, mon):
     # two (n + 1)-row tables hold the ranks, as rank n is a nonzero minor
     if mon.rows < dv.rows or not corank_one and mon.rank() < dv.rank():
         return None
+    # every minor of dv is used, so each key is read from its table
     minors = _minor_table(dv.entries, n)
+    minors = {t: minors[t] for t in itertools.combinations(range(dv.rows), n)}
     # with fewer rows than n a subset has no n-row minor to read
     table = _minor_table(mon.entries, n) if dv.rows >= n else {}
     if corank_one and any(minors.values()) and not any(table.values()):

@@ -20,7 +20,14 @@ from lgdual.errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from lgdual.lgmodel import bundle_model, canonical_class, linear_data, dualize
+from lgdual.lgmodel import (
+    LGModel,
+    Superpotential,
+    bundle_model,
+    canonical_class,
+    dualize,
+    linear_data,
+)
 from lgdual.linalg import IntMatrix, _bareiss, cokernel, right_equivalent
 from lgdual.modelfile import parse_model
 from lgdual.selfdual import (
@@ -38,7 +45,13 @@ from lgdual.selfdual import (
     sweep_line_bundles,
     sweep_rank_two,
 )
-from lgdual.toric import ToricData, bundle_over_p1, from_linear_data
+from lgdual.toric import (
+    BundleSpec,
+    ToricData,
+    bundle_over_p1,
+    from_linear_data,
+    split_bundle_total_space,
+)
 from row_order_oracle import _row_order_search
 
 UNIMODULAR_2X2 = [
@@ -334,6 +347,70 @@ def test_one_elimination_table_matches_per_subset_determinants(case):
     if kind == "low-rank" and n:
         assert not any(table.values())
     assert all(table[t] == 0 for t in table if vanish and vanish <= set(t))
+
+
+@st.composite
+def minor_configurations(draw):
+    """(rows, n, low, need): m rows of length n, n = 0..5 and m = 0..9 other
+    than n + 1, with entries up to +-10^12, where every minor over need or
+    more of the rows low is 0.  The low-rank-head kind puts n - 1 or more rows
+    in the span of fewer than n - 1 vectors, so the heads among them have
+    rank below n - 1 and no cofactors; zero and duplicate rows are there."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 9).filter(lambda m: m != n + 1))
+    kind = draw(st.sampled_from(("random", "low-rank-head", "zero-row", "duplicate-row")))
+    bound = draw(st.sampled_from((2, 10**12)))
+    vectors = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    rows = [draw(vectors) for _ in range(m)]
+    order = draw(st.permutations(range(m)))
+    low, need = set(), 1
+    if kind == "low-rank-head" and 2 <= n and n - 1 <= m:
+        basis = [draw(vectors) for _ in range(draw(st.integers(0, n - 2)))]
+        coefficients = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+        low, need = set(order[: draw(st.integers(n - 1, m))]), n - 1
+        for i in low:
+            cs = draw(coefficients)
+            rows[i] = [sum(c * v[j] for c, v in zip(cs, basis)) for j in range(n)]
+    elif kind == "zero-row" and m >= 1:
+        rows[order[0]], low = [0] * n, {order[0]}
+    elif kind == "duplicate-row" and m >= 2:
+        rows[order[0]], low, need = rows[order[1]], set(order[:2]), 2
+    return [tuple(row) for row in rows], n, low, need
+
+
+@given(minor_configurations(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_minors_on_demand_match_per_subset_determinants(case, data):
+    rows, n, low, need = case
+    expected = per_subset_table(rows, n)
+    table = _minor_table(rows, n)
+    assert isinstance(table, selfdual._Minors) and not table
+    shuffled = data.draw(st.permutations(expected))
+    assert [(t, table[t]) for t, _ in shuffled] == shuffled
+    # a second read returns the kept value
+    assert [(t, table[t]) for t, _ in expected] == expected
+    assert all(x == 0 for t, x in expected if len(low & set(t)) >= need)
+
+
+def test_p1_minor_lemma():
+    # the rows of mon over the line are (j, e_i), 0 <= j <= -a_i: c + 1 of
+    # them have a nonzero minor only when they cover every summand, one of
+    # them twice, and then |det| = |j - j'| for that summand's two rows
+    checked = 0
+    for c in range(1, 4):
+        for degrees in itertools.combinations_with_replacement(range(0, -5, -1), c):
+            mon = bundle_model(degrees).mon()
+            table = _minor_table(mon.entries, c + 1)
+            for t in itertools.combinations(range(mon.rows), c + 1):
+                summand = {i: mon[i][1:].index(1) for i in t}
+                covered = Counter(summand.values())
+                if len(covered) == c:
+                    j, k = (mon[i][0] for i in t if covered[summand[i]] == 2)
+                    assert abs(table[t]) == abs(j - k) > 0
+                else:
+                    assert table[t] == 0
+                checked += 1
+    assert checked == 9_042
 
 
 @st.composite
@@ -656,11 +733,14 @@ LINE_MON = bundle_model([-20]).mon()
     "dv, mon, bareiss, ranks",
     [
         # 6 x 4 (corank 2): 7 subsets through the row-order path; one
-        # elimination per minor, C(6, 4) + C(7, 4), and the two ranks
-        (IntMatrix.from_rows(DENSE_A.entries[:6]), DENSE_B, 15 + 35, 2),
+        # elimination per head, the first 3 rows of a minor read: dv's
+        # C(5, 3), as all its minors are read, and mon's C(4, 3) within the
+        # rows 0..3 the walk reads, not C(6, 4) + C(7, 4); and the two ranks
+        (IntMatrix.from_rows(DENSE_A.entries[:6]), DENSE_B, comb(5, 3) + comb(4, 3), 2),
         # O(-20): 1,330 subsets through the charge path; dv's 3 minors from
-        # one elimination of its transpose, mon's C(21, 2) one at a time
-        (bundle_over_p1([-20]).dv, LINE_MON, 1 + comb(LINE_MON.rows, 2), 2),
+        # one elimination of its transpose, mon's from one elimination per
+        # head row, rows 0..18, not one per pair of rows
+        (bundle_over_p1([-20]).dv, LINE_MON, 1 + 19, 2),
         # two 4 x 3 tables, one elimination each, stand in for both ranks
         (bundle_over_p1([-1, -1]).dv, bundle_over_p1([0, -2]).dv, 2, 0),
         # O(1) + O(-3): mon's table is all zero, so its rank is below dv's
@@ -716,42 +796,70 @@ def test_line_bundle_sweep_makes_one_leaf_test(right_equivalent_calls, hermite_t
 
 
 def test_line_bundle_takes_each_minor_once(monkeypatch):
-    # the subset loop reads every charge from one table of 2-row minors of
-    # mon, not from 3 determinants per 3-row subset; dv's 3 minors come
-    # from one elimination of its 2 x 3 transpose
-    calls = []
-    original = selfdual._bareiss
+    # the subset loop reads every charge from mon's 2-row minors, each worked
+    # out once, on its first read, from the cofactors of its first row: one
+    # elimination per row that heads a read, not one per pair of rows nor 3
+    # per 3-row subset; dv's 3 minors come from one elimination of its 2 x 3
+    # transpose
+    calls, computed = [], []
+    original, missing = selfdual._bareiss, selfdual._Minors.__missing__
 
     def counted(rows, cols):
         calls.append(tuple(map(tuple, rows)))
         return original(rows, cols)
 
+    def counted_missing(table, t):
+        computed.append(t)
+        return missing(table, t)
+
     monkeypatch.setattr(selfdual, "_bareiss", counted)
+    monkeypatch.setattr(selfdual._Minors, "__missing__", counted_missing)
     dv, mon = bundle_over_p1([-20]).dv, bundle_model([-20]).mon()
     assert model_self_dual((-20,)).failure == "no-matrix-witness"
-    pairs = list(itertools.combinations(mon.entries, 2))
-    assert len(calls) == 1 + comb(mon.rows, 2) < 3 * comb(mon.rows, 3)
+    assert len(calls) == 1 + 19 < comb(mon.rows, 2)
     assert calls[0] == tuple(zip(*dv.entries))
-    assert calls[1:] == pairs
+    assert calls[1:] == [(row,) for row in mon.entries[:19]]
+    # every pair headed by rows 0..18 is worked out once, and no other
+    assert len(computed) == len(set(computed))
+    assert sorted(computed) == [(h, i) for h in range(19) for i in range(h + 1, mon.rows)]
 
 
 def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
     # reading 3 minors for each of the 7,315 3-row subsets would take 21,945
-    # reads; the walk cuts a prefix at its first minor outside dv's multiset
-    reads = []
+    # reads; the walk cuts a prefix at its first minor outside dv's multiset.
+    # Each read is counted as it goes to the table, which works a minor out
+    # on its first read, so the walk reads as many as ever and computes fewer
+    reads, eliminations = Counter(), []
+    original, bareiss = selfdual._minor_table, selfdual._bareiss
 
-    class CountedTable(dict):
+    class CountedReads:
+        def __init__(self, rows, n):
+            self.rows, self.table = rows, original(rows, n)
+
         def __getitem__(self, t):
-            reads.append(t)
-            return dict.__getitem__(self, t)
+            reads[self.rows] += 1
+            return self.table[t]
 
-    original = selfdual._minor_table
-    monkeypatch.setattr(selfdual, "_minor_table", lambda rows, n: CountedTable(original(rows, n)))
+        def values(self):
+            return self.table.values()
+
+    def counted(rows, cols):
+        eliminations.append(rows)
+        return bareiss(rows, cols)
+
+    monkeypatch.setattr(selfdual, "_minor_table", CountedReads)
+    monkeypatch.setattr(selfdual, "_bareiss", counted)
     verdicts = sweep_line_bundles(20)
     assert [v.degrees for v in verdicts if v.self_dual] == [(-2,)]
     subsets = sum(comb(bundle_model((-k,)).mon().rows, 3) for k in range(21))
     assert 3 * subsets == 21_945
-    assert len(reads) == 2_682
+    mons = [bundle_model((-k,)).mon().entries for k in range(21)]
+    assert sum(reads[rows] for rows in mons) == 2_682
+    # dv's 3 minors are read once per search that reaches the tables, and
+    # O(0) and O(-1) have fewer monomials than dv has rows
+    dvs = [bundle_over_p1([-k]).dv.entries for k in range(21)]
+    assert [reads[rows] for rows in dvs] == [0, 0] + [3] * 19
+    assert len(eliminations) == 209
 
 
 # --- K reconstruction ---------------------------------------------------------
@@ -1079,6 +1187,88 @@ def test_classify_cy_enumeration_is_complete():
 def test_classify_cy_validates_rank():
     with pytest.raises(ValidationError):
         classify_cy(0, 3)
+
+
+# --- over P^n -----------------------------------------------------------------
+
+def projective_bundle_model(n, degrees):
+    """The generic model on Tot(O(a_1) + ... + O(a_c)) over P^n, built as
+    bundle_model builds it over the line: rays e_1, ..., e_n and -(e_1 + ...
+    + e_n), each D_j = -a_j on the last divisor, the sections x^m sigma_i for
+    the lattice points m >= 0, |m| <= -a_i of each summand's simplex, and
+    K = i on each free generator."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    base = ToricData(n, tuple("D%d" % k for k in range(n + 1)), IntMatrix.from_rows(rays))
+    columns = IntMatrix.from_rows([(0,) * len(degrees)] * n + [tuple(-a for a in degrees)])
+    variety = split_bundle_total_space(BundleSpec(base, columns))
+    fiber = [tuple(int(t == i) for t in range(len(degrees))) for i in range(len(degrees))]
+    terms = [
+        (1, m + fiber[i])
+        for i, a in enumerate(degrees)
+        for m in itertools.product(range(-a + 1), repeat=n)
+        if sum(m) <= -a
+    ]
+    group = variety.chow_group()
+    k = canonical_class(group, [ComplexQ(0, 1)] * group.free_rank)
+    return LGModel(variety, Superpotential(terms), k)
+
+
+@pytest.mark.parametrize("degrees", [(-2,), (0, -2), (-1, -1), (3, -5)])
+def test_projective_bundle_model_over_the_line_is_bundle_model(degrees):
+    m, expected = projective_bundle_model(1, degrees), bundle_model(degrees)
+    assert m.variety.dv == expected.variety.dv and m.mon() == expected.mon()
+
+
+@pytest.mark.parametrize(
+    "n, low, high, count, yes",
+    [
+        (2, -5, 2, 15, [(-3,), (0, -3), (-1, -2), (0, 0, -3), (0, -1, -2), (-1, -1, -1)]),
+        (3, -6, 1, 13, [
+            (-4,), (0, -4), (-1, -3), (-2, -2),
+            (0, 0, -4), (0, -1, -3), (0, -2, -2), (-1, -1, -2),
+        ]),
+    ],
+    ids=["P2", "P3"],
+)
+def test_projective_cy_table(n, low, high, count, yes):
+    # every split bundle over P^n of rank <= 3 with sum -(n + 1) and degrees
+    # in [low, high]: self-dual exactly when no degree is positive
+    tuples = [
+        d
+        for c in range(1, 4)
+        for d in itertools.combinations_with_replacement(range(high, low - 1, -1), c)
+        if sum(d) == -(n + 1)
+    ]
+    verdicts = {}
+    for d in tuples:
+        m = projective_bundle_model(n, d)
+        witness, failure = self_dual_witness(m)
+        assert witness is None or witness.verify(m.variety.dv, m.mon())
+        verdicts[d] = failure
+    assert len(verdicts) == count
+    assert [d for d, failure in verdicts.items() if failure is None] == yes
+    assert all(verdicts[d] == "no-matrix-witness" for d in verdicts if d not in yes)
+
+
+def test_p3_bundle_reads_minors_on_demand(monkeypatch):
+    # mon has 37 rows and dv 6 columns: C(37, 6) = 2,324,784 minors, of which
+    # the search works out those it reads, one cofactor vector per 5-row head
+    m = projective_bundle_model(3, (0, 0, -4))
+    dv, mon = m.variety.dv, m.mon()
+    assert (mon.rows, dv.rows, dv.cols) == (37, 7, 6)
+    calls = []
+    original = selfdual._bareiss
+
+    def counted(rows, cols):
+        calls.append(len(rows))
+        return original(rows, cols)
+
+    monkeypatch.setattr(selfdual, "_bareiss", counted)
+    witness, failure = self_dual_witness(m)
+    assert failure is None and witness.verify(dv, mon)
+    assert len(calls) == 1_207
+    # dv's 7 minors from its transpose; every other elimination is a head
+    assert calls[0] == dv.cols and set(calls[1:]) == {dv.cols - 1}
 
 
 # --- products -----------------------------------------------------------------
