@@ -5,19 +5,19 @@ of character basis and an ordering of the support: concretely, some subset of
 the exponent rows, a permutation, and a unimodular change of basis carry mon
 onto dv, and some K class reproduces the variety from its own halfspace data.
 
-One search decides every shape of dv.  A depth-first walk over the subsets
-of mon rows, in lexicographic order, reads maximal minors from one table of
-mon's n x n minors (its Plücker coordinates) per search, and reaches only
-the subsets whose |minors| are exactly dv's (_minor_walk).  The table works
-a minor out when first read, as the cofactor vector of its first n - 1 rows
-(kept per head) times its last row (_minor_table).  A reached
-subset goes through one depth-first search over row orders, which places at
-each position a row with dv's key there: the charge when dv is corank 1,
-(n+1) x n with rows spanning Z^n as for every split bundle over the line
-(the signed maximal minors, which generate the charge lattice of the
-class-group sequence), and the row gcd otherwise, where each minor of the
-placed rows is also checked against dv's.  When dv has a nonzero maximal
-minor one Hermite-form solve decides each order, else right_equivalent does.
+One search decides every shape of dv.  A depth-first walk over the subsets of
+mon rows, in lexicographic order, reads maximal minors from one table of
+mon's n x n minors (its Plücker coordinates) per search, and reaches only the
+subsets whose |minors| are exactly dv's (_minor_walk).  The table works a
+minor out when first read, as the cofactor vector of its first n - 1 rows
+(kept per head) times its last row (_minor_table).  A reached subset goes
+through one depth-first search over row orders, which places at each position
+a row with dv's key there: the charge when dv is corank 1, (n+1) x n with
+rows spanning Z^n as for every split bundle over the line (the signed maximal
+minors, which generate the charge lattice of the class-group sequence), and
+the row gcd otherwise, where each minor of the placed rows is also checked
+against dv's.  One Hermite-form solve decides each order, once Hermite forms
+bring a dv of column rank below n and its subsets to full column rank.
 
 The K step asks for a class K = +-i per free generator whose halfspaces
 dv xi + Im K >= 0 keep every row as a facet.  When dv is corank 1 with
@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .lgmodel import bundle_model, canonical_class, dualize, linear_data, sum_models
-from .linalg import IntMatrix, _bareiss, hnf_col_transform, right_equivalent
+from .linalg import IntMatrix, _bareiss, block_diag, hnf_col_transform
 from .toric import from_linear_data
 
 __all__ = [
@@ -244,9 +244,7 @@ def _charge_row(dv, group):
     primitive rows; None otherwise.  q . dv = 0 and one nonzero n x n minor
     are replayed, so dv has rank n and q spans its left kernel."""
     n = dv.cols
-    if group.free_rank != 1 or dv.rows != n + 1:
-        return None
-    if any(dv.row_gcd(i) != 1 for i in range(dv.rows)):
+    if group.free_rank != 1 or dv.rows != n + 1 or any(g != 1 for g in dv.row_gcds()):
         return None
     q = group.projection[0]
     i = next(i for i, x in enumerate(q) if x)
@@ -369,20 +367,17 @@ class SelfDualityWitness:
             return False
         if sorted(perm) != list(range(len(subset))) or u.rows != mon.cols:
             return False
-        if mon.take_rows(subset).take_rows(perm) @ u != dv:
+        if mon.take_rows(subset).take_rows(perm) @ u != dv or not u.is_unimodular():
             return False
-        if not u.is_unimodular():
+        if not check_k:
+            return True
+        if self.k_class is None:
             return False
-        if check_k:
-            if self.k_class is None:
-                return False
-            try:
-                _, report = from_linear_data(dv, self.k_class.im_lift())
-            except (NotKopasepticError, EmptyInteriorError):
-                return False
-            if not report.is_identity():
-                return False
-        return True
+        try:
+            _, report = from_linear_data(dv, self.k_class.im_lift())
+        except (NotKopasepticError, EmptyInteriorError):
+            return False
+        return report.is_identity()
 
 
 @dataclass(frozen=True, slots=True)
@@ -431,13 +426,17 @@ def _search_matrix_witness(dv, mon):
     of dv.  Other shapes are keyed by row gcds, which u preserves.  When dv
     has a nonzero maximal minor u is unique, and _basis_change solves for it
     on the rows of dv's smallest nonzero |minor| (the last such n-subset, so
-    a corank-1 dv drops its first row of smallest |charge|); otherwise
-    right_equivalent decides each order of an S of dv's rank.
+    a corank-1 dv drops its first row of smallest |charge|).  Otherwise
+    column Hermite forms give dv v = [h | 0] and S v_S = [h_S | 0] with h
+    and h_S of full column rank, bases of the column lattices of dv and S.
+    Some u has S[perm] u = dv iff the lattices are equal, iff h_S has r =
+    rank(dv) columns and h_S[perm] w = h for some w in GL(r, Z), which the
+    search decides at full column rank; then u = v_S diag(w, 1) v^-1.
     """
     n = dv.cols
     corank_one = dv.rows == mon.rows == n + 1
     # a subset's rank is at most mon's, but it may be below mon's and match;
-    # two (n + 1)-row tables hold the ranks, as rank n is a nonzero minor
+    # for two (n + 1)-row matrices the walk compares the minors, which hold the ranks
     if mon.rows < dv.rows or not corank_one and mon.rank() < dv.rank():
         return None
     # every minor of dv is used, so each key is read from its table
@@ -445,10 +444,22 @@ def _search_matrix_witness(dv, mon):
     minors = {t: minors[t] for t in itertools.combinations(range(dv.rows), n)}
     # with fewer rows than n a subset has no n-row minor to read
     table = _minor_table(mon.entries, n) if dv.rows >= n else {}
-    if corank_one and any(minors.values()) and not any(table.values()):
+    walk = _minor_walk(table, mon.rows, dv.rows, n, Counter(map(abs, minors.values())))
+    if not any(minors.values()):
+        # dv @ v == [h | 0] with h of full column rank r, and v^-1 tracked
+        h, _, v_inv = hnf_col_transform(dv, with_u=False)
+        r = sum(map(any, zip(*h.entries)))
+        h = IntMatrix(dv.rows, r, [x[:r] for x in h])
+        for s in walk:
+            hs, vs, _ = hnf_col_transform(mon.take_rows(s), with_uinv=False)
+            if any(map(any, (x[r:] for x in hs))):
+                continue  # S has rank above r
+            found = matrix_self_dual(h, IntMatrix(dv.rows, r, [x[:r] for x in hs]))
+            if found is not None:
+                return s, found[0], vs @ block_diag(found[1], IntMatrix.identity(n - r)) @ v_inv
         return None
     targets = None
-    for s in _minor_walk(table, mon.rows, dv.rows, n, Counter(map(abs, minors.values()))):
+    for s in walk:
         if targets is None:
             # built at the first subset reached, as most searches reach none
             spanning = dv.rows == n + 1 and gcd(*minors.values()) == 1
@@ -464,29 +475,22 @@ def _search_matrix_witness(dv, mon):
                 if t and not spanning:
                     checks[t[-1]].append((t[:-1], abs(x)))
             nonzero = {t: abs(x) for t, x in minors.items() if x}
-            keep = min(reversed(nonzero), key=nonzero.get, default=None)
+            keep = min(reversed(nonzero), key=nonzero.get)
         if spanning:
             keys = _charges([table[t] for t in itertools.combinations(s, n)])
         else:
             keys = [gcds[i] for i in s]
-            # equal |minors| give equal ranks only when one is nonzero
-            if keep is None and mon.take_rows(s).rank() != dv.rank():
-                continue
         ks = sorted(keys)
         runs = [_row_orders(keys, t, checks, table, s) for t in targets if sorted(t) == ks]
         if spanning:
             # u is unique, so the first order of either sign decides
             runs = [sorted(p for p in (next(r, None) for r in runs) if p is not None)[:1]]
         for perm in itertools.chain(*runs):
-            b = mon.take_rows([s[p] for p in perm])
-            if keep is None:
-                u = right_equivalent(dv, b)
-            else:
-                u = _basis_change(dv, b, keep)
-                if u is None and spanning:
-                    raise AssertionError("charges match but the basis change failed")
+            u = _basis_change(dv, mon.take_rows([s[p] for p in perm]), keep)
             if u is not None:
                 return s, perm, u
+            if spanning:
+                raise AssertionError("charges match but the basis change failed")
     return None
 
 
@@ -572,11 +576,7 @@ def product_self_dual(m, l=None):
     n = m.variety.rank
     subset = tuple(kept) + tuple(range(s1, s1 + r1))
     perm = tuple(range(r2, r2 + r1)) + tuple(range(r2))
-    swap = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        swap[i][n + i] = 1
-        swap[n + i][i] = 1
-    u = IntMatrix(2 * n, 2 * n, swap)
+    u = IntMatrix.identity(2 * n).take_rows([*range(n, 2 * n), *range(n)])
 
     witness = SelfDualityWitness(subset, perm, u, total.k_class)
     assert witness.verify(total.variety.dv, total.mon(), check_k=False)

@@ -3,9 +3,12 @@
 This is the depth-first search over row orders that decided every subset
 whose ``dv`` is not spanning corank 1 before one row-order search with
 minor checks and a single Hermite solve replaced it, kept unchanged as an
-independent oracle.  It tests every row order whose row gcds match with two
-Hermite forms (``right_equivalent``), so it is slow on inputs with many
-rows of equal gcd, and the tests only call it on small matrices.
+independent oracle for every shape of ``dv``, a rank-deficient one too.  It
+tests every row order whose row gcds match with two Hermite forms
+(``right_equivalent``), so it is slow on inputs with many rows of equal
+gcd, and the tests only call it on small matrices.  Where ``dv`` has no
+nonzero maximal minor the basis change is not unique, so there the tests
+compare only the row order with it and replay the search's own.
 """
 
 from collections import Counter
