@@ -61,6 +61,14 @@ def _matrix_lines(mat, labels=None, indent="  "):
     return lines
 
 
+def _fraction(text):
+    """A rational option value; a zero denominator is invalid, like "nan"."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid Fraction value: %r" % text) from None
+
+
 def _group_text(g):
     parts = []
     if g.free_rank:
@@ -307,7 +315,7 @@ def build_parser():
     p.add_argument("--svg", required=True, metavar="OUT", help="output SVG file")
     p.add_argument(
         "--truncate",
-        type=Fraction,
+        type=_fraction,
         default=Fraction(1),
         metavar="H",
         help="ray truncation height (default 1)",

@@ -65,6 +65,14 @@ def _coerce(x):
     raise TypeError("cannot mix ComplexQ with %r" % (x,))
 
 
+def _fraction(body, text):
+    """Fraction(body); a zero denominator is a bad literal, like any other."""
+    try:
+        return Fraction(body)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in complex literal %r" % text) from None
+
+
 def parse_complex(text):
     """Parse ``a+bi`` / ``a`` / ``bi`` / ``i`` into a ComplexQ.
 
@@ -95,11 +103,11 @@ def parse_complex(text):
             elif body == "-":
                 im_part = Fraction(-1)
             else:
-                im_part = Fraction(body)
+                im_part = _fraction(body, text)
         else:
             if re_part is not None:
                 raise ValueError("two real components in %r" % text)
-            re_part = Fraction(t)
+            re_part = _fraction(t, text)
     return ComplexQ(re_part or 0, im_part or 0)
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .linalg import IntMatrix, _bareiss_solve, cokernel
+from .linalg import IntMatrix, _bareiss_solve, _integers, cokernel
 from .toric import ToricData, bundle_over_p1, from_linear_data, point, product
 
 __all__ = [
@@ -60,7 +60,7 @@ class Superpotential:
             coeff = complex(coeff)
             if coeff == 0:
                 raise ValidationError("superpotential coefficients must be nonzero")
-            cooked.append((coeff, tuple(int(e) for e in exps)))
+            cooked.append((coeff, _integers(exps, "exponents")))
         seen = set()
         for _, exps in cooked:
             if exps in seen:
@@ -108,7 +108,7 @@ def generic_sections(degrees):
     for 0 <= j <= -a (unit coefficients); positive-degree summands have no
     sections and contribute nothing.
     """
-    degrees = [int(a) for a in degrees]
+    degrees = _integers(degrees, "degrees")
     c = len(degrees)
     terms = []
     for i, a in enumerate(degrees):

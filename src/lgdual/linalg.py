@@ -8,8 +8,9 @@ immutable after construction.
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, ValidationError
 
 __all__ = [
     "IntMatrix",
@@ -21,6 +22,16 @@ __all__ = [
     "hnf_col_transform",
     "right_equivalent",
 ]
+
+
+def _integers(values, what):
+    """values as a tuple of ints.  Entries with __index__ (int, bool, numpy
+    integers) are taken; a float, Fraction or str raises ValidationError
+    rather than being truncated."""
+    try:
+        return tuple([index(x) for x in values])
+    except TypeError:
+        raise ValidationError("%s must be integers, got %r" % (what, values)) from None
 
 
 def _bareiss(entries, cols):
@@ -58,6 +69,22 @@ def _bareiss(entries, cols):
         prev = p
         pivots.append(col)
     return pivots, sign, prev, m
+
+
+def _cofactors(rows, cols):
+    """c_j = (-1)^j det(A without column j) for the k x (k + 1) matrix A of
+    rows (cols = k + 1), by one fraction-free elimination: at rank k, c spans
+    A's right kernel, and c_f = (-1)^f sign d at the free column f (the
+    pivot columns have det sign * d), so back substitution gives c.  At
+    lower rank c is 0; with no rows (k = 0) it is [1]."""
+    pivots, sign, d, echelon = _bareiss(rows, cols)
+    c = [0] * cols
+    if len(pivots) == cols - 1:
+        f = sum(range(cols)) - sum(pivots)
+        c[f] = (-1) ** f * sign * d
+        for row, p in reversed(list(zip(echelon, pivots))):
+            c[p] = -sum(row[j] * c[j] for j in range(p + 1, cols)) // row[p]
+    return c
 
 
 def _bareiss_solve(a, rhs):
@@ -340,7 +367,23 @@ class ChowGroup:
 
 
 def cokernel(a):
-    """Cokernel of chi -> a @ chi as a ChowGroup presentation."""
+    """Cokernel of chi -> a @ chi as a ChowGroup presentation.
+
+    When a is (n+1) x n and its signed maximal minors q_i = (-1)^i det(a
+    without row i) have gcd 1, as for the ray matrix of every split bundle
+    over the projective line, the rows of a span Z^n and the cokernel is Z.
+    The primitive vectors of its left kernel are then +-q, so the
+    projection is q under the sign rule, read from one elimination of a's
+    transpose (_cofactors) in place of a Smith form.  Every other matrix
+    goes through snf.
+    """
+    n = a.cols
+    if a.rows == n + 1:
+        q = _cofactors(list(zip(*a.entries)), a.rows)
+        if gcd(*q) == 1:
+            if next(x for x in q if x) < 0:
+                q = [-x for x in q]
+            return ChowGroup(1, (), IntMatrix(1, a.rows, [q]), a)
     dec = snf(a)
     diag = dec.diagonal()
     k = sum(1 for d in diag if d != 0)

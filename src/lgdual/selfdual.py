@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .lgmodel import bundle_model, canonical_class, dualize, linear_data, sum_models
-from .linalg import IntMatrix, _bareiss, block_diag, hnf_col_transform
+from .linalg import IntMatrix, _cofactors, _integers, block_diag, hnf_col_transform
 from .toric import from_linear_data
 
 __all__ = [
@@ -78,22 +78,6 @@ def matrix_self_dual(a, b):
         raise ShapeMismatchError("column counts differ: %d vs %d" % (a.cols, b.cols))
     found = _search_matrix_witness(a, b)
     return None if found is None else found[1:]
-
-
-def _cofactors(rows, cols):
-    """c_j = (-1)^j det(A without column j) for the k x (k + 1) matrix A of
-    rows (cols = k + 1), by one fraction-free elimination: at rank k, c spans
-    A's right kernel, and c_f = (-1)^f sign d at the free column f (the
-    pivot columns have det sign * d), so back substitution gives c.  At
-    lower rank c is 0; with no rows (k = 0) it is [1]."""
-    pivots, sign, d, echelon = _bareiss(rows, cols)
-    c = [0] * cols
-    if len(pivots) == cols - 1:
-        f = sum(range(cols)) - sum(pivots)
-        c[f] = (-1) ** f * sign * d
-        for row, p in reversed(list(zip(echelon, pivots))):
-            c[p] = -sum(row[j] * c[j] for j in range(p + 1, cols)) // row[p]
-    return c
 
 
 class _Minors(dict):
@@ -519,7 +503,7 @@ def model_self_dual(degrees):
     """Decide self-duality of the generic model on Tot(+O(a_i))."""
     degrees = tuple(degrees)  # a tuple of ints is kept as is: sweeps hold many verdicts
     if not all(type(a) is int for a in degrees):
-        degrees = tuple(int(a) for a in degrees)
+        degrees = _integers(degrees, "degrees")
     if not degrees:
         raise ValidationError("degrees must be nonempty")
     witness, failure = self_dual_witness(bundle_model(degrees))

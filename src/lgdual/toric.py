@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotKopasepticError, ShapeMismatchError
-from .linalg import IntMatrix, block_diag, cokernel
+from .linalg import IntMatrix, _integers, block_diag, cokernel
 from .polyhedra import HalfspaceSystem, facets
 
 __all__ = [
@@ -108,7 +108,7 @@ def bundle_over_p1(degrees):
     Takes the user-facing degrees a_i; the corresponding bundle divisors
     are D_j = -a_j [fInf], so O(-k) enters as the column (0, k).
     """
-    degrees = [int(a) for a in degrees]
+    degrees = _integers(degrees, "degrees")
     if not degrees:
         raise ValueError("at least one summand degree is required")
     base = projective_line()

@@ -82,6 +82,15 @@ def test_analyze_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coefficient", ["1/0", "2+3/0i"])
+def test_analyze_zero_denominator_exits_2(tmp_path, capsys, coefficient):
+    text = "[variety]\ndegrees = -2\n[potential]\nterm = %s : 0 0 1\n" % coefficient
+    assert main(["analyze", write_text(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: zero denominator in complex literal %r\n" % coefficient
+    )
+
+
 def test_analyze_validation_error_exits_3(tmp_path, capsys):
     path = write_text(tmp_path, "[variety]\ndv = 2 0; 0 1\n")
     assert main(["analyze", path]) == 3
@@ -470,6 +479,19 @@ def test_polytope_truncation_flag(model_file, tmp_path, capsys):
         ["polytope", model_file([-2]), "--svg", str(out_path), "--truncate", "1/2"]
     ) == 0
     assert "0,-0.5" in out_path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("height", ["1/0", "nan"])
+def test_polytope_rejects_a_truncation_that_is_not_rational(model_file, tmp_path, capsys, height):
+    # a zero denominator is a usage error like "nan", not a traceback
+    out_path = tmp_path / "p.svg"
+    with pytest.raises(SystemExit) as exc:
+        main(["polytope", model_file([-2]), "--svg", str(out_path), "--truncate=" + height])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lgdual polytope")
+    assert err.endswith("error: argument --truncate: invalid Fraction value: %r\n" % height)
+    assert not out_path.exists()
 
 
 def test_polytope_needs_rank_two(model_file, tmp_path, capsys):

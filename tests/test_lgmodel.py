@@ -35,7 +35,7 @@ from lgdual.lgmodel import (
     order_matrix,
     sum_models,
 )
-from lgdual import linalg
+from lgdual import lgmodel, linalg, toric
 from lgdual.linalg import IntMatrix, cokernel
 from lgdual.toric import bundle_over_p1, projective_line
 
@@ -53,6 +53,26 @@ def test_superpotential_basic():
 def test_superpotential_rejects_zero_coefficient():
     with pytest.raises(ValidationError):
         Superpotential([(0, (1, 0))])
+
+
+@pytest.mark.parametrize("exponent", [0.5, 1.0, Fraction(1), "1"])
+def test_superpotential_rejects_non_integral_exponents(exponent):
+    # an exponent is not truncated: 0.5 would become the monomial t2
+    with pytest.raises(ValidationError, match="exponents must be integers"):
+        Superpotential([(1, (exponent, 1))])
+
+
+def test_superpotential_takes_index_integers():
+    np = pytest.importorskip("numpy")
+    w = Superpotential([(1, (True, np.int64(-2)))])
+    assert w.exponents() == ((1, -2),)
+    assert all(type(e) is int for e in w.exponents()[0])
+
+
+@pytest.mark.parametrize("degrees", [(-1.5,), (-2.0,), (Fraction(-2),), ("-2",)])
+def test_generic_sections_rejects_non_integral_degrees(degrees):
+    with pytest.raises(ValidationError, match="degrees must be integers"):
+        generic_sections(degrees)
 
 
 def test_superpotential_rejects_duplicate_monomial():
@@ -256,16 +276,46 @@ def test_group_mismatch_on_model_build():
         LGModel(x, generic_sections([-2]), wrong)
 
 
+@pytest.fixture
+def class_group_calls(monkeypatch):
+    """The matrices passed to cokernel and to snf, in every namespace that
+    binds cokernel."""
+    calls = {"cokernel": [], "snf": []}
+    real_cokernel, real_snf = linalg.cokernel, linalg.snf
+
+    def counted_cokernel(a):
+        calls["cokernel"].append(a)
+        return real_cokernel(a)
+
+    for space in (linalg, lgmodel, toric):
+        monkeypatch.setattr(space, "cokernel", counted_cokernel)
+    monkeypatch.setattr(linalg, "snf", lambda a: calls["snf"].append(a) or real_snf(a))
+    return calls
+
+
 @pytest.mark.parametrize("degrees", [(-2,), (-1, -1), (0, 0, 0, -2), (1, -3)])
-def test_bundle_model_takes_one_smith_form(monkeypatch, degrees):
-    # the default K is built from the class group already computed
-    calls = []
-    real = linalg.snf
-    monkeypatch.setattr(linalg, "snf", lambda a: calls.append(a) or real(a))
+def test_bundle_model_computes_one_class_group(monkeypatch, class_group_calls, degrees):
+    # the default K is built from the class group already computed, and a
+    # bundle's (c+2) x (c+1) dv with spanning rows takes no Smith form
     m = bundle_model(degrees)
-    assert len(calls) == 1
+    assert class_group_calls == {"cokernel": [m.variety.dv], "snf": []}
     monkeypatch.undo()
     assert m.k_class == default_k_class(m.variety)
+
+
+@pytest.mark.parametrize(
+    "rows, free_rank, torsion",
+    [
+        ([(2,), (4,)], 1, (2,)),  # minors gcd 2: Z + Z/2
+        ([(1, 2), (2, 4), (0, 0)], 2, ()),  # rank 1 below n = 2: every minor is 0
+    ],
+    ids=["torsion", "rank-below"],
+)
+def test_corank_one_fallback_takes_one_smith_form(class_group_calls, rows, free_rank, torsion):
+    a = IntMatrix.from_rows(rows)
+    g = linalg.cokernel(a)
+    assert (g.free_rank, g.torsion) == (free_rank, torsion)
+    assert class_group_calls == {"cokernel": [a], "snf": [a]}
 
 
 def test_default_l_class_lives_on_exponent_cokernel():

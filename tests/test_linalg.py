@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import elimination_oracle
@@ -338,6 +338,56 @@ def test_projection_sign_canonical():
             row = g.free_projection()[i]
             lead = next(v for v in row if v)
             assert lead > 0
+
+
+def snf_presentation(a):
+    """The cokernel of a read off snf(a) alone: free rank, torsion and the
+    projection, u's rows past the nonzero diagonal (first nonzero entry
+    made positive) over u's rows of diagonal entries above 1."""
+    dec = snf(a)
+    diag = dec.diagonal()
+    k = sum(1 for d in diag if d)
+    free = []
+    for row in dec.u.entries[k:]:
+        lead = next((x for x in row if x), 0)
+        free.append(tuple(-x for x in row) if lead < 0 else row)
+    tors = [dec.u[i] for i in range(k) if diag[i] > 1]
+    projection = IntMatrix(len(free) + len(tors), a.rows, free + tors)
+    return a.rows - k, tuple(d for d in diag if d > 1), projection
+
+
+@st.composite
+def corank_one_matrices(draw):
+    """(n+1) x n integer matrices, n = 0..6: entries up to 10^6 or small, and
+    shapes that leave the charge path: a zero row, rank below n (a product
+    through k < n columns, so every maximal minor is 0), and a column scaled
+    by d >= 2 (every maximal minor divisible by d, so the group has torsion)."""
+    n = draw(st.integers(0, 6))
+    elems = draw(st.sampled_from([st.integers(-10**6, 10**6), st.integers(-3, 3)]))
+    rows = [[draw(elems) for _ in range(n)] for _ in range(n + 1)]
+    shape = draw(st.sampled_from(["drawn", "zero-row", "rank-below", "scaled"]))
+    if n and shape == "zero-row":
+        rows[draw(st.integers(0, n))] = [0] * n
+    elif n and shape == "rank-below":
+        k = draw(st.integers(0, n - 1))
+        left = [[draw(st.integers(-10**3, 10**3)) for _ in range(k)] for _ in range(n + 1)]
+        right = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(x * right[t][j] for t, x in enumerate(row)) for j in range(n)] for row in left]
+    elif n and shape == "scaled":
+        j, d = draw(st.integers(0, n - 1)), draw(st.integers(2, 6))
+        rows = [row[:j] + [d * row[j]] + row[j + 1:] for row in rows]
+    return IntMatrix(n + 1, n, rows)
+
+
+@given(corank_one_matrices())
+@example(IntMatrix(1, 0, [()]))  # n = 0: the empty determinant gives q = (1)
+@settings(max_examples=300, deadline=None)
+def test_cokernel_matches_the_smith_presentation_on_corank_one(a):
+    # the charge path, taken when the signed maximal minors have gcd 1, gives
+    # the presentation snf gives; every other matrix goes through snf
+    g = cokernel(a)
+    assert (g.free_rank, g.torsion, g.projection) == snf_presentation(a)
+    assert g.source is a
 
 
 # --- right equivalence ------------------------------------------------------

@@ -35,7 +35,9 @@ def test_parse_complex(text, expected):
     assert parse_complex(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "1+2", "i+i", "1+2+3i", "abc", "1//2"])
+@pytest.mark.parametrize(
+    "text", ["", "1+2", "i+i", "1+2+3i", "abc", "1//2", "1/0", "2+3/0i", "1/0i", "0/0-i"]
+)
 def test_parse_complex_rejects(text):
     with pytest.raises(ValueError):
         parse_complex(text)
@@ -128,6 +130,9 @@ def test_parse_offset_sets_imaginary_lift():
         ("[variety]\ndegrees = -2\n[potential]\nterm = 1 : 0 1 2\n", "length 3", 4),
         ("[variety]\noffset = 1/0\ndegrees = -2\n", "rational", 2),
         ("[variety]\ndegrees = -2\n[kahler]\nclass = 1+2\n", "two real components", 4),
+        ("[variety]\ndegrees = -2\n[potential]\nterm = 1/0 : 0 0 1\n", "zero denominator", 4),
+        ("[variety]\ndegrees = -2\n[potential]\nterm = 2+3/0i : 0 0 1\n", "zero denominator", 4),
+        ("[variety]\ndegrees = -2\n[kahler]\nclass = 1/0i\n", "zero denominator", 4),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line):

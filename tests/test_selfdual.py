@@ -716,9 +716,10 @@ def test_row_gcd_mismatch_makes_no_leaf_test(right_equivalent_calls):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Counts of selfdual's own Bareiss eliminations and of IntMatrix.rank calls."""
+    """Counts of selfdual's own eliminations, one per cofactor vector, and of
+    IntMatrix.rank calls."""
     counts = Counter()
-    original, rank = selfdual._bareiss, IntMatrix.rank
+    original, rank = selfdual._cofactors, IntMatrix.rank
 
     def counted(rows, cols):
         counts["bareiss"] += 1
@@ -728,7 +729,7 @@ def eliminations(monkeypatch):
         counts["rank"] += 1
         return rank(m)
 
-    monkeypatch.setattr(selfdual, "_bareiss", counted)
+    monkeypatch.setattr(selfdual, "_cofactors", counted)
     monkeypatch.setattr(IntMatrix, "rank", counted_rank)
     return counts
 
@@ -835,7 +836,7 @@ def test_line_bundle_takes_each_minor_once(monkeypatch):
     # per 3-row subset; dv's 3 minors come from one elimination of its 2 x 3
     # transpose
     calls, computed = [], []
-    original, missing = selfdual._bareiss, selfdual._Minors.__missing__
+    original, missing = selfdual._cofactors, selfdual._Minors.__missing__
 
     def counted(rows, cols):
         calls.append(tuple(map(tuple, rows)))
@@ -845,7 +846,7 @@ def test_line_bundle_takes_each_minor_once(monkeypatch):
         computed.append(t)
         return missing(table, t)
 
-    monkeypatch.setattr(selfdual, "_bareiss", counted)
+    monkeypatch.setattr(selfdual, "_cofactors", counted)
     monkeypatch.setattr(selfdual._Minors, "__missing__", counted_missing)
     dv, mon = bundle_over_p1([-20]).dv, bundle_model([-20]).mon()
     assert model_self_dual((-20,)).failure == "no-matrix-witness"
@@ -863,7 +864,7 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
     # Each read is counted as it goes to the table, which works a minor out
     # on its first read, so the walk reads as many as ever and computes fewer
     reads, eliminations = Counter(), []
-    original, bareiss = selfdual._minor_table, selfdual._bareiss
+    original, cofactors = selfdual._minor_table, selfdual._cofactors
 
     class CountedReads:
         def __init__(self, rows, n):
@@ -878,10 +879,10 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
 
     def counted(rows, cols):
         eliminations.append(rows)
-        return bareiss(rows, cols)
+        return cofactors(rows, cols)
 
     monkeypatch.setattr(selfdual, "_minor_table", CountedReads)
-    monkeypatch.setattr(selfdual, "_bareiss", counted)
+    monkeypatch.setattr(selfdual, "_cofactors", counted)
     verdicts = sweep_line_bundles(20)
     assert [v.degrees for v in verdicts if v.self_dual] == [(-2,)]
     subsets = sum(comb(bundle_model((-k,)).mon().rows, 3) for k in range(21))
@@ -1067,6 +1068,8 @@ def test_k_step_holds_for_every_bundle_at_the_first_sign(monkeypatch):
         for degrees in itertools.product(range(-6, 7), repeat=c):
             x = bundle_over_p1(degrees)
             group = x.chow_group()
+            assert (group.free_rank, group.torsion) == (1, ())
+            assert group.projection.entries == ((1, 1, *degrees),)
             # bundle_model's default K
             assert k_reconstruction_class(x, group) == canonical_class(group, [ComplexQ(0, 1)])
 
@@ -1126,8 +1129,22 @@ def test_verdict_keeps_a_given_degree_tuple():
     v = model_self_dual(degrees)
     assert v.degrees is degrees and not hasattr(v, "__dict__")
     assert model_self_dual([-1, -1]).degrees == degrees
-    coerced = model_self_dual((True, -1.0)).degrees
+    coerced = model_self_dual((True, -1)).degrees
     assert coerced == (1, -1) and all(type(a) is int for a in coerced)
+
+
+@pytest.mark.parametrize("degrees", [(-1.5,), (True, -1.0), (Fraction(-2),), ("-2",)])
+def test_verdict_rejects_non_integral_degrees(degrees):
+    # truncating -1.5 would give the O(-1) verdict
+    with pytest.raises(ValidationError, match="degrees must be integers"):
+        model_self_dual(degrees)
+
+
+def test_verdict_takes_numpy_integer_degrees():
+    np = pytest.importorskip("numpy")
+    v = model_self_dual((np.int64(-1), np.int32(-1)))
+    assert v.degrees == (-1, -1) and all(type(a) is int for a in v.degrees)
+    assert v.self_dual
 
 
 def test_verdict_stores_only_the_search_outcome():
@@ -1290,13 +1307,13 @@ def test_p3_bundle_reads_minors_on_demand(monkeypatch):
     dv, mon = m.variety.dv, m.mon()
     assert (mon.rows, dv.rows, dv.cols) == (37, 7, 6)
     calls = []
-    original = selfdual._bareiss
+    original = selfdual._cofactors
 
     def counted(rows, cols):
         calls.append(len(rows))
         return original(rows, cols)
 
-    monkeypatch.setattr(selfdual, "_bareiss", counted)
+    monkeypatch.setattr(selfdual, "_cofactors", counted)
     witness, failure = self_dual_witness(m)
     assert failure is None and witness.verify(dv, mon)
     assert len(calls) == 1_207

@@ -10,6 +10,7 @@ from lgdual.errors import (
     EmptyInteriorError,
     NotKopasepticError,
     ShapeMismatchError,
+    ValidationError,
 )
 from lgdual.linalg import IntMatrix
 from lgdual.toric import (
@@ -65,6 +66,18 @@ def test_general_degrees_shape():
 def test_degrees_must_be_nonempty():
     with pytest.raises(ValueError):
         bundle_over_p1([])
+
+
+@pytest.mark.parametrize("degrees", [[-1.5], [-2.0], [Fraction(-2)], ["-2"]])
+def test_degrees_must_be_integers(degrees):
+    # truncating -1.5 would build O(-1)
+    with pytest.raises(ValidationError, match="degrees must be integers"):
+        bundle_over_p1(degrees)
+
+
+def test_degrees_take_index_integers():
+    np = pytest.importorskip("numpy")
+    assert bundle_over_p1([np.int64(-1), True]).dv == bundle_over_p1([-1, 1]).dv
 
 
 def test_chow_group_cotangent_case():
