@@ -276,9 +276,7 @@ def bundle_model(degrees):
     """Model on Tot(⊕O(a_i)) with its generic superpotential and K = i on
     each free generator of the class group."""
     variety = bundle_over_p1(degrees)
-    potential = generic_sections(degrees)
-    group = variety.chow_group()
-    return LGModel(variety, potential, canonical_class(group, [ComplexQ(0, 1)] * group.free_rank))
+    return LGModel(variety, generic_sections(degrees), default_k_class(variety))
 
 
 def empty_model():

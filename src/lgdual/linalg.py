@@ -127,7 +127,7 @@ class IntMatrix:
         # built from lists: tuple() of a generator allocates 10 slots and
         # shrinks, so its tuples land on CPython's per-size free lists
         # without being taken from them, and those lists hold memory
-        entries = tuple([tuple([int(x) for x in row]) for row in entries])
+        entries = tuple([_integers(row, "matrix entries") for row in entries])
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ShapeMismatchError(
                 "expected %dx%d entries, got %s" % (rows, cols, [len(r) for r in entries])

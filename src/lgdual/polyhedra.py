@@ -7,14 +7,15 @@ certifies most kept rows by a functional on P's polar about that point;
 every other row takes one LP.  Every answer is replayed against the
 original rows before it is returned: interior points, nonnegative
 multiplier certificates of emptiness, the multipliers behind each dropped
-row, and the polar or Farkas vector behind each kept one.  2D vertex/ray
-enumeration for display sits on top.
+row, and the polar or Farkas vector behind each kept one.  For display,
+one counterclockwise walk over the kept facets of a 2D system, sorted by
+the angle of their edge directions, gives its vertices, rays and edges.
 """
 
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DimensionMismatchError, EmptyInteriorError
 from .linalg import IntMatrix
@@ -316,22 +317,56 @@ def _rotate_to_lexmin(seq):
     return seq[k:] + seq[:k]
 
 
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _boundary(h):
+    """Walk the boundary of a 2D region counterclockwise, with one facet pass.
+
+    Row c keeps P on the left of its edge direction d = (c_1, -c_0), and
+    the kept rows have distinct directions, so sorted by the angle of d
+    they are P's boundary in order: consecutive rows meet at a corner
+    exactly when d turns left between them, and a turn of pi or more is
+    the unbounded gap, after which the walk starts.  Returns (edges,
+    corners): edges lists (row index, primitive d) in walk order, and
+    corners[k] is where edges k and k + 1 (cyclically) meet.  A bounded
+    region has as many corners as edges, an unbounded one with vertices
+    one fewer, and one with no vertices none.
+    """
+    rep = facets(h)
+    index = {(b, -a): i for i, (a, b) in zip(rep.irredundant, rep.primitive_normals)}
+    dirs = _ccw_key(list(index))
+    start = next((k for k in range(len(dirs)) if _cross(dirs[k - 1], dirs[k]) <= 0), 0)
+    edges = [(index[d], d) for d in dirs[start:] + dirs[:start]]
+    corners = []
+    for (i, d), (j, e) in zip(edges, edges[1:] + edges[:1]):
+        if _cross(d, e) > 0:
+            (a, b), (c, f) = h.c[i], h.c[j]
+            o1, o2 = h.offset[i], h.offset[j]
+            det = a * f - b * c
+            corners.append((Fraction(-o1 * f + o2 * b, det), Fraction(-o2 * a + o1 * c, det)))
+    return edges, corners
+
+
 def vertices_and_rays_2d(h):
     """Vertices (rational pairs) and primitive recession rays of a 2D system.
 
-    Vertices are the feasible pairwise facet intersections, ordered
-    counterclockwise starting from the lexicographically smallest; rays
-    generate the recession cone, also counterclockwise from the smallest.
-    A 1D system is accepted and embedded on the first axis.
+    Vertices are the corners of the boundary walk, ordered counterclockwise
+    starting from the lexicographically smallest; rays generate the
+    recession cone, also counterclockwise from the smallest: the outward
+    directions of the two unbounded edges, both directions of the lines
+    of a region bounded by parallel lines, and none for a bounded region
+    or the whole plane.  A 1D system is accepted and embedded on the
+    first axis.
     """
     n = h.c.cols
     if n not in (1, 2):
         raise DimensionMismatchError("vertex/ray enumeration supports 1 or 2 dims, not %d" % n)
-    rep = facets(h)
-    rows = [h.c[i] for i in rep.irredundant]
-    offs = [h.offset[i] for i in rep.irredundant]
-
     if n == 1:
+        rep = facets(h)
+        rows = [h.c[i] for i in rep.irredundant]
+        offs = [h.offset[i] for i in rep.irredundant]
         verts = set()
         for (a,), off in zip(rows, offs):
             x = -off / a
@@ -344,37 +379,11 @@ def vertices_and_rays_2d(h):
         verts = sorted(verts)
         return verts, sorted(rays)
 
-    verts = set()
-    m = len(rows)
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, b = rows[i]
-            c, d = rows[j]
-            det = a * d - b * c
-            if det == 0:
-                continue
-            o1, o2 = offs[i], offs[j]
-            x = Fraction(-o1 * d + o2 * b, det)
-            y = Fraction(-o2 * a + o1 * c, det)
-            if h.contains((x, y)):
-                verts.add((x, y))
-    verts = list(verts)
-    if len(verts) > 2:
-        cx = sum(v[0] for v in verts) / len(verts)
-        cy = sum(v[1] for v in verts) / len(verts)
-        rel = {(v[0] - cx, v[1] - cy): v for v in verts}
-        verts = [rel[p] for p in _ccw_key(list(rel))]
-    else:
-        verts.sort()
-    verts = _rotate_to_lexmin(verts)
-
-    ray_set = set()
-    for a, b in rows:
-        for d in ((-b, a), (b, -a)):
-            if d == (0, 0):
-                continue
-            if all(ra * d[0] + rb * d[1] >= 0 for ra, rb in rows):
-                g = gcd(abs(d[0]), abs(d[1]))
-                ray_set.add((d[0] // g, d[1] // g))
-    rays = _rotate_to_lexmin(_ccw_key(sorted(ray_set)))
-    return verts, rays
+    edges, corners = _boundary(h)
+    verts = _rotate_to_lexmin(corners)
+    if len(corners) == len(edges):
+        return verts, []
+    first, last = edges[0][1], edges[-1][1]
+    if not corners:
+        last = first  # parallel lines: both directions along them
+    return verts, sorted({(-first[0], -first[1]), last})

@@ -1,28 +1,18 @@
 """Moment-polytope rendering for rank-2 varieties as standalone SVG 1.1.
 
 The polyhedron {xi : dv.xi + Im K >= 0} of a rank-2 model is drawn as a
-polygon: its vertices in convex-position order, with each unbounded edge cut
-off at a truncation height (default 1).  Every facet edge carries one label;
-the artificial truncation edge carries none.
+polygon: its vertices and edges in the counterclockwise order of the facet
+walk in ``polyhedra``, with each unbounded edge cut off at a truncation
+height (default 1).  Every facet edge carries one label; the artificial
+truncation edge carries none.
 """
 
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, ValidationError
-from .polyhedra import HalfspaceSystem, facets, vertices_and_rays_2d
+from .polyhedra import HalfspaceSystem, _boundary, _rotate_to_lexmin
 
 __all__ = ["moment_polygon", "render_svg"]
-
-
-def _dot(c, p):
-    return sum(Fraction(a) * q for a, q in zip(c, p))
-
-
-def _shoelace(points):
-    total = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(points, points[1:] + points[:1]):
-        total += x1 * y2 - x2 * y1
-    return total
 
 
 def _truncation_point(v, r, height):
@@ -46,71 +36,21 @@ def moment_polygon(dv, offset, truncate=Fraction(1)):
     if dv.cols != 2:
         raise DimensionMismatchError("expected 2 columns, got %d" % dv.cols)
     truncate = Fraction(truncate)
-    report = facets(HalfspaceSystem(dv, offset))
-    kept = report.irredundant
-    rows = [dv[i] for i in kept]
-    offs = [Fraction(offset[i]) for i in kept]
-    verts, rays = vertices_and_rays_2d(HalfspaceSystem(dv.take_rows(kept), offs))
-    if not verts:
+    edges, corners = _boundary(HalfspaceSystem(dv, offset))
+    if not corners:
         raise ValidationError("the polyhedron has no vertices; nothing to draw")
-
-    def tight_row(p, q):
-        for j, (c, off) in enumerate(zip(rows, offs)):
-            if _dot(c, p) + off == 0 and _dot(c, q) + off == 0:
-                return kept[j]
-        return None
-
-    if not rays:
-        points = list(verts)
-        edge_rows = [
-            tight_row(points[i], points[(i + 1) % len(points)])
-            for i in range(len(points))
-        ]
-        return points, edge_rows
-
-    # one unbounded edge per facet line that holds exactly one vertex
-    open_edges = []
-    for j, (c, off) in enumerate(zip(rows, offs)):
-        tight = [v for v in verts if _dot(c, v) + off == 0]
-        if len(tight) != 1:
-            continue
-        along = [r for r in rays if _dot(c, r) == 0]
-        if not along:
-            continue
-        open_edges.append((tight[0], along[0]))
-    if len(open_edges) != 2:
-        raise ValidationError(
-            "expected 2 unbounded boundary edges, found %d" % len(open_edges)
-        )
-    (va, ra), (vb, rb) = open_edges
-
-    def chain_from(start, end):
-        i = verts.index(start)
-        c = list(verts[i:]) + list(verts[:i])
-        if c[-1] != end:
-            c = list(reversed(c))
-            i = c.index(start)
-            c = c[i:] + c[:i]
-        assert c[0] == start and c[-1] == end
-        return c
-
-    candidate = (
-        [_truncation_point(va, ra, truncate)]
-        + chain_from(va, vb)
-        + [_truncation_point(vb, rb, truncate)]
+    rows = [i for i, _ in edges]
+    if len(corners) == len(edges):
+        # the edge from corner k to corner k + 1 lies on rows[k + 1]
+        points, edge_rows = zip(*_rotate_to_lexmin(list(zip(corners, rows[1:] + rows[:1]))))
+        return list(points), list(edge_rows)
+    first, last = edges[0][1], edges[-1][1]
+    points = (
+        [_truncation_point(corners[0], (-first[0], -first[1]), truncate)]
+        + corners
+        + [_truncation_point(corners[-1], last, truncate)]
     )
-    if _shoelace(candidate) < 0:
-        candidate = (
-            [_truncation_point(vb, rb, truncate)]
-            + chain_from(vb, va)
-            + [_truncation_point(va, ra, truncate)]
-        )
-    points = candidate
-    edge_rows = [
-        tight_row(points[i], points[(i + 1) % len(points)])
-        for i in range(len(points))
-    ]
-    return points, edge_rows
+    return points, rows + [None]
 
 
 def _fmt(x):

@@ -131,7 +131,7 @@ def point():
     return ToricData(0, (), IntMatrix(0, 0, []))
 
 
-def from_linear_data(c, offset, labels=None):
+def from_linear_data(c, offset):
     """Reconstruct a variety from constraint rows and a rational offset.
 
     Runs facet extraction on { xi : c @ xi + offset >= 0 } and keeps the
@@ -149,8 +149,6 @@ def from_linear_data(c, offset, labels=None):
                 "to generators or to zero" % i,
                 condition="k-map",
             )
-    if labels is None:
-        labels = tuple("D%d" % (i + 1) for i in range(c.rows))
-    kept_labels = tuple(labels[i] for i in report.irredundant)
+    kept_labels = tuple("D%d" % (i + 1) for i in report.irredundant)
     variety = ToricData(c.cols, kept_labels, report.primitive_normals)
     return variety, report

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import elimination_oracle
 from lgdual import linalg
-from lgdual.errors import ShapeMismatchError
+from lgdual.errors import ShapeMismatchError, ValidationError
 from lgdual.linalg import (
     IntMatrix,
     _bareiss_solve,
@@ -69,6 +69,19 @@ def test_from_rows_shape_and_indexing():
 def test_ragged_rows_rejected():
     with pytest.raises(ShapeMismatchError):
         IntMatrix.from_rows([(1, 2), (3,)])
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), Fraction(2), "2"])
+def test_non_integral_entries_rejected(bad):
+    # no truncation: 1.5 used to become 1
+    with pytest.raises(ValidationError):
+        IntMatrix.from_rows([(bad, 2)])
+
+
+def test_entries_take_index_integers():
+    np = pytest.importorskip("numpy")
+    m = IntMatrix.from_rows([(np.int64(-1), True)])
+    assert m.entries == ((-1, 1),) and type(m[0][0]) is int
 
 
 def test_matmul_shape_check():

@@ -1,12 +1,19 @@
-"""Moment polytope extraction and SVG rendering for rank-2 models."""
+"""Moment polytope extraction and SVG rendering for rank-2 models, and the
+facet walk checked against the pairwise-intersection oracle in
+``polygon_oracle``."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import polygon_oracle
+from lgdual import polyhedra
 from lgdual.errors import DimensionMismatchError, EmptyInteriorError, ValidationError
 from lgdual.lgmodel import LGModel, bundle_model, canonical_class
 from lgdual.linalg import IntMatrix
+from lgdual.polyhedra import HalfspaceSystem, vertices_and_rays_2d
 from lgdual.svg import moment_polygon, render_svg
 from lgdual.toric import ToricData, bundle_over_p1
 
@@ -128,3 +135,73 @@ def test_render_point_count_is_vertices_plus_cuts(k):
     assert svg.count("<text") == sum(1 for r in edge_rows if r is not None)
     labeled = sorted(r for r in edge_rows if r is not None)
     assert labeled == list(range(m.variety.dv.rows))
+
+
+# --- the facet walk against the pairwise-intersection oracle -----------------
+
+def outcome(f, *args):
+    """repr of the result, so Fraction and int entries must agree too, or
+    the error's type and message."""
+    try:
+        return repr(f(*args))
+    except Exception as e:
+        return type(e), str(e)
+
+
+@st.composite
+def plane_systems(draw):
+    """(dv, offset, truncate): rows in [-3, 3]^n, zero rows included, some
+    scaled by a gcd > 1, and strips and half-planes drawn on purpose."""
+    n = draw(st.sampled_from([1, 2, 2, 2, 2]))
+    entries = st.tuples(*[st.integers(-3, 3)] * n)
+    rows = draw(st.lists(entries, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        # the opposite of the first row: a strip, a line or nothing
+        rows.append(tuple(-x for x in rows[0]))
+    rows = [tuple(draw(st.sampled_from([1, 1, 2, 3])) * x for x in row) for row in rows]
+    offsets = draw(
+        st.lists(
+            st.fractions(-4, 4, max_denominator=3), min_size=len(rows), max_size=len(rows)
+        )
+    )
+    truncate = draw(st.sampled_from([1, 2, Fraction(1, 2), 0, -1]))
+    return IntMatrix.from_rows(rows, n), offsets, truncate
+
+
+@given(plane_systems())
+@example((IntMatrix.from_rows([(1, 0), (-1, 0)]), [0, 1], 1))  # strip
+@example((IntMatrix.from_rows([(1, 0), (-1, 0), (0, 1)]), [0, 1, 0], 0))  # half-strip
+@example((IntMatrix.from_rows([(0, 2)]), [1], 1))  # half-plane, scaled row
+@example((IntMatrix.from_rows([(0, 0), (1, 0), (0, 1)]), [1, 0, 0], -1))  # zero row
+@example((IntMatrix.from_rows([(2, 0), (0, 3), (-1, -1)]), [0, 0, 1], 1))  # gcd > 1
+@example((IntMatrix.from_rows([(1, 0), (-1, 0)]), [0, 0], 1))  # empty interior
+@example((IntMatrix.from_rows([(1,), (-1,)]), [0, 1], 1))  # 1D
+@example((IntMatrix.from_rows([], 2), [], 1))  # the whole plane
+@settings(max_examples=400, deadline=None)
+def test_facet_walk_matches_oracle(case):
+    dv, offset, truncate = case
+    h = HalfspaceSystem(dv, offset)
+    assert outcome(vertices_and_rays_2d, h) == outcome(polygon_oracle.vertices_and_rays_2d, h)
+    assert outcome(moment_polygon, dv, offset, truncate) == outcome(
+        polygon_oracle.moment_polygon, dv, offset, truncate
+    )
+
+
+@pytest.mark.parametrize(
+    "dv, offset",
+    [
+        (bundle_over_p1([-2]).dv, (0, 1, 0)),  # unbounded
+        (IntMatrix.from_rows([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)]), (0, 1, 0, 1, 5)),
+    ],
+)
+def test_polygon_takes_one_facet_pass(dv, offset, monkeypatch):
+    calls = []
+    original = polyhedra.facets
+
+    def counted(h):
+        calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(polyhedra, "facets", counted)
+    moment_polygon(dv, offset)
+    assert len(calls) == 1
