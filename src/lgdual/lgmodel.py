@@ -88,17 +88,21 @@ def mon_matrix(w, rank=None):
     return IntMatrix(len(exps), rank, exps)
 
 
+def _orders(a, b):
+    """a @ b^T and its negative entries (k, i, order) in row-major order: for
+    (dv, mon) the order matrix and the poles; no terms give rows x 0, no poles."""
+    om = a @ b.transpose()
+    return om, tuple([(k, i, v) for k, row in enumerate(om) for i, v in enumerate(row) if v < 0])
+
+
 def order_matrix(x, w):
     """dv @ mon^T: entry (k, i) is the vanishing order of term i along divisor k."""
-    return x.dv @ mon_matrix(w, rank=x.rank).transpose()
+    return _orders(x.dv, mon_matrix(w, rank=x.rank))[0]
 
 
 def is_regular(x, w):
     """True iff every term extends over every invariant divisor (all orders >= 0)."""
-    if not w.terms:
-        return True
-    om = order_matrix(x, w)
-    return all(v >= 0 for row in om for v in row)
+    return not _orders(x.dv, mon_matrix(w, rank=x.rank))[1]
 
 
 def generic_sections(degrees):
@@ -251,22 +255,15 @@ class LGModel:
     def __post_init__(self):
         if self.k_class.group.source != self.variety.dv:
             raise GroupMismatchError("K class group is not the variety's divisor class group")
-        if self.potential.terms:
-            om = order_matrix(self.variety, self.potential)
-            bad = [
-                (k, i, om[k][i])
-                for k in range(om.rows)
-                for i in range(om.cols)
-                if om[k][i] < 0
-            ]
-            if bad:
-                k, i, v = bad[0]
-                raise RegularityError(
-                    "superpotential term %d has a pole of order %d along divisor %s"
-                    % (i, -v, self.variety.divisors[k]),
-                    pairs=bad,
-                    orders=om,
-                )
+        om, poles = _orders(self.variety.dv, self.mon())
+        if poles:
+            k, i, v = poles[0]
+            raise RegularityError(
+                "superpotential term %d has a pole of order %d along divisor %s"
+                % (i, -v, self.variety.divisors[k]),
+                pairs=poles,
+                orders=om,
+            )
 
     def mon(self):
         return mon_matrix(self.potential, rank=self.variety.rank)
@@ -356,10 +353,7 @@ def is_kopaseptic(d):
         interior = kmap_exists = False
     except NotKopasepticError:
         interior, kmap_exists = True, False
-    om = d.a @ d.b.transpose()
-    negative = tuple(
-        (i, j, om[i][j]) for i in range(om.rows) for j in range(om.cols) if om[i][j] < 0
-    )
+    negative = _orders(d.a, d.b)[1]
     return KopasepticReport(interior, kmap_exists, not negative, facet_report, negative)
 
 

@@ -141,12 +141,6 @@ def parse_model(text):
     # variety
     if degrees is not None:
         variety = bundle_over_p1(degrees)
-        if labels is not None:
-            if len(labels) != variety.dv.rows:
-                raise ValidationError(
-                    "%d labels for %d divisors" % (len(labels), variety.dv.rows)
-                )
-            variety = ToricData(variety.rank, labels, variety.dv)
     else:
         dv = IntMatrix(len(dv_rows), len(dv_rows[0]), dv_rows)
         for i in range(dv.rows):
@@ -156,11 +150,11 @@ def parse_model(text):
                     "dv row %d is %s; rows must be primitive ray generators"
                     % (i + 1, "zero" if g == 0 else "non-primitive (gcd %d)" % g)
                 )
-        if labels is None:
-            labels = tuple("D%d" % (i + 1) for i in range(dv.rows))
-        elif len(labels) != dv.rows:
-            raise ValidationError("%d labels for %d divisors" % (len(labels), dv.rows))
-        variety = ToricData(dv.cols, labels, dv)
+        variety = ToricData(dv.cols, tuple("D%d" % (i + 1) for i in range(dv.rows)), dv)
+    if labels is not None:
+        if len(labels) != variety.dv.rows:
+            raise ValidationError("%d labels for %d divisors" % (len(labels), variety.dv.rows))
+        variety = ToricData(variety.rank, labels, variety.dv)
 
     # potential
     if terms:

@@ -226,11 +226,13 @@ def facets(h):
     r, n = h.c.rows, h.c.cols
     seen = {}
     dup = set()
+    primitive = {}
     for i in range(r):
         g = h.c.row_gcd(i)
         if g == 0:
-            continue  # zero rows fall to the implication test
-        key = (tuple(x // g for x in h.c[i]), h.offset[i] / g)
+            continue  # zero rows fall to the implication test, which drops them
+        primitive[i] = tuple(x // g for x in h.c[i])
+        key = (primitive[i], h.offset[i] / g)
         if key in seen:
             dup.add(i)
         else:
@@ -274,11 +276,9 @@ def facets(h):
             assert min(lam) >= 0
             assert [_dot(lam, row) for row in zip(*others, slack)] == [d * x for x in cols[pos]]
     kmap = [None] * r
-    normals = []
     for facet_idx, i in enumerate(irredundant):
         kmap[i] = facet_idx
-        g = h.c.row_gcd(i)
-        normals.append(tuple(x // g for x in h.c[i]))
+    normals = [primitive[i] for i in irredundant]
     return FacetReport(
         tuple(irredundant),
         IntMatrix(len(normals), n, normals),
@@ -364,20 +364,13 @@ def vertices_and_rays_2d(h):
     if n not in (1, 2):
         raise DimensionMismatchError("vertex/ray enumeration supports 1 or 2 dims, not %d" % n)
     if n == 1:
-        rep = facets(h)
-        rows = [h.c[i] for i in rep.irredundant]
-        offs = [h.offset[i] for i in rep.irredundant]
-        verts = set()
-        for (a,), off in zip(rows, offs):
-            x = -off / a
-            if h.contains((x,)):
-                verts.add((x, Fraction(0)))
-        rays = set()
-        for d in ((1,), (-1,)):
-            if all(a * d[0] >= 0 for (a,) in rows):
-                rays.add((d[0], 0))
-        verts = sorted(verts)
-        return verts, sorted(rays)
+        # each kept row's boundary point lies on the region, and two kept
+        # rows never share one, as that would leave no interior
+        kept = facets(h).irredundant
+        rows = [h.c[i][0] for i in kept]
+        verts = sorted((-h.offset[i] / a, Fraction(0)) for i, a in zip(kept, rows))
+        rays = [(d, 0) for d in (-1, 1) if all(a * d >= 0 for a in rows)]
+        return verts, rays
 
     edges, corners = _boundary(h)
     verts = _rotate_to_lexmin(corners)

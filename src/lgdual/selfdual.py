@@ -421,7 +421,7 @@ def _search_matrix_witness(dv, mon):
     corank_one = dv.rows == mon.rows == n + 1
     # a subset's rank is at most mon's, but it may be below mon's and match;
     # for two (n + 1)-row matrices the walk compares the minors, which hold the ranks
-    if mon.rows < dv.rows or not corank_one and mon.rank() < dv.rank():
+    if not corank_one and mon.rank() < dv.rank():
         return None
     # every minor of dv is used, so each key is read from its table
     minors = _minor_table(dv.entries, n)

@@ -2,9 +2,9 @@
 
 The polyhedron {xi : dv.xi + Im K >= 0} of a rank-2 model is drawn as a
 polygon: its vertices and edges in the counterclockwise order of the facet
-walk in ``polyhedra``, with each unbounded edge cut off at a truncation
-height (default 1).  Every facet edge carries one label; the artificial
-truncation edge carries none.
+walk in ``polyhedra``, each rising unbounded edge cut at a truncation height
+(default 1) above its vertex and one that never rises a step along its ray.
+Every facet edge carries one label; the artificial truncation edge none.
 """
 
 from fractions import Fraction
@@ -16,12 +16,15 @@ __all__ = ["moment_polygon", "render_svg"]
 
 
 def _truncation_point(v, r, height):
-    if r[1] > 0:
-        t = (height - v[1]) / Fraction(r[1])
-        if t > 0:
-            return (v[0] + t * r[0], v[1] + t * r[1])
-    # ray never reaches the cut height going up; fall back to a unit step
-    return (v[0] + r[0], v[1] + r[1])
+    # the error names the height only: it must not depend on which edge is cut first
+    if r[1] <= 0:
+        return (v[0] + r[0], v[1] + r[1])  # an edge that never rises ends one step along r
+    t = (height - v[1]) / Fraction(r[1])
+    if t <= 0:
+        raise ValidationError(
+            "truncation height %s is not above the vertex of a rising unbounded edge" % height
+        )
+    return (v[0] + t * r[0], v[1] + t * r[1])
 
 
 def moment_polygon(dv, offset, truncate=Fraction(1)):
@@ -30,8 +33,9 @@ def moment_polygon(dv, offset, truncate=Fraction(1)):
     Returns (points, edge_rows): points are Fraction pairs of the closed
     polygon in positive orientation; edge_rows[i] is the dv row index whose
     facet carries the edge points[i] -> points[i+1], or None for the
-    truncation edge.  Raises when the region is empty, lower-dimensional,
-    or has no vertices at all.
+    truncation edge.  A rising unbounded edge is cut at height truncate, which
+    must lie above its vertex, and one that never rises a step along its ray.
+    Raises when the region is empty, lower-dimensional or vertex-free.
     """
     if dv.cols != 2:
         raise DimensionMismatchError("expected 2 columns, got %d" % dv.cols)

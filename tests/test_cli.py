@@ -481,6 +481,20 @@ def test_polytope_truncation_flag(model_file, tmp_path, capsys):
     assert "0,-0.5" in out_path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("height", ["0", "-1"])
+def test_polytope_rejects_a_truncation_that_cuts_nothing(model_file, tmp_path, capsys, height):
+    # O(-2) has its vertices at height 0, so heights 0 and -1 cut nothing
+    out_path = tmp_path / "p.svg"
+    argv = ["polytope", model_file([-2]), "--svg", str(out_path), "--truncate=" + height]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: truncation height %s is not above the vertex of a rising unbounded edge\n" % height
+    )
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("height", ["1/0", "nan"])
 def test_polytope_rejects_a_truncation_that_is_not_rational(model_file, tmp_path, capsys, height):
     # a zero denominator is a usage error like "nan", not a traceback

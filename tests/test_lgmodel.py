@@ -148,6 +148,47 @@ def test_generic_sections_always_regular(degrees):
             assert pairing >= 0
 
 
+@st.composite
+def varieties_and_potentials(draw):
+    """(variety, potential): rank 0-3, 0-4 rays with entries in [-2, 2]
+    (zero and non-primitive rows included), and 0-4 distinct terms."""
+    rank = draw(st.integers(0, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * rank)
+    rows = draw(st.lists(vectors, max_size=4))
+    exps = draw(st.lists(vectors, max_size=4, unique=True))
+    labels = tuple("D%d" % (k + 1) for k in range(len(rows)))
+    x = toric.ToricData(rank, labels, IntMatrix(len(rows), rank, rows))
+    return x, Superpotential([(1, e) for e in exps])
+
+
+@given(varieties_and_potentials())
+@settings(max_examples=150, deadline=None)
+def test_every_regularity_reader_sees_the_same_poles(case):
+    # the poles are the negative entries of dv @ mon^T in row-major order;
+    # LGModel, is_regular and the kopaseptic report must all read them so
+    x, w = case
+    om = order_matrix(x, w)
+    mon = mon_matrix(w, rank=x.rank)
+    assert (om.rows, om.cols) == (x.dv.rows, len(w))
+    for k, ray in enumerate(x.dv):
+        assert om[k] == tuple(sum(a * b for a, b in zip(ray, e)) for e in w.exponents())
+    poles = tuple((k, i, v) for k, row in enumerate(om) for i, v in enumerate(row) if v < 0)
+    assert is_regular(x, w) == (not poles)
+    group = x.chow_group()
+    k_class = ChowClass((ComplexQ(0, 1),) * x.dv.rows, group)
+    try:
+        LGModel(x, w, k_class)
+        assert not poles
+    except RegularityError as e:
+        assert poles
+        assert e.pairs == poles
+        assert e.orders == om
+    l_class = ChowClass((ComplexQ(0, 1),) * len(w), cokernel(mon))
+    report = is_kopaseptic(LinearData(x.dv, k_class, mon, l_class))
+    assert report.negative_orders == poles
+    assert report.order_nonneg == (not poles)
+
+
 # --- classes -----------------------------------------------------------------
 
 def test_chow_class_values():

@@ -69,6 +69,33 @@ def test_polygon_ray_below_cut_height_takes_unit_step():
     assert edge_rows == [0, 1, None]
 
 
+def test_polygon_edges_that_never_rise_take_a_unit_step_at_any_height():
+    # x >= 0, y <= 0: both unbounded edges fall or run level, so no height cuts them
+    dv = IntMatrix.from_rows([(1, 0), (0, -1)])
+    for height in (-1, 0, 5):
+        points, edge_rows = moment_polygon(dv, (0, 0), truncate=height)
+        assert points == [(1, 0), (0, 0), (0, -1)]
+        assert edge_rows == [1, 0, None]
+
+
+@pytest.mark.parametrize(
+    "k, offset, height",
+    [
+        (2, (0, 1, 0), 0),  # the vertices lie on the cut
+        (2, (0, 1, 0), -1),
+        (1, (0, -1, 0), 1),  # K = -i: the vertex (0, 1) lies on the default cut
+        (2, (0, -1, 0), Fraction(1, 3)),  # below the vertex (0, 1/2)
+    ],
+)
+def test_polygon_rejects_a_height_that_cuts_no_rising_edge(k, offset, height):
+    # a height at or below the vertex of a rising edge cuts nothing off it
+    with pytest.raises(ValidationError) as e:
+        moment_polygon(bundle_over_p1([-k]).dv, offset, truncate=height)
+    assert str(e.value) == (
+        "truncation height %s is not above the vertex of a rising unbounded edge" % height
+    )
+
+
 def test_polygon_rejects_wrong_width():
     with pytest.raises(DimensionMismatchError):
         moment_polygon(IntMatrix.from_rows([(1, 0, 0)]), (0,))
@@ -176,6 +203,9 @@ def plane_systems(draw):
 @example((IntMatrix.from_rows([(2, 0), (0, 3), (-1, -1)]), [0, 0, 1], 1))  # gcd > 1
 @example((IntMatrix.from_rows([(1, 0), (-1, 0)]), [0, 0], 1))  # empty interior
 @example((IntMatrix.from_rows([(1,), (-1,)]), [0, 1], 1))  # 1D
+@example((IntMatrix.from_rows([(2,), (-3,)]), [1, 2], 1))  # 1D bounded interval, scaled rows
+@example((IntMatrix.from_rows([(1,)]), [-1], 1))  # 1D half-line
+@example((IntMatrix.from_rows([(1,), (1,), (-1,), (0,)]), [0, 1, 2, 1], 1))  # 1D, redundant rows
 @example((IntMatrix.from_rows([], 2), [], 1))  # the whole plane
 @settings(max_examples=400, deadline=None)
 def test_facet_walk_matches_oracle(case):
