@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .lgmodel import dualize, is_kopaseptic, linear_data, monomial_name, order_matrix
+from .lgmodel import dualize, is_kopaseptic, linear_data, monomial_name
 from .modelfile import format_model, load_model
 from .selfdual import (
     classify_cy,
@@ -109,7 +109,7 @@ def cmd_analyze(args):
     d = linear_data(m)
     out += _class_lines("L", d.l)
     out.append("order matrix (dv . mon^T):")
-    out += _matrix_lines(order_matrix(m.variety, m.potential), m.variety.divisors)
+    out += _matrix_lines(m.order_matrix(), m.variety.divisors)
     report = is_kopaseptic(d)
     out.append("kopaseptic:")
     out.append("  interior nonempty: %s" % _yn(report.interior_nonempty))

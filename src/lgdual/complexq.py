@@ -13,14 +13,15 @@ from fractions import Fraction
 __all__ = ["ComplexQ", "parse_complex", "format_complex"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexQ:
     re: Fraction
     im: Fraction
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction is immutable, so one is kept as it is
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __add__(self, other):
         other = _coerce(other)

@@ -76,7 +76,8 @@ class Superpotential:
 
 
 def mon_matrix(w, rank=None):
-    """Exponent matrix: one row per term, in term order."""
+    """Exponent matrix: one row per term, in term order.  Superpotential
+    has made every exponent an int, so only the lengths are checked."""
     exps = w.exponents()
     if rank is None:
         if not exps:
@@ -85,7 +86,7 @@ def mon_matrix(w, rank=None):
     for e in exps:
         if len(e) != rank:
             raise ShapeMismatchError("exponent %r does not have length %d" % (e, rank))
-    return IntMatrix(len(exps), rank, exps)
+    return IntMatrix._trusted(len(exps), rank, exps)
 
 
 def _orders(a, b):
@@ -149,7 +150,7 @@ def _mat_apply(mat, vec):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChowClass:
     """A class in (cokernel) tensor C/Z, stored through an explicit lift.
 
@@ -248,6 +249,10 @@ def default_l_class(mon):
 
 @dataclass(frozen=True)
 class LGModel:
+    """A model (variety, potential, K).  The exponent matrix and the order
+    matrix dv @ mon^T that the regularity check forms are kept, so mon()
+    and order_matrix() return them."""
+
     variety: ToricData
     potential: Superpotential
     k_class: ChowClass
@@ -255,7 +260,8 @@ class LGModel:
     def __post_init__(self):
         if self.k_class.group.source != self.variety.dv:
             raise GroupMismatchError("K class group is not the variety's divisor class group")
-        om, poles = _orders(self.variety.dv, self.mon())
+        mon = mon_matrix(self.potential, rank=self.variety.rank)
+        om, poles = _orders(self.variety.dv, mon)
         if poles:
             k, i, v = poles[0]
             raise RegularityError(
@@ -264,9 +270,14 @@ class LGModel:
                 pairs=poles,
                 orders=om,
             )
+        object.__setattr__(self, "_mon", mon)
+        object.__setattr__(self, "_order_matrix", om)
 
     def mon(self):
-        return mon_matrix(self.potential, rank=self.variety.rank)
+        return self._mon
+
+    def order_matrix(self):
+        return self._order_matrix
 
 
 def bundle_model(degrees):
@@ -371,13 +382,15 @@ def dualize(d):
     kept = report.facet_report.irredundant
     labels = tuple("m%d" % (i + 1) for i in kept)
     variety = ToricData(d.b.cols, labels, report.facet_report.primitive_normals)
+    # with every row kept the variety's rays are b, whose class group l holds
+    group = d.l.group if d.l.group.source == variety.dv else variety.chow_group()
     terms = []
     for j in range(d.a.rows):
         z = complex(d.k.lift[j])
         coeff = cmath.exp(2j * cmath.pi * z)
         terms.append((coeff, tuple(d.a[j])))
     potential = Superpotential(terms)
-    k_class = ChowClass(tuple(d.l.lift[i] for i in kept), variety.chow_group())
+    k_class = ChowClass(tuple(d.l.lift[i] for i in kept), group)
     return LGModel(variety, potential, k_class)
 
 

@@ -119,6 +119,13 @@ class IntMatrix:
 
     The column count is explicit so zero-row matrices keep their shape
     (they show up as the exponent matrix of an empty superpotential).
+
+    ``IntMatrix(rows, cols, entries)`` and ``from_rows`` validate: every
+    entry must have ``__index__`` and every row the stated length, as their
+    input comes from outside the program.  ``_trusted`` takes entries that
+    are ints already, made by lgdual's own arithmetic (products, transposes,
+    row selections, normal forms, primitive facet normals) or checked at a
+    boundary, and skips both passes.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -136,6 +143,17 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _trusted(cls, rows, cols, entries):
+        """The rows x cols matrix of entries, each row a sequence of ints
+        of length cols; rows are stored as tuples, with no coercion and no
+        shape check."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", tuple([tuple(row) for row in entries]))
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -150,11 +168,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._trusted(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return cls._trusted(rows, cols, [(0,) * cols] * rows)
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -193,13 +211,13 @@ class IntMatrix:
                     for j in range(other.cols):
                         acc[j] += a * orow[j]
             out.append(tuple(acc))
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._trusted(self.rows, other.cols, out)
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else ((),) * self.cols if self.cols else ())
+        return IntMatrix._trusted(self.cols, self.rows, zip(*self.entries) if self.entries else [()] * self.cols)
 
     def take_rows(self, indices):
-        return IntMatrix(len(indices), self.cols, tuple(self.entries[i] for i in indices))
+        return IntMatrix._trusted(len(indices), self.cols, [self.entries[i] for i in indices])
 
     def row_gcd(self, i):
         g = 0
@@ -232,7 +250,7 @@ def block_diag(a, b):
         rows.append(row + (0,) * b.cols)
     for row in b.entries:
         rows.append((0,) * a.cols + row)
-    return IntMatrix(a.rows + b.rows, a.cols + b.cols, rows)
+    return IntMatrix._trusted(a.rows + b.rows, a.cols + b.cols, rows)
 
 
 @dataclass(frozen=True)
@@ -340,13 +358,13 @@ def snf(a):
         if m[t][t] < 0:
             negate_row(t)
     return SmithDecomposition(
-        IntMatrix(r, r, u),
-        IntMatrix(r, n, m),
-        IntMatrix(n, n, v),
+        IntMatrix._trusted(r, r, u),
+        IntMatrix._trusted(r, n, m),
+        IntMatrix._trusted(n, n, v),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChowGroup:
     """Cokernel presentation of an integer matrix map.
 
@@ -383,7 +401,7 @@ def cokernel(a):
         if gcd(*q) == 1:
             if next(x for x in q if x) < 0:
                 q = [-x for x in q]
-            return ChowGroup(1, (), IntMatrix(1, a.rows, [q]), a)
+            return ChowGroup(1, (), IntMatrix._trusted(1, a.rows, [q]), a)
     dec = snf(a)
     diag = dec.diagonal()
     k = sum(1 for d in diag if d != 0)
@@ -396,7 +414,7 @@ def cokernel(a):
             row = tuple(-x for x in row)
         free_rows.append(row)
     torsion_rows = [dec.u[i] for i in range(k) if diag[i] > 1]
-    projection = IntMatrix(len(free_rows) + len(torsion_rows), a.rows, free_rows + torsion_rows)
+    projection = IntMatrix._trusted(len(free_rows) + len(torsion_rows), a.rows, free_rows + torsion_rows)
     return ChowGroup(a.rows - k, torsion, projection, a)
 
 
@@ -474,7 +492,7 @@ def hnf_col(a):
     in [0, pivot), zero columns pushed rightmost.
     """
     m, _, _ = _hnf_col_ops(a, with_u=False, with_uinv=False)
-    return IntMatrix(a.rows, a.cols, m)
+    return IntMatrix._trusted(a.rows, a.cols, m)
 
 
 def hnf_col_transform(a, with_u=True, with_uinv=True):
@@ -485,9 +503,9 @@ def hnf_col_transform(a, with_u=True, with_uinv=True):
     m, u, uinv = _hnf_col_ops(a, with_u, with_uinv)
     n = a.cols
     return (
-        IntMatrix(a.rows, a.cols, m),
-        IntMatrix(n, n, u) if with_u else None,
-        IntMatrix(n, n, uinv) if with_uinv else None,
+        IntMatrix._trusted(a.rows, a.cols, m),
+        IntMatrix._trusted(n, n, u) if with_u else None,
+        IntMatrix._trusted(n, n, uinv) if with_uinv else None,
     )
 
 

@@ -281,7 +281,7 @@ def facets(h):
     normals = [primitive[i] for i in irredundant]
     return FacetReport(
         tuple(irredundant),
-        IntMatrix(len(normals), n, normals),
+        IntMatrix._trusted(len(normals), n, normals),
         tuple(kmap),
     )
 

@@ -140,30 +140,33 @@ def _minor_walk(table, m, r, n, counts):
         if counts.get(abs(table[()])):
             yield from itertools.combinations(range(m), r)
         return
-    prefix = []
+    yield from _extend_walk(table, m, r, n, counts, [], 0)
 
-    def extend(start):
-        k = len(prefix)
-        if k == r:
-            yield tuple(prefix)
-            return
-        heads = list(itertools.combinations(prefix, n - 1))
-        for i in range(start, m - r + k + 1):
-            taken = []
-            for t in heads:
-                v = abs(table[t + (i,)])
-                if not counts.get(v):
-                    break
-                counts[v] -= 1
-                taken.append(v)
-            else:
-                prefix.append(i)
-                yield from extend(i + 1)
-                prefix.pop()
-            for v in taken:
-                counts[v] += 1
 
-    yield from extend(0)
+def _extend_walk(table, m, r, n, counts, prefix, start):
+    """The subsets of _minor_walk that extend prefix by indices from start
+    on.  It recurses at module level: a nested function that calls itself
+    is a reference cycle, which would hold the table and counts of every
+    search until the cyclic collector runs."""
+    k = len(prefix)
+    if k == r:
+        yield tuple(prefix)
+        return
+    heads = list(itertools.combinations(prefix, n - 1))
+    for i in range(start, m - r + k + 1):
+        taken = []
+        for t in heads:
+            v = abs(table[t + (i,)])
+            if not counts.get(v):
+                break
+            counts[v] -= 1
+            taken.append(v)
+        else:
+            prefix.append(i)
+            yield from _extend_walk(table, m, r, n, counts, prefix, i + 1)
+            prefix.pop()
+        for v in taken:
+            counts[v] += 1
 
 
 def _basis_change(a, b, keep):
@@ -179,7 +182,7 @@ def _basis_change(a, b, keep):
             if c:
                 row = [v - c * w for v, w in zip(row, xt)]
         x.append([v // hi[len(x)] for v in row])
-    u = ub @ IntMatrix(b.cols, b.cols, x)
+    u = ub @ IntMatrix._trusted(b.cols, b.cols, x)
     return u if b @ u == a and u.is_unimodular() else None
 
 
@@ -328,7 +331,7 @@ def k_reconstruction_class(variety, group=None):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelfDualityWitness:
     """Data certifying P . mon_S . U = dv together with a working K class."""
 
@@ -433,12 +436,12 @@ def _search_matrix_witness(dv, mon):
         # dv @ v == [h | 0] with h of full column rank r, and v^-1 tracked
         h, _, v_inv = hnf_col_transform(dv, with_u=False)
         r = sum(map(any, zip(*h.entries)))
-        h = IntMatrix(dv.rows, r, [x[:r] for x in h])
+        h = IntMatrix._trusted(dv.rows, r, [x[:r] for x in h])
         for s in walk:
             hs, vs, _ = hnf_col_transform(mon.take_rows(s), with_uinv=False)
             if any(map(any, (x[r:] for x in hs))):
                 continue  # S has rank above r
-            found = matrix_self_dual(h, IntMatrix(dv.rows, r, [x[:r] for x in hs]))
+            found = matrix_self_dual(h, IntMatrix._trusted(dv.rows, r, [x[:r] for x in hs]))
             if found is not None:
                 return s, found[0], vs @ block_diag(found[1], IntMatrix.identity(n - r)) @ v_inv
         return None

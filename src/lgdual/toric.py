@@ -8,7 +8,6 @@ halfspace linear data.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotKopasepticError, ShapeMismatchError
 from .linalg import IntMatrix, _integers, block_diag, cokernel
@@ -97,7 +96,7 @@ def split_bundle_total_space(spec):
     for j in range(c):
         rows.append((0,) * base.rank + tuple(1 if i == j else 0 for i in range(c)))
     labels = base.divisors + tuple("X%d" % (j + 1) for j in range(c))
-    data = ToricData(n, labels, IntMatrix(len(rows), n, rows))
+    data = ToricData(n, labels, IntMatrix._trusted(len(rows), n, rows))
     _require_primitive_rows(data.dv)
     return data
 
@@ -112,7 +111,7 @@ def bundle_over_p1(degrees):
     if not degrees:
         raise ValueError("at least one summand degree is required")
     base = projective_line()
-    columns = IntMatrix(2, len(degrees), [(0,) * len(degrees), tuple(-a for a in degrees)])
+    columns = IntMatrix._trusted(2, len(degrees), [(0,) * len(degrees), [-a for a in degrees]])
     return split_bundle_total_space(BundleSpec(base, columns))
 
 
@@ -140,7 +139,6 @@ def from_linear_data(c, offset):
     rescale).  Returns the variety together with the facet report, whose
     kmap records where every input row went.
     """
-    offset = tuple(Fraction(v) for v in offset)
     report = facets(HalfspaceSystem(c, offset))
     for pos, i in enumerate(report.irredundant):
         if tuple(c[i]) != tuple(report.primitive_normals[pos]):

@@ -11,6 +11,7 @@ from lgdual import cli, lgmodel, linalg, polyhedra
 from lgdual.cli import SWEEP_HEADER, main
 from lgdual.lgmodel import bundle_model
 from lgdual.modelfile import format_model, parse_model
+from lgdual.selfdual import classify_cy, sweep_line_bundles, sweep_rank_two
 
 
 @pytest.fixture
@@ -250,20 +251,173 @@ def test_dense_model_prints_the_solved_k_lift(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == DENSE_DUAL
 
 
-def test_analyze_and_involution_take_six_smith_forms(tmp_path, monkeypatch, capsys):
-    # analyze: the groups of K and of L; dualize: those two, the dual
-    # variety's and the second dual's.  K's group serves as the class group
-    # of the dual's monomials, which are the rows of dv.
+@pytest.fixture
+def smith_forms(monkeypatch):
+    """The matrices that linalg.snf is called on, in call order."""
     calls = []
     real = linalg.snf
     monkeypatch.setattr(linalg, "snf", lambda a: calls.append(a) or real(a))
+    return calls
+
+
+def test_analyze_and_involution_take_four_smith_forms(tmp_path, smith_forms, capsys):
+    # analyze: the groups of K and of L; dualize: those two only.  K's group
+    # serves as the class group of the dual's monomials, which are the rows
+    # of dv, and as the second dual's, whose rays are dv again; L's group
+    # serves as the dual variety's, whose rays are every row of mon.
+    path = write_text(tmp_path, DENSE_MODEL, "m003.lg")
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == DENSE_ANALYZE
+    assert len(smith_forms) == 2
+    assert main(["dualize", path, "--check-involution"]) == 0
+    assert capsys.readouterr().out == DENSE_DUAL
+    assert len(smith_forms) == 4
+
+
+# A dense model whose dual drops the first monomial, so the dual variety's
+# rays are not mon and its class group is computed afresh; the second dual
+# drops two rays of dv and takes a fresh group too.
+ROW_DROP_MODEL = """\
+# seed 1 model 22
+[variety]
+dv = 3 1 0 1; 1 0 1 0; 2 1 -1 -1; 3 -1 0 1; 1 1 0 0; 2 1 0 1; 3 -1 1 1; 1 -1 -1 0; 3 0 -1 0
+[potential]
+term = 5/7+1i : 2 -1 -1 0
+term = 3/1+2i : 1 1 0 -1
+term = 4/5+3i : 1 0 0 1
+term = 2/8+3i : 1 -1 1 -1
+term = 7/9-1i : 1 -1 -1 0
+"""
+
+ROW_DROP_DUAL = """\
+# dual of m022.lg
+[variety]
+dv = 1 1 0 -1; 1 0 0 1; 1 -1 1 -1; 1 -1 -1 0
+labels = m2 m3 m4 m5
+offset = 0 0 -1 0
+[potential]
+term = 1.0+0.0i : 3 1 0 1  # t1^3*t2*t4
+term = 1.0+0.0i : 1 0 1 0  # t1*t3
+term = 535.4916555247646+0.0i : 2 1 -1 -1  # t1^2*t2*t3^-1*t4^-1
+term = 535.4916555247646+0.0i : 3 -1 0 1  # t1^3*t2^-1*t4
+term = 1.0+0.0i : 1 1 0 0  # t1*t2
+term = 1.0+0.0i : 2 1 0 1  # t1^2*t2*t4
+term = 535.4916555247646+0.0i : 3 -1 1 1  # t1^3*t2^-1*t3*t4
+term = 535.4916555247646+0.0i : 1 -1 -1 0  # t1*t2^-1*t3^-1
+term = 535.4916555247646+0.0i : 3 0 -1 0  # t1^3*t3^-1
+# self-dual (matrix level): no
+# involution: dv restored: no
+# involution: mon restored: no
+# involution: K equivalent: no
+"""
+
+
+def test_dualize_takes_a_fresh_group_where_a_row_drops(tmp_path, smith_forms, capsys):
+    # K's group is a Smith form; L's is read off mon's charge vector (5 x 4);
+    # the dual variety (rows 2..5 of mon) and the second dual (7 rays of dv)
+    # each take one
+    path = write_text(tmp_path, ROW_DROP_MODEL, "m022.lg")
+    assert main(["dualize", path, "--check-involution"]) == 0
+    assert capsys.readouterr().out == ROW_DROP_DUAL
+    assert [(a.rows, a.cols) for a in smith_forms] == [(9, 4), (4, 4), (7, 4)]
+
+
+def test_analyze_forms_the_order_matrix_twice(tmp_path, monkeypatch, capsys):
+    # once for the model's regularity check, which analyze prints, and once
+    # for the kopaseptic order condition of the linear data
+    calls = []
+    real = lgmodel._orders
+    monkeypatch.setattr(lgmodel, "_orders", lambda a, b: calls.append(1) or real(a, b))
     path = write_text(tmp_path, DENSE_MODEL, "m003.lg")
     assert main(["analyze", path]) == 0
     assert capsys.readouterr().out == DENSE_ANALYZE
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[variety]\ndv = 1.5 0; 0 1\n",
+        "[variety]\ndv = 3/2 0; 0 1\n",
+        "[variety]\ndv = x 0; 0 1\n",
+        "[variety]\ndv = 1 0; 0 1\n[potential]\nterm = 1 : 0.5 1\n",
+    ],
+)
+def test_non_integer_matrix_text_exits_2(tmp_path, capsys, text):
+    # model-file integers are parsed from text, so a non-integer token is a
+    # parse error naming its line; nothing is truncated
+    assert main(["analyze", write_text(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "expected integers" in err and "line " in err
+
+
+# --- trusted matrices ---------------------------------------------------------
+
+DENSE_MODEL_8X6 = """\
+# seed 1 model 3
+[variety]
+dv = 3 -1 1 1; 3 1 0 1; 1 -1 -1 -1; 2 1 0 1; 1 0 -1 1; 3 -1 0 0; 3 -1 0 -1; 1 1 1 1
+[potential]
+term = 1/8+3i : 1 0 1 0
+term = 6/9-2i : 1 -1 -1 1
+term = 9/7+0i : 1 1 -1 0
+term = 6/7-1i : 1 -1 1 1
+term = 1/9+1i : 2 0 0 -1
+term = 6/8+1i : 2 0 -1 -1
+"""
+
+README_MODEL = """\
+[variety]
+degrees = -2
+labels = f0 fInf X1
+offset = 0 1 0
+[potential]
+term = 1 : 0 1
+[kahler]
+class = i
+"""
+
+
+@pytest.fixture
+def checked_trusted(monkeypatch):
+    """IntMatrix._trusted checked against the validating constructor: every
+    matrix it makes must equal IntMatrix(rows, cols, entries) on the same
+    arguments and hold ints only.  Returns the count of matrices made."""
+    real = linalg.IntMatrix._trusted.__func__
+    made = [0]
+
+    def checked(cls, rows, cols, entries):
+        entries = list(entries)  # a zip or generator is read once
+        m = real(cls, rows, cols, entries)
+        assert m == linalg.IntMatrix(rows, cols, entries)
+        assert all(type(x) is int for row in m.entries for x in row)
+        made[0] += 1
+        return m
+
+    monkeypatch.setattr(linalg.IntMatrix, "_trusted", classmethod(checked))
+    return made
+
+
+def test_trusted_matrices_match_the_validating_constructor_in_sweeps(checked_trusted):
+    cy = classify_cy(4, 4)
+    assert {v.degrees for v in cy if v.self_dual and v.strong_cy} == {(-2,), (-1, -1)}
+    assert {v.degrees for v in sweep_line_bundles(10) if v.self_dual} == {(-2,)}
+    assert {v.degrees for v in sweep_rank_two(4) if v.self_dual} == {(-1, -1), (0, -2)}
+    assert checked_trusted[0] > 100
+
+
+@pytest.mark.parametrize(
+    "text", [README_MODEL, DENSE_MODEL, DENSE_MODEL_8X6, ROW_DROP_MODEL],
+    ids=["readme", "dense-8x7", "dense-8x6", "dense-9x5"],
+)
+def test_trusted_matrices_match_the_validating_constructor_in_the_cli(
+    tmp_path, checked_trusted, capsys, text
+):
+    path = write_text(tmp_path, text)
+    assert main(["analyze", path]) == 0
     assert main(["dualize", path, "--check-involution"]) == 0
-    assert capsys.readouterr().out == DENSE_DUAL
-    assert len(calls) == 6
+    assert "# involution: K equivalent:" in capsys.readouterr().out
+    assert checked_trusted[0] > 0
 
 
 @pytest.fixture

@@ -76,6 +76,8 @@ def test_non_integral_entries_rejected(bad):
     # no truncation: 1.5 used to become 1
     with pytest.raises(ValidationError):
         IntMatrix.from_rows([(bad, 2)])
+    with pytest.raises(ValidationError):
+        IntMatrix(1, 2, [(bad, 2)])
 
 
 def test_entries_take_index_integers():

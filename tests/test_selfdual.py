@@ -1,6 +1,7 @@
 """Self-duality: matrix search, K reconstruction, verdicts, sweeps, products."""
 
 import dataclasses
+import gc
 import itertools
 import sys
 from collections import Counter
@@ -1124,13 +1125,30 @@ def test_verdict_failure_reasons():
 
 def test_verdict_keeps_a_given_degree_tuple():
     # a sweep keeps every verdict: a tuple of ints is not copied, and a
-    # verdict carries no per-instance dict
+    # verdict carries no per-instance dict, nor does its witness, K class,
+    # class group or any ComplexQ of the K lift
     degrees = (-1, -1)
     v = model_self_dual(degrees)
     assert v.degrees is degrees and not hasattr(v, "__dict__")
+    k = v.witness.k_class
+    for kept in (v.witness, k, k.group, *k.lift):
+        assert not hasattr(kept, "__dict__")
     assert model_self_dual([-1, -1]).degrees == degrees
     coerced = model_self_dual((True, -1)).degrees
     assert coerced == (1, -1) and all(type(a) is int for a in coerced)
+
+
+def test_sweeps_leave_no_reference_cycles():
+    # a search holds its minor table and counts only while it runs: nothing
+    # a verdict leaves behind waits for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        classify_cy(3, 3)
+        sweep_line_bundles(6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("degrees", [(-1.5,), (True, -1.0), (Fraction(-2),), ("-2",)])
