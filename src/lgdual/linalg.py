@@ -114,6 +114,25 @@ def _bareiss_solve(a, rhs):
     return d, xs
 
 
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _swap_cols(mats, i, j):
+    """Swap columns i and j of each matrix (a list of row lists) in mats."""
+    for t in mats:
+        for row in t:
+            row[i], row[j] = row[j], row[i]
+
+
+def _add_col(mats, j, i, q):
+    """col_j += q * col_i in each matrix (a list of row lists) in mats."""
+    for t in mats:
+        for row in t:
+            row[j] += q * row[i]
+
+
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """Immutable integer matrix, row-major, arbitrary precision.
 
@@ -128,7 +147,9 @@ class IntMatrix:
     boundary, and skips both passes.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple
 
     def __init__(self, rows, cols, entries):
         # built from lists: tuple() of a generator allocates 10 slots and
@@ -154,9 +175,6 @@ class IntMatrix:
         object.__setattr__(m, "entries", tuple([tuple(row) for row in entries]))
         return m
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
     @classmethod
     def from_rows(cls, rows, cols=None):
         rows = [tuple(r) for r in rows]
@@ -168,7 +186,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted(n, n, _identity_rows(n))
 
     @classmethod
     def zero(cls, rows, cols):
@@ -179,17 +197,6 @@ class IntMatrix:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, list(map(list, self.entries)))
@@ -220,10 +227,7 @@ class IntMatrix:
         return IntMatrix._trusted(len(indices), self.cols, [self.entries[i] for i in indices])
 
     def row_gcd(self, i):
-        g = 0
-        for x in self.entries[i]:
-            g = gcd(g, abs(x))
-        return g
+        return gcd(*self.entries[i])
 
     def row_gcds(self):
         return tuple(self.row_gcd(i) for i in range(self.rows))
@@ -274,18 +278,12 @@ def snf(a):
     """
     r, n = a.rows, a.cols
     m = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = _identity_rows(r)
+    v = _identity_rows(n)
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def addmul_row(i, j, q):
         # row_i += q * row_j
@@ -295,13 +293,6 @@ def snf(a):
         ui, uj = u[i], u[j]
         for k in range(r):
             ui[k] += q * uj[k]
-
-    def addmul_col(j, i, q):
-        # col_j += q * col_i
-        for row in m:
-            row[j] += q * row[i]
-        for row in v:
-            row[j] += q * row[i]
 
     def negate_row(i):
         m[i] = [-x for x in m[i]]
@@ -324,7 +315,7 @@ def snf(a):
                 if piv[0] != t:
                     swap_rows(t, piv[0])
                 if piv[1] != t:
-                    swap_cols(t, piv[1])
+                    _swap_cols((m, v), t, piv[1])
             dirty = False
             for i in range(t + 1, r):
                 if m[i][t]:
@@ -337,7 +328,7 @@ def snf(a):
                 if m[t][j]:
                     q = m[t][j] // m[t][t]
                     if q:
-                        addmul_col(j, t, -q)
+                        _add_col((m, v), j, t, -q)
                     if m[t][j]:
                         dirty = True
             if dirty:
@@ -395,27 +386,20 @@ def cokernel(a):
     transpose (_cofactors) in place of a Smith form.  Every other matrix
     goes through snf.
     """
-    n = a.cols
-    if a.rows == n + 1:
-        q = _cofactors(list(zip(*a.entries)), a.rows)
-        if gcd(*q) == 1:
-            if next(x for x in q if x) < 0:
-                q = [-x for x in q]
-            return ChowGroup(1, (), IntMatrix._trusted(1, a.rows, [q]), a)
-    dec = snf(a)
-    diag = dec.diagonal()
-    k = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    free_rows = []
-    for i in range(k, a.rows):
-        row = dec.u[i]
-        lead = next((x for x in row if x != 0), 0)
-        if lead < 0:
-            row = tuple(-x for x in row)
-        free_rows.append(row)
-    torsion_rows = [dec.u[i] for i in range(k) if diag[i] > 1]
-    projection = IntMatrix._trusted(len(free_rows) + len(torsion_rows), a.rows, free_rows + torsion_rows)
-    return ChowGroup(a.rows - k, torsion, projection, a)
+    q = a.rows == a.cols + 1 and _cofactors(list(zip(*a.entries)), a.rows)
+    if q and gcd(*q) == 1:
+        free, torsion, torsion_rows = [q], (), []
+    else:
+        dec = snf(a)
+        diag = dec.diagonal()
+        k = sum(1 for d in diag if d != 0)
+        free = dec.u.entries[k:]
+        torsion = tuple(d for d in diag if d > 1)
+        torsion_rows = [dec.u[i] for i in range(k) if diag[i] > 1]
+    # the sign rule: a free row's first nonzero entry is positive
+    free = [[-x for x in row] if next(x for x in row if x) < 0 else row for row in free]
+    rows = free + torsion_rows
+    return ChowGroup(len(free), torsion, IntMatrix._trusted(len(rows), a.rows, rows), a)
 
 
 def _hnf_col_ops(a, with_u=True, with_uinv=True):
@@ -428,26 +412,13 @@ def _hnf_col_ops(a, with_u=True, with_uinv=True):
     """
     r, n = a.rows, a.cols
     m = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if with_u else []
-    vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if with_uinv else []
-
-    def swap(i, j):
-        for t in (m, u, vt):
-            for row in t:
-                row[i], row[j] = row[j], row[i]
+    u = _identity_rows(n) if with_u else []
+    vt = _identity_rows(n) if with_uinv else []
 
     def negate(j):
         for t in (m, u, vt):
             for row in t:
                 row[j] = -row[j]
-
-    def addmul(j, i, q):
-        # col_j += q * col_i; inverse transform: row_i -= q * row_j
-        for t in (m, u):
-            for row in t:
-                row[j] += q * row[i]
-        for row in vt:
-            row[i] -= q * row[j]
 
     pivot_col = 0
     for row_idx in range(r):
@@ -460,13 +431,15 @@ def _hnf_col_ops(a, with_u=True, with_uinv=True):
                 break
             jmin = min(nz, key=lambda j: abs(m[row_idx][j]))
             if jmin != pivot_col:
-                swap(pivot_col, jmin)
+                _swap_cols((m, u, vt), pivot_col, jmin)
             done = True
             for j in range(pivot_col + 1, n):
                 x = m[row_idx][j]
                 if x:
                     q = x // m[row_idx][pivot_col]
-                    addmul(j, pivot_col, -q)
+                    # col_j -= q * col_p; on u_inv^T the inverse, col_p += q * col_j
+                    _add_col((m, u), j, pivot_col, -q)
+                    _add_col((vt,), pivot_col, j, q)
                     if m[row_idx][j]:
                         done = False
             if done:
@@ -480,7 +453,8 @@ def _hnf_col_ops(a, with_u=True, with_uinv=True):
             x = m[row_idx][j]
             q = x // p  # floor puts the entry into [0, p)
             if q:
-                addmul(j, pivot_col, -q)
+                _add_col((m, u), j, pivot_col, -q)
+                _add_col((vt,), pivot_col, j, q)
         pivot_col += 1
     return m, u, [list(row) for row in zip(*vt)]
 

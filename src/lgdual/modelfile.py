@@ -96,27 +96,24 @@ def parse_model(text):
     classes = []
     entries, sections_seen = _scan(text)
     have_potential_section = "potential" in sections_seen
+    once = set()  # keys of [variety] that have appeared
     for lineno, section, key, value in entries:
+        if key in once:
+            raise ParseError("duplicate %s" % key, lineno)
+        if section == "variety":
+            once.add(key)
         if key == "degrees":
-            if degrees is not None:
-                raise ParseError("duplicate degrees", lineno)
             degrees = _int_list(value, lineno)
             if not degrees:
                 raise ParseError("degrees must be nonempty", lineno)
         elif key == "dv":
-            if dv_rows is not None:
-                raise ParseError("duplicate dv", lineno)
             dv_rows = [_int_list(part, lineno) for part in value.split(";")]
             widths = {len(r) for r in dv_rows}
             if len(widths) != 1 or widths == {0}:
                 raise ParseError("dv rows must be nonempty and of equal length", lineno)
         elif key == "labels":
-            if labels is not None:
-                raise ParseError("duplicate labels", lineno)
             labels = tuple(value.split())
         elif key == "offset":
-            if offset is not None:
-                raise ParseError("duplicate offset", lineno)
             offset = _fraction_list(value, lineno)
         elif key == "term":
             if ":" not in value:

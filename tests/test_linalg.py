@@ -1,7 +1,9 @@
 """Exact integer linear algebra: normal forms and right-equivalence."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import elimination_oracle
 from lgdual import linalg
+from lgdual.lgmodel import bundle_model, dualize, linear_data
 from lgdual.errors import ShapeMismatchError, ValidationError
 from lgdual.linalg import (
     IntMatrix,
@@ -21,6 +24,8 @@ from lgdual.linalg import (
     right_equivalent,
     snf,
 )
+from lgdual.modelfile import parse_model
+from lgdual.selfdual import model_self_dual
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -113,12 +118,53 @@ def test_transpose_swaps_indices(a):
 def test_row_gcd():
     m = IntMatrix.from_rows([(4, -6), (0, 0), (3, 5)])
     assert [m.row_gcd(i) for i in range(3)] == [2, 0, 1]
+    assert IntMatrix(1, 0, [()]).row_gcd(0) == 0
 
 
 def test_unimodular_detection():
     assert IntMatrix.from_rows([(2, 1), (1, 1)]).is_unimodular()
     assert not IntMatrix.from_rows([(2, 0), (0, 1)]).is_unimodular()
     assert not IntMatrix.from_rows([(1, 0)]).is_unimodular()
+
+
+# a dense dimension-4 model in the form the model-files benchmark writes
+DENSE_MODEL = """[variety]
+dv = 2 -1 1 1; 3 0 -1 1; 1 -1 1 1; 3 0 1 -1; 3 0 1 0; 1 1 -1 0; 2 1 1 -1; 1 1 -1 1
+[potential]
+term = 1/8-2i : 2 -1 0 1
+term = 7/7+2i : 1 0 -1 1
+term = 3/6+1i : 1 -1 0 1
+term = 6/2+0i : 1 -1 -1 -1
+term = 9/2+3i : 2 1 0 -1
+term = 3/9+3i : 2 1 0 0
+"""
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IntMatrix.from_rows([(1, -2), (0, 3)]),
+        lambda: cokernel(IntMatrix.from_rows([(1, 0), (-1, 2), (0, 1)])),  # charge vector
+        lambda: cokernel(IntMatrix.from_rows([(2, 3), (0, -3), (2, 3)])),  # Smith form
+        lambda: bundle_model([-1, -1]),
+        lambda: parse_model(DENSE_MODEL),
+        lambda: dualize(linear_data(parse_model(DENSE_MODEL))),
+        lambda: model_self_dual((-2,)),
+    ],
+    ids=["matrix", "cokernel-charges", "cokernel-smith", "bundle-model", "model-file",
+         "dual", "verdict"],
+)
+def test_values_survive_pickle_and_deepcopy(make):
+    value = make()
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+
+
+def test_matrix_fields_cannot_be_assigned():
+    m = IntMatrix.from_rows([(1, 2)])
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    assert m.rows == 1
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -403,6 +449,74 @@ def test_cokernel_matches_the_smith_presentation_on_corank_one(a):
     g = cokernel(a)
     assert (g.free_rank, g.torsion, g.projection) == snf_presentation(a)
     assert g.source is a
+
+
+# (a, snf(a) as (u, s, v), hnf_col_transform(a) as (h, u, u^-1),
+# cokernel(a).projection), recorded as exact entries: each transform's
+# sequence of elementary operations fixes the printed generators and lifts,
+# which the properties above would not notice moving.  The cases cover a
+# Smith-form cokernel with free and torsion rows (3 x 2 and 4 x 3), the
+# charge vector of a corank-1 matrix, and a wide matrix; in three of them the
+# sign rule negates a free row.
+PINNED_TRANSFORMS = [
+    (
+        ((2, 3), (0, -3), (2, 3)),
+        (((1, 0, 0), (3, 1, 0), (-1, 0, 1)), ((1, 0), (0, 6), (0, 0)), ((-1, 3), (1, -2))),
+        (((1, 0), (3, 6), (1, 0)), ((2, 3), (-1, -2)), ((2, 3), (-1, -2))),
+        ((1, 0, -1), (3, 1, 0)),
+    ),
+    (
+        ((-2, 1, 0), (3, 0, 2), (-1, -3, -1), (0, -3, 3)),
+        (
+            ((1, 0, 0, 0), (-3, 0, -1, 0), (-6, -5, -4, 2), (-30, -27, -21, 11)),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),
+            ((0, 0, 1), (1, 0, 2), (0, 1, -7)),
+        ),
+        (
+            ((1, 0, 0), (0, 1, 0), (8, 5, 11), (18, 12, 21)),
+            ((-2, -1, -2), (-3, -2, -4), (3, 2, 3)),
+            ((-2, 1, 0), (3, 0, 2), (0, -1, -1)),
+        ),
+        ((30, 27, 21, -11),),
+    ),
+    (
+        ((0, -3, -2, 1), (0, -3, -3, -3), (2, 0, 0, -3)),
+        (
+            ((1, 0, 0), (3, 0, 1), (-39, -1, -12)),
+            ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0)),
+            ((0, 5, 0, 3), (0, 1, -2, 6), (0, 0, 3, -8), (1, 3, 0, 2)),
+        ),
+        (
+            ((1, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0)),
+            ((0, 3, -1, 3), (-1, 8, -3, 6), (1, -11, 4, -8), (0, 2, -1, 2)),
+            ((0, -3, -2, 1), (0, -1, -1, -1), (2, 0, 0, -3), (1, 1, 1, 0)),
+        ),
+        ((-39, -1, -12),),
+    ),
+    (
+        ((0, -3, -3), (2, 0, 0), (-3, -2, 3), (-2, 2, -3)),
+        (
+            ((0, 2, 1, 0), (0, 1, 0, 1), (1, 9, 0, 9), (0, -5, -2, -2)),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 15), (0, 0, 0)),
+            ((1, 1, 0), (0, 2, -3), (0, 1, -2)),
+        ),
+        (
+            ((3, 0, 0), (0, 2, 0), (2, 2, 5), (-2, -7, -5)),
+            ((0, 1, 0), (-1, -1, -1), (0, 1, 1)),
+            ((0, -1, -1), (1, 0, 0), (-1, 0, 1)),
+        ),
+        ((0, 5, 2, 2), (1, 9, 0, 9)),
+    ),
+]
+
+
+@pytest.mark.parametrize("a,smith,hermite,projection", PINNED_TRANSFORMS)
+def test_transforms_are_pinned(a, smith, hermite, projection):
+    a = IntMatrix.from_rows(a)
+    dec = snf(a)
+    assert (dec.u.entries, dec.s.entries, dec.v.entries) == smith
+    assert tuple(m.entries for m in hnf_col_transform(a)) == hermite
+    assert cokernel(a).projection.entries == projection
 
 
 # --- right equivalence ------------------------------------------------------

@@ -122,6 +122,9 @@ def test_parse_offset_sets_imaginary_lift():
         ("[variety]\ndegrees\n", "expected 'key = value'", 2),
         ("[variety]\ndegrees = a b\n", "expected integers", 2),
         ("[variety]\ndegrees = -2\ndegrees = -3\n", "duplicate degrees", 3),
+        ("[variety]\ndv = 1 0; 0 1\ndv = 1 0\n", "duplicate dv", 3),
+        ("[variety]\ndegrees = -2\nlabels = a b c\n\nlabels = a b c\n", "duplicate labels", 5),
+        ("[variety]\noffset = 0 1 0\ndegrees = -2\noffset = 0\n", "duplicate offset", 4),
         ("[variety]\ndegrees =\n", "degrees must be nonempty", 2),
         ("[variety]\ndv = 1 0; 1\n", "equal length", 2),
         ("[variety]\ndegrees = -2\ndv = 1 0\n", "mutually exclusive", None),
