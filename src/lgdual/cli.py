@@ -49,13 +49,12 @@ def _matrix_lines(mat, labels=None, indent="  "):
     """Row-major display with optional row-header labels, columns aligned."""
     if mat.rows == 0:
         return [indent + "(no rows)"]
-    widths = [
-        max(len(str(mat[i][j])) for i in range(mat.rows)) for j in range(mat.cols)
-    ]
+    text = [[str(x) for x in row] for row in mat]
+    widths = [max(map(len, col)) for col in zip(*text)]
     head = max((len(s) for s in labels), default=0) if labels else 0
     lines = []
-    for i in range(mat.rows):
-        cells = "  ".join(str(mat[i][j]).rjust(widths[j]) for j in range(mat.cols))
+    for i, row in enumerate(text):
+        cells = "  ".join(s.rjust(w) for s, w in zip(row, widths))
         prefix = labels[i].ljust(head) + "  " if labels else ""
         lines.append(indent + prefix + cells)
     return lines

@@ -4,18 +4,21 @@ A system is a pair (c, offset) describing P = { xi : c @ xi + offset >= 0 }
 componentwise.  Feasibility is decided by one exact simplex kernel on
 integer tableaux.  Redundancy removal takes one interior point from it and
 certifies most kept rows by a functional on P's polar about that point;
-every other row takes one LP.  Every answer is replayed against the
-original rows before it is returned: interior points, nonnegative
-multiplier certificates of emptiness, the multipliers behind each dropped
-row, and the polar or Farkas vector behind each kept one.  For display,
-one counterclockwise walk over the kept facets of a 2D system, sorted by
-the angle of their edge directions, gives its vertices, rays and edges.
+every other row takes one LP.  Both run on integers throughout; only the
+public interior points and certificates are made Fractions.  Every answer
+is replayed against the original rows before it is returned: interior
+points, nonnegative multiplier certificates of emptiness, the multipliers
+behind each dropped row, and the polar or Farkas vector behind each kept
+one.  For display, one counterclockwise walk over the kept facets of a 2D
+system, sorted by the angle of their edge directions, gives its vertices,
+rays and edges.
 """
 
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatchError, EmptyInteriorError
 from .linalg import IntMatrix
@@ -39,7 +42,8 @@ class HalfspaceSystem:
     offset: tuple
 
     def __init__(self, c, offset):
-        offset = tuple(Fraction(x) for x in offset)
+        # a Fraction is immutable, so one is kept as it is
+        offset = tuple(x if type(x) is Fraction else Fraction(x) for x in offset)
         if len(offset) != c.rows:
             raise DimensionMismatchError(
                 "offset length %d does not match %d constraint rows" % (len(offset), c.rows)
@@ -48,6 +52,10 @@ class HalfspaceSystem:
         object.__setattr__(self, "offset", offset)
 
     def contains(self, point, strict=False):
+        if len(point) != self.c.cols:
+            raise DimensionMismatchError(
+                "point of length %d for a system in %d dims" % (len(point), self.c.cols)
+            )
         for i in range(self.c.rows):
             val = sum(Fraction(a) * Fraction(x) for a, x in zip(self.c[i], point)) + self.offset[i]
             if val < 0 or (strict and val == 0):
@@ -86,7 +94,10 @@ def _pivot(t, r, s, d):
     for i, row in enumerate(t):
         if i != r:
             f = row[s]
-            t[i] = [(x * p - f * y) // d for x, y in zip(row, top)]
+            if f:
+                t[i] = [(x * p - f * y) // d for x, y in zip(row, top)]
+            elif p != d:  # a row with no entry in column s is only rescaled
+                t[i] = [x * p // d for x in row]
     if p < 0:  # only when an artificial leaves; keep D positive
         t[:] = [[-x for x in row] for row in t]
     return abs(p)
@@ -120,7 +131,8 @@ def _simplex(cols, b, cost):
     the optimum lam / d and duals y / d, with y . cols[j] <= d cost[j] for
     every j and y . b = cost . lam.  (None, y, d) means no lam is feasible,
     y being a Farkas certificate: y . cols[j] <= 0 < y . b.  The program
-    must be bounded.
+    must be bounded.  A zero cost makes every feasible basis optimal with
+    zero duals, so phase 2 is skipped.
     """
     m, n = len(b), len(cols)
     sign = [1 if v >= 0 else -1 for v in b]
@@ -134,19 +146,29 @@ def _simplex(cols, b, cost):
     d = _optimise(t, basis, n, 1)
     if t[m][-1] < 0:
         return None, tuple(sign[k] * (d - t[m][n + k]) for k in range(m)), d
-    # phase 2 from the feasible basis; basic artificials sit at zero
-    full = list(cost) + [0] * (m + 1)
-    t[m] = [d * full[j] - sum(full[k] * t[i][j] for i, k in enumerate(basis)) for j in range(n + m + 1)]
-    d = _optimise(t, basis, n, d)
+    if any(cost):
+        # phase 2 from the feasible basis; basic artificials sit at zero
+        full = list(cost) + [0] * (m + 1)
+        t[m] = [d * full[j] - sum(full[k] * t[i][j] for i, k in enumerate(basis)) for j in range(n + m + 1)]
+        d = _optimise(t, basis, n, d)
+        y = tuple(-sign[k] * t[m][n + k] for k in range(m))
+    else:
+        y = (0,) * m
     lam = [0] * n
     for i, k in enumerate(basis):
         if k < n:
             lam[k] = t[i][-1]
-    return tuple(lam), tuple(-sign[k] * t[m][n + k] for k in range(m)), d
+    return tuple(lam), y, d
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
+
+
+def _scaled(offsets):
+    """(L, L * offsets) for the least L that makes every offset an integer."""
+    scale = lcm(*(o.denominator for o in offsets))
+    return scale, [o.numerator * (scale // o.denominator) for o in offsets]
 
 
 def _interior(h):
@@ -155,14 +177,14 @@ def _interior(h):
     Solves min L offset . lam + L mu subject to C^T lam = 0,
     1 . lam + mu = 1, lam, mu >= 0, where L clears the offsets'
     denominators.  The program is feasible and bounded, and its duals
-    (x, v) have C x + v <= L offset, v <= L and v = L t.  Returns (t, point,
-    lam): C point + offset >= t for point = -x / L, and lam >= 0 has
-    C^T lam = 0 and offset . lam <= t, so lam certifies emptiness when
-    t <= 0.  Both witnesses are replayed here.
+    (x, v) have C x + v <= L offset, v <= L and v = L t.  Returns the
+    integers (v, x, D, lam, d) with D = d L: t = v / D, C point + offset
+    >= t for point = -x / D, and lam / d >= 0 has C^T lam = 0 and
+    offset . lam / d <= t, so it certifies emptiness when v <= 0.  Both
+    witnesses are replayed here.
     """
     rows, n = h.c.entries, h.c.cols
-    scale = lcm(*(o.denominator for o in h.offset))
-    offs = [int(o * scale) for o in h.offset]
+    scale, offs = _scaled(h.offset)
     lam, y, d = _simplex([row + (1,) for row in rows] + [(0,) * n + (1,)], (0,) * n + (1,), offs + [scale])
     lam, v = lam[:-1], y[n]
     if v > 0:
@@ -170,11 +192,7 @@ def _interior(h):
     else:
         assert min(lam) >= 0 and any(lam) and _dot(lam, offs) <= v
         assert all(_dot(lam, col) == 0 for col in zip(*rows))
-    return (
-        Fraction(v, d * scale),
-        tuple(Fraction(-x, d * scale) for x in y[:n]),
-        tuple(Fraction(x, d) for x in lam),
-    )
+    return v, y[:n], d * scale, lam, d
 
 
 def strict_interior_nonempty(h):
@@ -184,8 +202,8 @@ def strict_interior_nonempty(h):
 
 def strict_interior_point(h):
     """A rational point strictly inside P, or None."""
-    t, point, _ = _interior(h)
-    return point if t > 0 else None
+    v, x, den, _, _ = _interior(h)
+    return tuple(Fraction(-xk, den) for xk in x) if v > 0 else None
 
 
 def infeasibility_certificate(h, strict=True):
@@ -195,8 +213,8 @@ def infeasibility_certificate(h, strict=True):
     The returned tuple lambda satisfies sum(lambda_i * row_i) = 0 and
     sum(lambda_i * offset_i) <= 0, with < 0 forced in the non-strict case.
     """
-    t, _, lam = _interior(h)
-    return lam if t < 0 or (strict and t == 0) else None
+    v, _, _, lam, d = _interior(h)
+    return tuple(Fraction(x, d) for x in lam) if v < 0 or (strict and v == 0) else None
 
 
 def facets(h):
@@ -218,11 +236,15 @@ def facets(h):
     takes one LP, which gives the multipliers of a dropped row or a Farkas
     vector for a kept one.  Both kinds of kept-row certificate go through
     the same Farkas check, and multipliers through theirs, before a verdict
-    is taken.
+    is taken.  The whole pass runs on integers.
     """
-    x0 = strict_interior_point(h)
-    if x0 is None:
+    v, x, den, _, _ = _interior(h)
+    if v <= 0:
         raise EmptyInteriorError("halfspace system has no strict interior point")
+    # x0 = -x / D; dividing out gcd(D, x) gives x0 = u / D in lowest terms
+    g = gcd(den, *x)
+    den //= g
+    u = [-xk // g for xk in x]
     r, n = h.c.rows, h.c.cols
     seen = {}
     dup = set()
@@ -240,33 +262,35 @@ def facets(h):
     base = [i for i in range(r) if i not in dup]
     rows = [h.c[i] for i in base]
     # row i as the column (c_i, L offset_i); the last entry of a sum may fall short
-    scale = lcm(*(h.offset[i].denominator for i in base))
-    cols = [row + (int(h.offset[i] * scale),) for i, row in zip(base, rows)]
+    scale, offs = _scaled([h.offset[i] for i in base])
+    cols = [row + (o,) for row, o in zip(rows, offs)]
     slack = (0,) * n + (1,)
-    # x0 = u / D, where row i has slack b_i / (L D), b_i > 0; the polar
-    # points are A_i = e_i c_i with e_i = K / b_i and K = lcm(b)
-    den = lcm(*(x.denominator for x in x0))
-    u = [int(x * den) for x in x0]
-    b = [scale * _dot(row, u) + den * col[-1] for row, col in zip(rows, cols)]
+    # row i has slack b_i / (L D) at x0, b_i > 0; the polar points are
+    # A_i = e_i c_i with e_i = K / b_i and K = lcm(b)
+    b = [scale * _dot(row, u) + den * o for row, o in zip(rows, offs)]
     k = lcm(*b)
     e = [k // bi for bi in b]
-    gram = [[_dot(p, q) for q in rows] for p in rows]
+    m = len(base)
+    # the Gram matrix: its lower triangle, then each row completed by symmetry
+    gram = [[_dot(p, q) for q in rows[:a + 1]] for a, p in enumerate(rows)]
+    for a, row in enumerate(gram):
+        row += [gram[c][a] for c in range(a + 1, m)]
     dots = [_dot(e, g) for g in gram]  # A_i . sum(A) = e_i dots_i
     total = [_dot(e, coord) for coord in zip(*rows)]  # sum(A)
-    m = len(base)
     irredundant = []
     for pos, i in enumerate(base):
         others = cols[:pos] + cols[pos + 1:]
         # s_i = A_i . w for w = m A_j - sum(A)
-        s = [ei * (m * e[pos] * g[pos] - t) for ei, g, t in zip(e, gram, dots)]
+        me = m * e[pos]
+        s = [ei * (me * g - t) for ei, g, t in zip(e, gram[pos], dots)]
         top = max([0] + s[:pos] + s[pos + 1:])
         if s[pos] > top:
             # x = x0 - 2K w / (L D (s_j + top)) violates row j alone; the
             # Farkas vector is (-L x, -1) cleared of denominators, with
             # y . col_i = b_i (2 s_i - s_j - top)
             lam, cut = None, s[pos] + top
-            w = [m * e[pos] * c - t for c, t in zip(rows[pos], total)]
-            y = [2 * k * wk - scale * cut * x for wk, x in zip(w, u)] + [-den * cut]
+            w = [me * c - t for c, t in zip(rows[pos], total)]
+            y = [2 * k * wk - scale * cut * uk for wk, uk in zip(w, u)] + [-den * cut]
         else:
             lam, y, d = _simplex(others + [slack], cols[pos], [0] * len(cols))
         if lam is None:
@@ -274,7 +298,7 @@ def facets(h):
             irredundant.append(i)
         else:
             assert min(lam) >= 0
-            assert [_dot(lam, row) for row in zip(*others, slack)] == [d * x for x in cols[pos]]
+            assert [_dot(lam, row) for row in zip(*others, slack)] == [d * c for c in cols[pos]]
     kmap = [None] * r
     for facet_idx, i in enumerate(irredundant):
         kmap[i] = facet_idx

@@ -422,11 +422,11 @@ def test_trusted_matrices_match_the_validating_constructor_in_the_cli(
 
 @pytest.fixture
 def facet_pass_calls(monkeypatch):
-    """Calls of facets and strict_interior_point, counted in every lgdual
-    namespace that binds them."""
+    """Calls of facets and of the interior LP ``_interior``, counted in every
+    lgdual namespace that binds them."""
     counts = {}
     spaces = [m for k, m in sys.modules.items() if k == "lgdual" or k.startswith("lgdual.")]
-    for name in ("facets", "strict_interior_point"):
+    for name in ("facets", "_interior"):
         original = getattr(polyhedra, name)
         counts[name] = 0
 
@@ -451,7 +451,7 @@ def test_analyze_and_involution_run_one_facet_pass_each(
     assert main(["analyze", path]) == 0
     assert main(["dualize", path, "--check-involution"]) == 0
     assert "# involution: K equivalent: yes" in capsys.readouterr().out
-    assert facet_pass_calls == {"facets": 3, "strict_interior_point": 3}
+    assert facet_pass_calls == {"facets": 3, "_interior": 3}
 
 
 def test_dualize_not_kopaseptic_exits_4(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Simplex feasibility and redundancy removal, checked against the
-Fourier-Motzkin oracle in ``fm_oracle``, and 2D enumeration."""
+Fourier-Motzkin oracle in ``fm_oracle`` and step for step against the
+Fraction-era kernel in ``lp_oracle``, and 2D enumeration."""
 
 import itertools
 import random
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fm_oracle
+import lp_oracle
 from lgdual import polyhedra
 from lgdual.errors import DimensionMismatchError, EmptyInteriorError
 from lgdual.linalg import IntMatrix
@@ -51,6 +53,20 @@ def test_contains():
     assert OM2.contains((Fraction(1, 2), Fraction(1, 2)))
     assert OM2.contains((0, 0)) and not OM2.contains((0, 0), strict=True)
     assert not OM2.contains((-1, 0))
+
+
+def test_contains_checks_the_point_length():
+    with pytest.raises(DimensionMismatchError):
+        OM2.contains((1,))
+    with pytest.raises(DimensionMismatchError):
+        OM2.contains((0, 0, 0), strict=True)
+
+
+def test_fraction_offsets_kept_as_they_are():
+    half = Fraction(1, 2)
+    h = system([(1, 0), (0, 1)], (half, 3))
+    assert h.offset[0] is half
+    assert h.offset == (half, 3) and type(h.offset[1]) is Fraction
 
 
 def test_offset_length_checked():
@@ -190,6 +206,86 @@ def test_facets_preserve_the_set(h):
             assert h.contains((x, y)) == sub.contains((x, y))
 
 
+# --- the integer kernel against the Fraction-era one in lp_oracle -------------
+
+def recorded_lps(module, fn, *args):
+    """(fn(*args), or EmptyInteriorError if it raised that, and every
+    (arguments, result) pair of the ``_simplex`` calls it made)."""
+    calls = []
+    original = module._simplex
+
+    def recorded(*lp):
+        out = original(*lp)
+        calls.append((lp, out))
+        return out
+
+    module._simplex = recorded
+    try:
+        result = fn(*args)
+    except EmptyInteriorError:
+        result = EmptyInteriorError
+    finally:
+        module._simplex = original
+    return result, calls
+
+
+def assert_matches_lp_oracle(h):
+    # the same LPs in the same order, with the same (lam, y, d) triples,
+    # the same facet report and the same public interior outputs
+    assert recorded_lps(polyhedra, facets, h) == recorded_lps(lp_oracle, lp_oracle.facets, h)
+    assert strict_interior_nonempty(h) == lp_oracle.strict_interior_nonempty(h)
+    assert strict_interior_point(h) == lp_oracle.strict_interior_point(h)
+    for strict in (True, False):
+        assert infeasibility_certificate(h, strict) == lp_oracle.infeasibility_certificate(h, strict)
+
+
+@st.composite
+def dense_model_systems(draw):
+    """Dense 8-9 x 4 systems with 0/-1 offsets, shaped like the ray and
+    monomial systems of dimension-4 model files, with at times a zero row,
+    an exact or scaled duplicate, or a first column that empties the
+    interior."""
+    r = draw(st.integers(8, 9))
+    lead = st.integers(-1, 3) if draw(st.booleans()) else st.integers(1, 3)
+    rows = [(draw(lead),) + draw(st.tuples(*[st.integers(-1, 1)] * 3)) for _ in range(r)]
+    offsets = [draw(st.sampled_from((0, -1))) for _ in range(r)]
+    kind = draw(st.sampled_from(("none", "zero", "exact", "scaled")))
+    i = draw(st.integers(0, r - 1))
+    if kind == "zero":
+        rows.append((0,) * 4)
+        offsets.append(draw(st.sampled_from((0, 1))))
+    elif kind != "none":
+        k = 1 if kind == "exact" else draw(st.integers(2, 3))
+        rows.append(tuple(k * x for x in rows[i]))
+        offsets.append(k * offsets[i])
+    return system(rows, offsets, 4)
+
+
+@given(dense_model_systems())
+@settings(max_examples=120, deadline=None)
+def test_dense_model_systems_match_the_lp_oracle(h):
+    assert_matches_lp_oracle(h)
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), max_size=6),
+            st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+        )
+    ),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_simplex_matches_the_lp_oracle(lp, priced, data):
+    # nonnegative costs keep the program bounded; zero costs skip phase 2
+    cols, b = lp
+    cols = [tuple(col) for col in cols]
+    cost = [data.draw(st.integers(0, 3)) if priced else 0 for _ in cols]
+    assert _simplex(cols, tuple(b), cost) == lp_oracle._simplex(cols, tuple(b), cost)
+
+
 # --- simplex against Fourier-Motzkin -------------------------------------------
 
 @st.composite
@@ -240,8 +336,10 @@ def check_emptiness_certificate(h, lam, strict):
 @example(system([(), ()], [1, 0], 0))
 @example(system([(0, 0), (1, 1)], [Fraction(1, 3), 0], 2))
 @example(system([(1, 2, 0), (-1, -2, 0), (0, 1, 1)], [Fraction(1, 2), Fraction(-1, 2), 1], 3))
+@example(system([(2, 0), (1, 0), (0, 1), (-1, -1)], [1, Fraction(1, 2), 0, 5], 2))
 @settings(max_examples=150, deadline=None)
 def test_simplex_agrees_with_fourier_motzkin(h):
+    assert_matches_lp_oracle(h)
     nonempty = strict_interior_nonempty(h)
     assert nonempty == fm_oracle.strict_interior_nonempty(h)
     point = strict_interior_point(h)
@@ -303,6 +401,7 @@ def dense_system(seed, n, kept, implied):
 @pytest.mark.parametrize("seed, n, kept, implied", [(5, 5, 8, 4), (6, 6, 12, 8), (7, 6, 14, 6)])
 def test_facets_of_dense_systems(seed, n, kept, implied):
     h, points, multipliers = dense_system(seed, n, kept, implied)
+    assert_matches_lp_oracle(h)
     rep = facets(h)
     assert rep.irredundant == tuple(range(kept))
     for j, p in enumerate(points):
