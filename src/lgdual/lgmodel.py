@@ -68,6 +68,14 @@ class Superpotential:
             seen.add(exps)
         object.__setattr__(self, "terms", tuple(cooked))
 
+    @classmethod
+    def _trusted(cls, exponents):
+        """Unit-coefficient terms on exponent tuples of ints that lgdual made
+        itself, distinct by construction: no coercion and no duplicate check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "terms", tuple([(1 + 0j, e) for e in exponents]))
+        return w
+
     def __len__(self):
         return len(self.terms)
 
@@ -115,14 +123,10 @@ def generic_sections(degrees):
     """
     degrees = _integers(degrees, "degrees")
     c = len(degrees)
-    terms = []
-    for i, a in enumerate(degrees):
-        if a > 0:
-            continue
-        for j in range(-a + 1):
-            exps = (j,) + tuple(1 if t == i else 0 for t in range(c))
-            terms.append((1, exps))
-    return Superpotential(terms)
+    units = [tuple([1 if t == i else 0 for t in range(c)]) for i in range(c)]
+    return Superpotential._trusted(
+        [(j,) + unit for a, unit in zip(degrees, units) for j in range(-a + 1)]
+    )
 
 
 # ---------------------------------------------------------------------------

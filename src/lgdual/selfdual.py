@@ -520,6 +520,8 @@ def classify_cy(max_rank, degree_bound):
     max_rank, and entries in [-degree_bound, degree_bound]."""
     if max_rank < 1:
         raise ValidationError("max_rank must be at least 1")
+    if degree_bound < 0:
+        raise ValidationError("degree_bound must be nonnegative")
     out = []
     values = range(degree_bound, -degree_bound - 1, -1)
     for rank in range(1, max_rank + 1):

@@ -8,6 +8,7 @@ halfspace linear data.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import NotKopasepticError, ShapeMismatchError
 from .linalg import IntMatrix, _integers, block_diag, cokernel
@@ -59,8 +60,10 @@ def _require_primitive_rows(dv):
             )
 
 
+@cache
 def projective_line():
-    """The projective line: two divisors f0 = {t1 = 0} and fInf = {t1 = inf}."""
+    """The projective line: two divisors f0 = {t1 = 0} and fInf = {t1 = inf}.
+    Built once and shared; ToricData and IntMatrix are immutable."""
     return ToricData(1, ("f0", "fInf"), IntMatrix.from_rows([(1,), (-1,)]))
 
 
@@ -116,10 +119,11 @@ def bundle_over_p1(degrees):
 
 
 def product(x, y):
-    """Product variety: block-diagonal ray matrix, labels tagged by factor."""
-    if y.dv.rows == 0:
+    """Product variety: block-diagonal ray matrix, labels tagged by factor.
+    Only the point is an identity: a torus (rank > 0, no rays) adds its rank."""
+    if y.rank == y.dv.rows == 0:
         return x
-    if x.dv.rows == 0:
+    if x.rank == x.dv.rows == 0:
         return y
     labels = tuple("%s.1" % l for l in x.divisors) + tuple("%s.2" % l for l in y.divisors)
     return ToricData(x.rank + y.rank, labels, block_diag(x.dv, y.dv))

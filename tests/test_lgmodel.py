@@ -1,6 +1,7 @@
 """Models: superpotentials, class decorations, duals, and kopaseptic checks."""
 
 import cmath
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,21 @@ def test_generic_sections_rank_two():
 def test_generic_sections_positive_degree_is_zero():
     assert generic_sections([1]).exponents() == ()
     assert generic_sections([0]).exponents() == ((0, 1),)
+
+
+@pytest.mark.parametrize("rank", range(7))
+def test_generic_sections_equal_the_validated_superpotential(rank):
+    # Superpotential._trusted skips coercion and the duplicate check; over a
+    # box of positive, zero and negative degrees its terms must equal what
+    # the validating constructor makes of the same exponents
+    for degrees in itertools.product((-4, -1, 0, 2), repeat=rank):
+        w = generic_sections(degrees)
+        exps = w.exponents()
+        validated = Superpotential([(1, e) for e in exps])
+        assert w == validated and hash(w) == hash(validated)
+        assert all(type(c) is complex for c, _ in w.terms)
+        assert all(type(x) is int for e in exps for x in e)
+        assert len(set(exps)) == len(exps) == sum(max(1 - a, 0) for a in degrees)
 
 
 def test_monomial_name():
@@ -485,6 +501,18 @@ def test_sum_models_pads_exponents():
     assert exps[3] == (0, 0, 0, 1)
     assert len(exps) == len(m1.potential.terms) + len(m2.potential.terms)
     assert s.k_class.lift == m1.k_class.lift + m2.k_class.lift
+
+
+def test_sum_with_torus_model_keeps_both_factors():
+    # a torus has rays in no direction, but only the point is the identity
+    torus = toric.ToricData(2, (), IntMatrix(0, 2, []))
+    t = LGModel(torus, Superpotential([(1, (1, 0)), (2, (-1, 3))]), ChowClass((), torus.chow_group()))
+    m = bundle_model([-2])
+    s = sum_models(m, t)
+    assert s.variety.rank == 4
+    assert s.variety.divisors == ("f0.1", "fInf.1", "X1.1")
+    assert s.potential.exponents()[3:] == ((0, 0, 1, 0), (0, 0, -1, 3))
+    assert sum_models(t, m).variety.rank == 4
 
 
 def test_sum_with_empty_model_is_identity():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lgdual import linalg, selfdual
+from lgdual import lgmodel, linalg, selfdual
 from lgdual.complexq import ComplexQ
 from lgdual.errors import (
     EmptyInteriorError,
@@ -51,6 +51,7 @@ from lgdual.toric import (
     ToricData,
     bundle_over_p1,
     from_linear_data,
+    projective_line,
     split_bundle_total_space,
 )
 from row_order_oracle import _row_order_search
@@ -1255,6 +1256,36 @@ def test_classify_cy_enumeration_is_complete():
 def test_classify_cy_validates_rank():
     with pytest.raises(ValidationError):
         classify_cy(0, 3)
+
+
+def test_classify_cy_validates_degree_bound():
+    with pytest.raises(ValidationError):
+        classify_cy(3, -1)
+    assert [v.degrees for v in classify_cy(1, 0)] == []
+    assert [v.degrees for v in classify_cy(2, 1)] == [(-1, -1)]
+
+
+def test_classify_cy_validates_no_integers_it_made(monkeypatch):
+    # with the shared base built, the sweep makes every matrix and every
+    # superpotential from lgdual's own integers: only the degree tuples
+    # (once per model, in generic_sections) pass through lgmodel._integers
+    projective_line()
+    calls = Counter()
+    real_init, real_integers = IntMatrix.__init__, lgmodel._integers
+
+    def counted_init(self, rows, cols, entries):
+        calls["IntMatrix.__init__"] += 1
+        real_init(self, rows, cols, entries)
+
+    def counted_integers(values, what):
+        calls[what] += 1
+        return real_integers(values, what)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counted_init)
+    monkeypatch.setattr(lgmodel, "_integers", counted_integers)
+    verdicts = classify_cy(4, 4)
+    assert {v.degrees for v in verdicts if v.self_dual and v.strong_cy} == {(-2,), (-1, -1)}
+    assert calls == {"degrees": len(verdicts)}
 
 
 # --- over P^n -----------------------------------------------------------------

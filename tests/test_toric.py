@@ -1,5 +1,6 @@
 """Variety constructors and reconstruction from halfspace data."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,18 @@ def test_rank_matches_columns():
         ToricData(2, ("a",), IntMatrix.from_rows([(1,)]))
 
 
+def test_projective_line_is_one_immutable_base():
+    # every bundle over the line shares this base, so it must not change
+    p1 = projective_line()
+    assert p1 is projective_line()
+    assert bundle_over_p1([-2]).dv.entries[:2] == ((1, 0), (-1, 2))
+    with pytest.raises(FrozenInstanceError):
+        p1.rank = 2
+    with pytest.raises(FrozenInstanceError):
+        p1.dv.entries = ((1,), (1,))
+    assert p1.dv.entries == ((1,), (-1,))
+
+
 def test_bundle_spec_row_check():
     base = projective_line()
     with pytest.raises(ShapeMismatchError):
@@ -133,6 +146,14 @@ def test_product_blocks():
     assert z.dv == IntMatrix.from_rows(
         [(1, 0, 0), (-1, 2, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)]
     )
+
+
+def test_product_with_torus_adds_its_rank():
+    torus = ToricData(2, (), IntMatrix(0, 2, []))
+    for z in (product(projective_line(), torus), product(torus, projective_line())):
+        assert z.rank == 3 and z.dv.rows == 2 and z.dv.cols == 3
+    assert product(projective_line(), torus).dv == IntMatrix.from_rows([(1, 0, 0), (-1, 0, 0)])
+    assert product(torus, torus).rank == 4
 
 
 def test_point_is_product_identity():
