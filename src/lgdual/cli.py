@@ -121,12 +121,8 @@ def cmd_analyze(args):
             str(i) for i in report.facet_report.irredundant
         )
     out.append("  reconstruction map: %s" % kmap)
+    # load_model rejects a negative order, so the report lists none
     out.append("  order matrix nonnegative: %s" % _yn(report.order_nonneg))
-    for i, j, v in report.negative_orders:
-        out.append(
-            "    negative entry: divisor %s, term %s (order %d)"
-            % (m.variety.divisors[i], names[j], v)
-        )
     out.append("=> %s" % ("PASS" if report.passed else "FAIL (%s)" % report.first_failure()))
     print("\n".join(out))
     return 0

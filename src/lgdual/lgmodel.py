@@ -11,7 +11,6 @@ the two halves, which is implemented here as ``dualize``.
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .complexq import ComplexQ
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .linalg import IntMatrix, _bareiss_solve, _integers, cokernel
+from .linalg import IntMatrix, _bareiss_solve, _integers, _scaled, cokernel
 from .toric import ToricData, bundle_over_p1, from_linear_data, point, product
 
 __all__ = [
@@ -83,14 +82,11 @@ class Superpotential:
         return tuple([exps for _, exps in self.terms])  # see IntMatrix.__init__
 
 
-def mon_matrix(w, rank=None):
-    """Exponent matrix: one row per term, in term order.  Superpotential
-    has made every exponent an int, so only the lengths are checked."""
+def mon_matrix(w, rank):
+    """Exponent matrix: one row per term, in term order, each of length
+    rank.  Superpotential has made every exponent an int, so only the
+    lengths are checked."""
     exps = w.exponents()
-    if rank is None:
-        if not exps:
-            raise ValueError("rank is required for an empty superpotential")
-        rank = len(exps[0])
     for e in exps:
         if len(e) != rank:
             raise ShapeMismatchError("exponent %r does not have length %d" % (e, rank))
@@ -135,10 +131,8 @@ def generic_sections(degrees):
 def _numerators(vec):
     """(d, re, im): the ComplexQ entries of vec as integer numerators over
     one common denominator d."""
-    d = lcm(*(q.denominator for z in vec for q in (z.re, z.im)))
-    re = [z.re.numerator * (d // z.re.denominator) for z in vec]
-    im = [z.im.numerator * (d // z.im.denominator) for z in vec]
-    return d, re, im
+    d, nums = _scaled([q for z in vec for q in (z.re, z.im)])
+    return d, nums[0::2], nums[1::2]
 
 
 def _mat_apply(mat, vec):
@@ -237,15 +231,18 @@ def canonical_class(group, values):
     return ChowClass(lift, group)
 
 
+def _default_class(group):
+    """The class with value i on every free generator of group."""
+    return canonical_class(group, [ComplexQ(0, 1)] * group.free_rank)
+
+
 def default_k_class(variety):
     """K with class value i on every free generator (positive imaginary part)."""
-    group = variety.chow_group()
-    return canonical_class(group, [ComplexQ(0, 1)] * group.free_rank)
+    return _default_class(variety.chow_group())
 
 
 def default_l_class(mon):
-    group = cokernel(mon)
-    return canonical_class(group, [ComplexQ(0, 1)] * group.free_rank)
+    return _default_class(cokernel(mon))
 
 
 # ---------------------------------------------------------------------------

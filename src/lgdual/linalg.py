@@ -7,7 +7,7 @@ immutable after construction.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
 from .errors import ShapeMismatchError, ValidationError
@@ -32,6 +32,12 @@ def _integers(values, what):
         return tuple([index(x) for x in values])
     except TypeError:
         raise ValidationError("%s must be integers, got %r" % (what, values)) from None
+
+
+def _scaled(fractions):
+    """(L, L * fractions) for the least L that makes every entry an integer."""
+    scale = lcm(*(q.denominator for q in fractions))
+    return scale, [q.numerator * (scale // q.denominator) for q in fractions]
 
 
 def _bareiss(entries, cols):

@@ -27,7 +27,7 @@ from .lgmodel import (
     monomial_name,
 )
 from .linalg import IntMatrix
-from .toric import ToricData, bundle_over_p1
+from .toric import ToricData, _imprimitive_row, bundle_over_p1
 
 __all__ = ["parse_model", "load_model", "format_model"]
 
@@ -140,13 +140,11 @@ def parse_model(text):
         variety = bundle_over_p1(degrees)
     else:
         dv = IntMatrix(len(dv_rows), len(dv_rows[0]), dv_rows)
-        for i in range(dv.rows):
-            g = dv.row_gcd(i)
-            if g != 1:
-                raise ValidationError(
-                    "dv row %d is %s; rows must be primitive ray generators"
-                    % (i + 1, "zero" if g == 0 else "non-primitive (gcd %d)" % g)
-                )
+        bad = _imprimitive_row(dv)
+        if bad:
+            raise ValidationError(
+                "dv row %d is %s; rows must be primitive ray generators" % (bad[0] + 1, bad[1])
+            )
         variety = ToricData(dv.cols, tuple("D%d" % (i + 1) for i in range(dv.rows)), dv)
     if labels is not None:
         if len(labels) != variety.dv.rows:

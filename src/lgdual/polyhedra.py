@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatchError, EmptyInteriorError
-from .linalg import IntMatrix
+from .linalg import IntMatrix, _scaled
 
 __all__ = [
     "HalfspaceSystem",
@@ -163,12 +163,6 @@ def _simplex(cols, b, cost):
 
 def _dot(u, v):
     return sum(map(mul, u, v))
-
-
-def _scaled(offsets):
-    """(L, L * offsets) for the least L that makes every offset an integer."""
-    scale = lcm(*(o.denominator for o in offsets))
-    return scale, [o.numerator * (scale // o.denominator) for o in offsets]
 
 
 def _interior(h):

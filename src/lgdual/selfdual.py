@@ -36,7 +36,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .complexq import ComplexQ
@@ -48,8 +48,8 @@ from .errors import (
     ValidationError,
 )
 from .lgmodel import bundle_model, canonical_class, dualize, linear_data, sum_models
-from .linalg import IntMatrix, _cofactors, _integers, block_diag, hnf_col_transform
-from .toric import from_linear_data
+from .linalg import IntMatrix, _cofactors, _integers, _scaled, block_diag, hnf_col_transform
+from .toric import _imprimitive_row, from_linear_data
 
 __all__ = [
     "SelfDualityWitness",
@@ -231,7 +231,7 @@ def _charge_row(dv, group):
     primitive rows; None otherwise.  q . dv = 0 and one nonzero n x n minor
     are replayed, so dv has rank n and q spans its left kernel."""
     n = dv.cols
-    if group.free_rank != 1 or dv.rows != n + 1 or any(g != 1 for g in dv.row_gcds()):
+    if group.free_rank != 1 or dv.rows != n + 1 or _imprimitive_row(dv):
         return None
     q = group.projection[0]
     i = next(i for i, x in enumerate(q) if x)
@@ -254,9 +254,9 @@ def _slack_holds(q, beta, s, den, cut=None):
 
 
 def _charge_k_step(q, offset):
-    """True when from_linear_data(dv, offset) keeps every row, for dv with
-    the charge vector q of _charge_row; False also when the strict interior
-    is empty.
+    """_keeps_every_row(dv, offset) for dv with the charge vector q of
+    _charge_row, read off q: True when every row is kept, False also when
+    the strict interior is empty.
 
     C = dv is injective with image {s : q . s = 0}, so xi -> C xi + b carries
     P = {xi : C xi + b >= 0} onto {s >= 0 : q . s = beta}, with beta = q . b
@@ -270,8 +270,7 @@ def _charge_k_step(q, offset):
     offsets give beta = 0 and the row rule drops both.  Each slack vector
     is replayed before its row is taken.
     """
-    den = lcm(*(x.denominator for x in offset))
-    beta = sum(x * (y.numerator * (den // y.denominator)) for x, y in zip(q, offset))
+    beta = sum(map(mul, q, _scaled(offset)[1]))
     r = len(q)
     if beta:
         j = next((j for j in range(r) if q[j] * beta > 0), None)
@@ -302,6 +301,17 @@ def _charge_k_step(q, offset):
     return True
 
 
+def _keeps_every_row(dv, offset):
+    """True when the halfspaces dv xi + offset >= 0 have a nonempty strict
+    interior and keep every row as a facet: from_linear_data(dv, offset)
+    reproduces dv with the identity reconstruction map."""
+    try:
+        _, report = from_linear_data(dv, offset)
+    except (NotKopasepticError, EmptyInteriorError):
+        return False
+    return report.is_identity()
+
+
 def k_reconstruction_class(variety, group=None):
     """A K class with value +-i per free generator whose halfspace data
     reproduces the variety with the identity reconstruction map, or None.
@@ -321,12 +331,7 @@ def k_reconstruction_class(variety, group=None):
         if q is not None:
             if _charge_k_step(q, k.im_lift()):
                 return k
-            continue
-        try:
-            _, report = from_linear_data(variety.dv, k.im_lift())
-        except (NotKopasepticError, EmptyInteriorError):
-            continue
-        if report.is_identity():
+        elif _keeps_every_row(variety.dv, k.im_lift()):
             return k
     return None
 
@@ -358,13 +363,7 @@ class SelfDualityWitness:
             return False
         if not check_k:
             return True
-        if self.k_class is None:
-            return False
-        try:
-            _, report = from_linear_data(dv, self.k_class.im_lift())
-        except (NotKopasepticError, EmptyInteriorError):
-            return False
-        return report.is_identity()
+        return self.k_class is not None and _keeps_every_row(dv, self.k_class.im_lift())
 
 
 @dataclass(frozen=True, slots=True)
@@ -518,6 +517,7 @@ def model_self_dual(degrees):
 def classify_cy(max_rank, degree_bound):
     """Verdicts for every nonincreasing degree tuple with sum -2, rank up to
     max_rank, and entries in [-degree_bound, degree_bound]."""
+    max_rank, degree_bound = _integers((max_rank, degree_bound), "max_rank and degree_bound")
     if max_rank < 1:
         raise ValidationError("max_rank must be at least 1")
     if degree_bound < 0:
@@ -537,11 +537,13 @@ def classify_cy(max_rank, degree_bound):
 
 def sweep_line_bundles(max_twist):
     """Verdicts for O(-k), k = 0 .. max_twist."""
+    (max_twist,) = _integers((max_twist,), "max_twist")
     return [model_self_dual((-k,)) for k in range(0, max_twist + 1)]
 
 
 def sweep_rank_two(max_twist):
     """Verdicts for O(k) + O(-k-2), k = -1 .. max_twist."""
+    (max_twist,) = _integers((max_twist,), "max_twist")
     return [model_self_dual((k, -k - 2)) for k in range(-1, max_twist + 1)]
 
 

@@ -50,14 +50,15 @@ class ToricData:
         return HalfspaceSystem(self.dv, offset)
 
 
-def _require_primitive_rows(dv):
+def _imprimitive_row(dv):
+    """(i, how) for the first row i of dv that is not a primitive ray
+    generator, how being "zero" or "non-primitive (gcd g)"; None when every
+    row is primitive."""
     for i in range(dv.rows):
         g = dv.row_gcd(i)
         if g != 1:
-            raise NotKopasepticError(
-                "ray row %d is %s" % (i, "zero" if g == 0 else "non-primitive (gcd %d)" % g),
-                condition="k-map",
-            )
+            return i, "zero" if g == 0 else "non-primitive (gcd %d)" % g
+    return None
 
 
 @cache
@@ -100,7 +101,9 @@ def split_bundle_total_space(spec):
         rows.append((0,) * base.rank + tuple(1 if i == j else 0 for i in range(c)))
     labels = base.divisors + tuple("X%d" % (j + 1) for j in range(c))
     data = ToricData(n, labels, IntMatrix._trusted(len(rows), n, rows))
-    _require_primitive_rows(data.dv)
+    bad = _imprimitive_row(data.dv)
+    if bad:
+        raise NotKopasepticError("ray row %d is %s" % bad, condition="k-map")
     return data
 
 

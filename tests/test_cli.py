@@ -523,6 +523,16 @@ def test_selfdual_file_without_enough_monomials(model_file, capsys):
     assert "self-dual: NO (not-enough-monomials)" in capsys.readouterr().out
 
 
+def test_selfdual_file_without_k_reconstruction(tmp_path, capsys):
+    # a matrix witness exists, but every K = +-i per free generator drops a row
+    path = write_text(tmp_path, (
+        "[variety]\ndv = -2 -1; -2 1; -1 -1; -1 0\n[potential]\n"
+        "term = 1 : -2 1\nterm = 1 : -2 -1\nterm = 1 : -1 1\nterm = 1 : -1 0\n"
+    ))
+    assert main(["selfdual", path]) == 0
+    assert capsys.readouterr() == ("self-dual: NO (no-K-reconstruction)\n", "")
+
+
 def test_selfdual_requires_exactly_one_source(model_file, capsys):
     assert main(["selfdual"]) == 2
     assert capsys.readouterr().err == "error: give a model file or --degrees\n"
@@ -607,6 +617,23 @@ def test_sweep_small_bound_stays_consistent(capsys):
 def test_sweep_rejects_nonpositive_bounds(capsys):
     assert main(["sweep", "--rank1", "0"]) == 2
     assert main(["sweep", "--cy", "2", "0"]) == 2
+    capsys.readouterr()
+    assert main(["sweep", "--rank2", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --rank2 bound must be >= 1\n")
+
+
+def test_sweep_classification_mismatch_exits_1(monkeypatch, capsys):
+    def flipped(max_twist):
+        verdicts = sweep_line_bundles(max_twist)
+        v = verdicts[0]
+        verdicts[0] = type(v)(v.degrees, not v.self_dual)
+        return verdicts
+
+    monkeypatch.setattr(cli, "sweep_line_bundles", flipped)
+    assert main(["sweep", "--rank1", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "0\t0\tfalse\ttrue\tfalse\ttrue"
+    assert err == "classification mismatch: expected [(-2,)], found [(-2,), (0,)]\n"
 
 
 def test_sweep_requires_exactly_one_family():

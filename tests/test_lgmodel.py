@@ -326,6 +326,20 @@ def test_class_arithmetic_matches_complexq_products(case):
     assert canonical_class(group, x.values()).values() == x.values()
 
 
+def test_model_rejects_exponent_of_wrong_length():
+    x = bundle_over_p1([-2])
+    with pytest.raises(ShapeMismatchError, match="does not have length 2"):
+        LGModel(x, Superpotential([(1, (0, 0, 1))]), default_k_class(x))
+
+
+def test_class_lift_and_values_must_fit_the_group():
+    group = bundle_over_p1([-2]).chow_group()
+    with pytest.raises(GroupMismatchError, match="lift length 2"):
+        ChowClass((0, ComplexQ(0, 1)), group)
+    with pytest.raises(GroupMismatchError, match="2 class values for free rank 1"):
+        canonical_class(group, [ComplexQ(0, 1)] * 2)
+
+
 def test_group_mismatch_on_model_build():
     x = bundle_over_p1([-2])
     wrong = default_k_class(bundle_over_p1([-3]))

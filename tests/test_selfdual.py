@@ -1215,9 +1215,49 @@ def test_verify_rejects_malformed_witness(change):
     assert w.verify(dv, mon, check_k=False) is False
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda w: {"basis_change": IntMatrix.from_rows(
+            [(w.basis_change[0][0] + 1,) + w.basis_change[0][1:]] + list(w.basis_change[1:])
+        )},
+        lambda w: {"k_class": None},
+        lambda w: {"k_class": canonical_class(w.k_class.group, [ComplexQ(0, -1)])},
+    ],
+    ids=["basis-change-entry", "no-k-class", "k-minus-i"],
+)
+def test_verify_rejects_witness_that_does_not_replay(change):
+    """A well-formed witness is still rejected when U does not carry the
+    chosen rows onto dv, when it has no K class, or when its K class loses
+    a facet: K = -i over (-2,) has the strict interior of
+    {xi1 >= 0, -xi1 + 2 xi2 >= 1, xi2 >= 0} but drops the row xi2 >= 0."""
+    dv, mon = bundle_over_p1([-2]).dv, bundle_model([-2]).mon()
+    witness = model_self_dual((-2,)).witness
+    assert witness.verify(dv, mon) is True
+    w = dataclasses.replace(witness, **change(witness))
+    assert w.verify(dv, mon) is False
+    # the K replay is the only step skipped without check_k
+    assert w.verify(dv, mon, check_k=False) is ("basis_change" not in change(witness))
+
+
+# dv's rows all have a negative first coordinate, and the terms are those
+# rows with the second coordinate negated, so dv @ diag(1, -1) is a matrix
+# witness; but every K = +-i per free generator drops a row of dv
+NO_K_MODEL = (
+    "[variety]\ndv = -2 -1; -2 1; -1 -1; -1 0\n[potential]\n"
+    "term = 1 : -2 1\nterm = 1 : -2 -1\nterm = 1 : -1 1\nterm = 1 : -1 0\n"
+)
+
+
 def test_self_dual_witness_reason_strings():
     assert self_dual_witness(bundle_model([2]))[1] == "not-enough-monomials"
     assert self_dual_witness(bundle_model([-5]))[1] == "no-matrix-witness"
+    m = parse_model(NO_K_MODEL)
+    assert _search_matrix_witness(m.variety.dv, m.mon()) == (
+        (0, 1, 2, 3), (0, 1, 2, 3), IntMatrix.from_rows([(1, 0), (0, -1)])
+    )
+    assert k_reconstruction_class(m.variety) is None
+    assert self_dual_witness(m) == (None, "no-K-reconstruction")
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -1263,6 +1303,27 @@ def test_classify_cy_validates_degree_bound():
         classify_cy(3, -1)
     assert [v.degrees for v in classify_cy(1, 0)] == []
     assert [v.degrees for v in classify_cy(2, 1)] == [(-1, -1)]
+
+
+@pytest.mark.parametrize(
+    "sweep, bound",
+    [
+        (lambda: classify_cy(2, 1.5), "degree_bound"),
+        (lambda: classify_cy(2.0, 1), "max_rank"),
+        (lambda: classify_cy("2", 1), "max_rank"),
+        (lambda: sweep_line_bundles(1.5), "max_twist"),
+        (lambda: sweep_rank_two(1.5), "max_twist"),
+    ],
+    ids=["cy-float-bound", "cy-float-rank", "cy-str-rank", "line-float", "rank-two-float"],
+)
+def test_sweep_bounds_must_be_integers(sweep, bound):
+    with pytest.raises(ValidationError, match=bound):
+        sweep()
+
+
+def test_sweep_negative_bounds_give_no_verdicts():
+    assert sweep_line_bundles(-1) == [] and sweep_rank_two(-3) == []
+    assert [v.degrees for v in sweep_rank_two(-1)] == [(-1, -1)]
 
 
 def test_classify_cy_validates_no_integers_it_made(monkeypatch):
