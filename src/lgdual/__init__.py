@@ -6,146 +6,20 @@ and exponent matrix pairs together with their class decorations, and
 decide self-duality by exact matrix search.
 """
 
-from .complexq import ComplexQ, format_complex, parse_complex
-from .errors import (
-    DimensionMismatchError,
-    EmptyInteriorError,
-    GroupMismatchError,
-    NotKopasepticError,
-    ParseError,
-    RegularityError,
-    ShapeMismatchError,
-    ValidationError,
-)
-from .lgmodel import (
-    ChowClass,
-    KopasepticReport,
-    LGModel,
-    LinearData,
-    Superpotential,
-    bundle_model,
-    canonical_class,
-    default_k_class,
-    default_l_class,
-    dualize,
-    empty_model,
-    generic_sections,
-    is_kopaseptic,
-    is_regular,
-    linear_data,
-    mon_matrix,
-    monomial_name,
-    order_matrix,
-    sum_models,
-)
-from .linalg import (
-    ChowGroup,
-    IntMatrix,
-    cokernel,
-    hnf_col,
-    hnf_col_transform,
-    right_equivalent,
-    snf,
-)
-from .modelfile import format_model, load_model, parse_model
-from .polyhedra import (
-    FacetReport,
-    HalfspaceSystem,
-    facets,
-    infeasibility_certificate,
-    strict_interior_nonempty,
-    strict_interior_point,
-    vertices_and_rays_2d,
-)
-from .selfdual import (
-    BundleVerdict,
-    SelfDualityWitness,
-    classify_cy,
-    k_reconstruction_class,
-    matrix_self_dual,
-    model_self_dual,
-    product_self_dual,
-    self_dual_witness,
-    sweep_line_bundles,
-    sweep_rank_two,
-)
-from .svg import moment_polygon, render_svg
-from .toric import (
-    ToricData,
-    bundle_over_p1,
-    from_linear_data,
-    point,
-    product,
-    projective_line,
-)
+from .complexq import *
+from .errors import *
+from .lgmodel import *
+from .linalg import *
+from .modelfile import *
+from .polyhedra import *
+from .selfdual import *
+from .svg import *
+from .toric import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexQ",
-    "format_complex",
-    "parse_complex",
-    "DimensionMismatchError",
-    "EmptyInteriorError",
-    "GroupMismatchError",
-    "NotKopasepticError",
-    "ParseError",
-    "RegularityError",
-    "ShapeMismatchError",
-    "ValidationError",
-    "ChowClass",
-    "KopasepticReport",
-    "LGModel",
-    "LinearData",
-    "Superpotential",
-    "bundle_model",
-    "canonical_class",
-    "default_k_class",
-    "default_l_class",
-    "dualize",
-    "empty_model",
-    "generic_sections",
-    "is_kopaseptic",
-    "is_regular",
-    "linear_data",
-    "mon_matrix",
-    "monomial_name",
-    "order_matrix",
-    "sum_models",
-    "ChowGroup",
-    "IntMatrix",
-    "cokernel",
-    "hnf_col",
-    "hnf_col_transform",
-    "right_equivalent",
-    "snf",
-    "format_model",
-    "load_model",
-    "parse_model",
-    "FacetReport",
-    "HalfspaceSystem",
-    "facets",
-    "infeasibility_certificate",
-    "strict_interior_nonempty",
-    "strict_interior_point",
-    "vertices_and_rays_2d",
-    "BundleVerdict",
-    "SelfDualityWitness",
-    "classify_cy",
-    "k_reconstruction_class",
-    "matrix_self_dual",
-    "model_self_dual",
-    "product_self_dual",
-    "self_dual_witness",
-    "sweep_line_bundles",
-    "sweep_rank_two",
-    "moment_polygon",
-    "render_svg",
-    "ToricData",
-    "bundle_over_p1",
-    "from_linear_data",
-    "point",
-    "product",
-    "projective_line",
-    "__version__",
-]
+# the public names are each module's __all__; importing a module binds its name here
+__all__ = (
+    complexq.__all__ + errors.__all__ + lgmodel.__all__ + linalg.__all__ + modelfile.__all__
+    + polyhedra.__all__ + selfdual.__all__ + svg.__all__ + toric.__all__ + ["__version__"]
+)

@@ -4,6 +4,11 @@ The CLI maps these onto stable exit codes: parse errors -> 2,
 validation errors -> 3, kopaseptic failures -> 4.
 """
 
+__all__ = [
+    "ParseError", "ValidationError", "ShapeMismatchError", "DimensionMismatchError",
+    "GroupMismatchError", "RegularityError", "EmptyInteriorError", "NotKopasepticError",
+]
+
 
 class ParseError(Exception):
     """Raised when a model file cannot be parsed; carries a line number."""

@@ -56,7 +56,10 @@ class Superpotential:
     def __init__(self, terms):
         cooked = []
         for coeff, exps in terms:
-            coeff = complex(coeff)
+            try:
+                coeff = complex(coeff)
+            except OverflowError:
+                raise ValidationError("coefficient %s is too large for a float" % (coeff,)) from None
             if coeff == 0:
                 raise ValidationError("superpotential coefficients must be nonzero")
             cooked.append((coeff, _integers(exps, "exponents")))
@@ -203,26 +206,18 @@ def canonical_class(group, values):
     r = group.projection.cols
     proj = group.free_projection()
     lift = [ComplexQ(0, 0)] * r
-    placed = {}
-    for g in range(f):
-        row = proj[g]
-        pick = None
-        for want in (1, -1):
-            for j in range(r - 1, -1, -1):
-                if row[j] == want and j not in placed.values() and all(
-                    proj[g2][j] == 0 for g2 in range(f) if g2 != g
-                ):
-                    pick = j
-                    break
-            if pick is not None:
-                break
-        if pick is None:
-            placed = None
+    # a coordinate placed for one generator is nonzero in its row, so no
+    # other generator can pick it
+    for g, row in enumerate(proj):
+        j = next(
+            (j for want in (1, -1) for j in range(r - 1, -1, -1)
+             if row[j] == want and all(proj[h][j] == 0 for h in range(f) if h != g)),
+            None,
+        )
+        if j is None:
             break
-        placed[g] = pick
-    if placed is not None:
-        for g, j in placed.items():
-            lift[j] = values[g] if proj[g][j] == 1 else -values[g]
+        lift[j] = values[g] if row[j] == 1 else -values[g]
+    else:
         return ChowClass(tuple(lift), group)
     scale, re, im = _numerators(values)
     d, (re, im) = _bareiss_solve(proj, [re, im])
@@ -387,8 +382,15 @@ def dualize(d):
     group = d.l.group if d.l.group.source == variety.dv else variety.chow_group()
     terms = []
     for j in range(d.a.rows):
-        z = complex(d.k.lift[j])
-        coeff = cmath.exp(2j * cmath.pi * z)
+        try:
+            coeff = cmath.exp(2j * cmath.pi * complex(d.k.lift[j]))
+        except OverflowError:
+            coeff = 0
+        if coeff == 0:  # exp never vanishes, so the float range was left
+            raise ValidationError(
+                "K lift entry %s gives a dual coefficient exp(2 pi i k) outside the float range"
+                % d.k.lift[j]
+            )
         terms.append((coeff, tuple(d.a[j])))
     potential = Superpotential(terms)
     k_class = ChowClass(tuple(d.l.lift[i] for i in kept), group)

@@ -22,6 +22,7 @@ from .lgmodel import (
     ChowClass,
     LGModel,
     Superpotential,
+    _default_class,
     canonical_class,
     generic_sections,
     monomial_name,
@@ -31,7 +32,6 @@ from .toric import ToricData, _imprimitive_row, bundle_over_p1
 
 __all__ = ["parse_model", "load_model", "format_model"]
 
-_SECTIONS = ("variety", "potential", "kahler")
 _KEYS = {
     "variety": ("degrees", "dv", "labels", "offset"),
     "potential": ("term",),
@@ -68,7 +68,7 @@ def _scan(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in _KEYS:
                 raise ParseError("unknown section [%s]" % name, lineno)
             section = name
             seen.add(name)
@@ -173,25 +173,21 @@ def parse_model(text):
         raise ValidationError(
             "%d kahler classes for free rank %d" % (len(classes), group.free_rank)
         )
-    values = classes if classes else [ComplexQ(0, 1)] * group.free_rank
-    if offset is None:
-        k = canonical_class(group, values)
-    else:
+    k = canonical_class(group, classes) if classes else _default_class(group)
+    if offset is not None:
         if len(offset) != variety.dv.rows:
             raise ValidationError(
                 "offset has %d entries for %d divisors" % (len(offset), variety.dv.rows)
             )
-        proj = group.free_projection()
-        got = [sum(Fraction(a) * q for a, q in zip(row, offset)) for row in proj]
-        want = [v.im for v in values]
+        # the offset replaces the imaginary parts of K's lift, which must keep its values
+        moved = ChowClass(tuple(ComplexQ(z.re, q) for z, q in zip(k.lift, offset)), group)
+        got, want = moved.values(), k.values()
         if got != want:
             raise ValidationError(
                 "offset projects to %s but the kahler classes have imaginary parts %s"
-                % (tuple(got), tuple(want))
+                % (tuple(v.im for v in got), tuple(v.im for v in want))
             )
-        re_lift = canonical_class(group, [ComplexQ(v.re) for v in values]).lift
-        lift = tuple(ComplexQ(z.re, q) for z, q in zip(re_lift, offset))
-        k = ChowClass(lift, group)
+        k = moved
 
     return LGModel(variety, potential, k)
 

@@ -80,20 +80,25 @@ def render_svg(model, truncate=Fraction(1)):
     points, edge_rows = moment_polygon(dv, offset, truncate)
 
     # svg y axis points down; flip once here
-    flipped = [(float(x), -float(y)) for x, y in points]
-    xs = [p[0] for p in flipped]
-    ys = [p[1] for p in flipped]
-    margin = 0.8
-    minx, maxx = min(xs) - margin, max(xs) + margin
-    miny, maxy = min(ys) - margin, max(ys) + margin
-    width, height = maxx - minx, maxy - miny
+    try:
+        flipped = [(float(x), -float(y)) for x, y in points]
+        xs = [p[0] for p in flipped]
+        ys = [p[1] for p in flipped]
+        margin = 0.8
+        minx, maxx = min(xs) - margin, max(xs) + margin
+        miny, maxy = min(ys) - margin, max(ys) + margin
+        width, height = maxx - minx, maxy - miny
+        pixels = int(480 * height / width)
+    except (OverflowError, ValueError):  # a coordinate or the image height left the floats
+        far = max((c for p in points for c in p), key=abs)
+        raise ValidationError("polygon coordinate %s is too large to draw" % far) from None
 
     parts = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
     parts.append(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="%s %s %s %s" width="%d" height="%d">'
-        % (_fmt(minx), _fmt(miny), _fmt(width), _fmt(height), 480, int(480 * height / width))
+        % (_fmt(minx), _fmt(miny), _fmt(width), _fmt(height), 480, pixels)
     )
     point_text = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in flipped)
     parts.append(

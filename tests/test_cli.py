@@ -105,6 +105,15 @@ def test_analyze_pole_exits_3(tmp_path, capsys):
     assert "has a pole" in err and "D1" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "dualize", "selfdual"])
+def test_a_coefficient_too_large_for_a_float_exits_3(tmp_path, capsys, command):
+    path = write_text(tmp_path, "[variety]\ndegrees = -2\n[potential]\nterm = 1e400 : 1 1\n")
+    assert main([command, path]) == 3
+    assert capsys.readouterr() == (
+        "", "error: coefficient 1%s is too large for a float\n" % ("0" * 400)
+    )
+
+
 # --- dualize ------------------------------------------------------------------
 
 def test_dualize_twist_two(model_file, capsys):
@@ -464,6 +473,19 @@ def test_dualize_not_kopaseptic_exits_4(tmp_path, capsys):
     assert "swapped linear data fails the k-map condition" in err
 
 
+@pytest.mark.parametrize("value, entry", [("-200i", "0-200i"), ("200i", "0+200i")])
+def test_dualize_exits_3_where_a_dual_coefficient_leaves_the_float_range(
+    tmp_path, capsys, value, entry
+):
+    # exp(2 pi i k) for k = 200i underflows to 0 and for k = -200i overflows
+    path = write_text(tmp_path, "[variety]\ndegrees = -2\n[kahler]\nclass = %s\n" % value)
+    assert main(["dualize", path]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: K lift entry %s gives a dual coefficient exp(2 pi i k) outside the float range\n"
+        % entry
+    ))
+
+
 # --- selfdual -----------------------------------------------------------------
 
 def test_selfdual_degrees_yes(capsys):
@@ -686,6 +708,16 @@ def test_polytope_rejects_a_truncation_that_is_not_rational(model_file, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("usage: lgdual polytope")
     assert err.endswith("error: argument --truncate: invalid Fraction value: %r\n" % height)
+    assert not out_path.exists()
+
+
+def test_polytope_rejects_a_truncation_too_large_to_draw(model_file, tmp_path, capsys):
+    # the rising edge of O(-2) climbs from (1, 0) along (2, 1) to x = 2 * 10^400 + 1
+    out_path = tmp_path / "p.svg"
+    assert main(["polytope", model_file([-2]), "--svg", str(out_path), "--truncate=1e400"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: polygon coordinate %d is too large to draw\n" % (2 * 10**400 + 1)
+    )
     assert not out_path.exists()
 
 

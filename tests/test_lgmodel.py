@@ -247,6 +247,32 @@ def test_canonical_lift_rational_fallback():
     assert c.lift == (ComplexQ(Fraction(1, 3), Fraction(1, 3)), ComplexQ(0, 0))
 
 
+def test_canonical_lift_free_rank_three_places_each_value():
+    # every generator has a coordinate where only its row is +-1
+    g = cokernel(IntMatrix.from_rows([(2, 1), (1, 1), (-1, -1), (0, 1), (1, 0)]))
+    assert g.free_projection().entries == (
+        (0, 1, 1, 0, 0), (1, -2, 0, 1, 0), (1, -1, 0, 0, -1)
+    )
+    values = (ComplexQ(Fraction(1, 2), 1), ComplexQ(Fraction(-1, 3)), ComplexQ(0, 2))
+    c = canonical_class(g, values)
+    assert c.lift == (
+        ComplexQ(0), ComplexQ(0), values[0], values[1], ComplexQ(0, -2)
+    )
+    assert c.values() == values
+
+
+def test_canonical_lift_solves_when_one_generator_has_no_unit_entry():
+    # (1, 1, -1) could be placed, (3, -2, 0) cannot: both values are solved
+    g = cokernel(IntMatrix.from_rows([(2,), (3,), (5,)]))
+    assert g.free_projection().entries == ((3, -2, 0), (1, 1, -1))
+    values = (ComplexQ(0, 1), ComplexQ(Fraction(1, 2), -3))
+    c = canonical_class(g, values)
+    assert c.lift == (
+        ComplexQ(Fraction(1, 5), -1), ComplexQ(Fraction(3, 10), -2), ComplexQ(0)
+    )
+    assert c.values() == values
+
+
 @given(st.integers(0, 6), st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=60)
 def test_canonical_class_roundtrips_values(k, re, im):

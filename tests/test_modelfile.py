@@ -113,6 +113,22 @@ def test_parse_offset_sets_imaginary_lift():
     assert m.k_class.values() == (ComplexQ(0, Fraction(1, 2)),)
 
 
+def test_parse_offset_solves_the_real_parts_of_the_lift():
+    # the free generator (7, -5, 0, -3) has no unit entry, so the real
+    # parts of the lift go through the solve
+    m = parse_model(
+        "[variety]\ndv = -3 -2; -3 -1; -3 1; -2 -3\noffset = -8/11 -9/11 0 0\n"
+        "[kahler]\nclass = 1/2+i\nclass = 1/3-i\n"
+    )
+    assert m.k_class.lift == (
+        ComplexQ(Fraction(-3, 22), Fraction(-8, 11)),
+        ComplexQ(Fraction(-17, 66), Fraction(-9, 11)),
+        ComplexQ(0),
+        ComplexQ(0),
+    )
+    assert m.k_class.values() == (ComplexQ(Fraction(1, 2), 1), ComplexQ(Fraction(1, 3), -1))
+
+
 @pytest.mark.parametrize(
     "text,fragment,line",
     [

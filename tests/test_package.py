@@ -23,11 +23,12 @@ def test_every_module_export_resolves():
 # Dropping a public name is an API change that needs a stated reason: this
 # list fails loudly when a name disappears from (or is added to) the package.
 PUBLIC_NAMES = [
-    "BundleVerdict", "ChowClass", "ChowGroup", "ComplexQ", "DimensionMismatchError",
-    "EmptyInteriorError", "FacetReport", "GroupMismatchError", "HalfspaceSystem",
-    "IntMatrix", "KopasepticReport", "LGModel", "LinearData", "NotKopasepticError",
-    "ParseError", "RegularityError", "SelfDualityWitness", "ShapeMismatchError",
-    "Superpotential", "ToricData", "ValidationError", "__version__", "bundle_model",
+    "BundleSpec", "BundleVerdict", "ChowClass", "ChowGroup", "ComplexQ",
+    "DimensionMismatchError", "EmptyInteriorError", "FacetReport", "GroupMismatchError",
+    "HalfspaceSystem", "IntMatrix", "KopasepticReport", "LGModel", "LinearData",
+    "NotKopasepticError", "ParseError", "RegularityError", "SelfDualityWitness",
+    "ShapeMismatchError", "SmithDecomposition", "Superpotential", "ToricData",
+    "ValidationError", "__version__", "bundle_model",
     "bundle_over_p1", "canonical_class", "classify_cy", "cokernel", "default_k_class",
     "default_l_class", "dualize", "empty_model", "facets", "format_complex",
     "format_model", "from_linear_data", "generic_sections", "hnf_col",
@@ -36,8 +37,8 @@ PUBLIC_NAMES = [
     "model_self_dual", "moment_polygon", "mon_matrix", "monomial_name", "order_matrix",
     "parse_complex", "parse_model", "point", "product", "product_self_dual",
     "projective_line", "render_svg", "right_equivalent", "self_dual_witness", "snf",
-    "strict_interior_nonempty", "strict_interior_point", "sum_models",
-    "sweep_line_bundles", "sweep_rank_two", "vertices_and_rays_2d",
+    "split_bundle_total_space", "strict_interior_nonempty", "strict_interior_point",
+    "sum_models", "sweep_line_bundles", "sweep_rank_two", "vertices_and_rays_2d",
 ]
 
 
