@@ -66,10 +66,23 @@ def _coerce(x):
     raise TypeError("cannot mix ComplexQ with %r" % (x,))
 
 
+_TERM = re.compile(r"[+-]?[^+-]+")
+# exponent signs are hidden from the term splitter as NUL and \x01, and
+# restored after it; a text with none of _HIDDEN needs neither step
+_EXPONENT_PLUS = re.compile(r"([0-9.][eE])\+")
+_EXPONENT_MINUS = re.compile(r"([0-9.][eE])-")
+_HIDDEN = frozenset("eE\x00\x01")
+_PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # two int() calls convert it
+
+
 def _fraction(body, text):
     """Fraction(body); a zero denominator is a bad literal, like any other."""
+    plain = _PLAIN.fullmatch(body)
     try:
-        return Fraction(body)
+        if plain is None:
+            return Fraction(body)
+        num, den = plain.groups()
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise ValueError("zero denominator in complex literal %r" % text) from None
 
@@ -83,13 +96,14 @@ def parse_complex(text):
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
-    # hide exponent signs from the term splitter ("1e-3" is one term)
-    protected = re.sub(r"([0-9.][eE])\+", "\\1\x00", s)
-    protected = re.sub(r"([0-9.][eE])-", "\\1\x01", protected)
-    terms = re.findall(r"[+-]?[^+-]+", protected)
+    # "1e-3" is one term; the restore also turns a NUL of the text into "+"
+    hidden = not _HIDDEN.isdisjoint(s)
+    protected = _EXPONENT_MINUS.sub("\\1\x01", _EXPONENT_PLUS.sub("\\1\x00", s)) if hidden else s
+    terms = _TERM.findall(protected)
     if "".join(terms) != protected:
         raise ValueError("bad complex literal %r" % text)
-    terms = [t.replace("\x00", "+").replace("\x01", "-") for t in terms]
+    if hidden:
+        terms = [t.replace("\x00", "+").replace("\x01", "-") for t in terms]
     if not 1 <= len(terms) <= 2:
         raise ValueError("bad complex literal %r" % text)
     re_part = None

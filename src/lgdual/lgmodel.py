@@ -57,12 +57,15 @@ class Superpotential:
         cooked = []
         for coeff, exps in terms:
             try:
-                coeff = complex(coeff)
+                z = complex(coeff)
             except OverflowError:
                 raise ValidationError("coefficient %s is too large for a float" % (coeff,)) from None
-            if coeff == 0:
+            if z == 0:
+                # a ComplexQ has no equality with 0, so its parts are tested
+                if any((coeff.re, coeff.im) if isinstance(coeff, ComplexQ) else (coeff,)):
+                    raise ValidationError("coefficient %s is too small for a float" % (coeff,))
                 raise ValidationError("superpotential coefficients must be nonzero")
-            cooked.append((coeff, _integers(exps, "exponents")))
+            cooked.append((z, _integers(exps, "exponents")))
         seen = set()
         for _, exps in cooked:
             if exps in seen:

@@ -107,9 +107,11 @@ def parse_model(text):
             if not degrees:
                 raise ParseError("degrees must be nonempty", lineno)
         elif key == "dv":
-            dv_rows = [_int_list(part, lineno) for part in value.split(";")]
+            # an empty dv, as in the dual of an empty potential, takes its rank from the terms
+            dv_rows = [_int_list(part, lineno) for part in value.split(";")] if value else []
+            dv_line = lineno
             widths = {len(r) for r in dv_rows}
-            if len(widths) != 1 or widths == {0}:
+            if dv_rows and (len(widths) != 1 or widths == {0}):
                 raise ParseError("dv rows must be nonempty and of equal length", lineno)
         elif key == "labels":
             labels = tuple(value.split())
@@ -139,7 +141,9 @@ def parse_model(text):
     if degrees is not None:
         variety = bundle_over_p1(degrees)
     else:
-        dv = IntMatrix(len(dv_rows), len(dv_rows[0]), dv_rows)
+        if not dv_rows and not terms:
+            raise ParseError("dv rows must be nonempty and of equal length", dv_line)
+        dv = IntMatrix(len(dv_rows), len(dv_rows[0]) if dv_rows else len(terms[0][2]), dv_rows)
         bad = _imprimitive_row(dv)
         if bad:
             raise ValidationError(

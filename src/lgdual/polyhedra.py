@@ -91,6 +91,9 @@ class FacetReport:
 def _pivot(t, r, s, d):
     top = t[r]
     p = top[s]
+    if p < 0:  # only when an artificial leaves; keep D positive
+        top = t[r] = [-x for x in top]
+        p = -p
     for i, row in enumerate(t):
         if i != r:
             f = row[s]
@@ -98,21 +101,23 @@ def _pivot(t, r, s, d):
                 t[i] = [(x * p - f * y) // d for x, y in zip(row, top)]
             elif p != d:  # a row with no entry in column s is only rescaled
                 t[i] = [x * p // d for x in row]
-    if p < 0:  # only when an artificial leaves; keep D positive
-        t[:] = [[-x for x in row] for row in t]
-    return abs(p)
+    return p
 
 
 def _optimise(t, basis, n, d):
     """Pivot until no structural column has a negative reduced cost."""
     m = len(basis)
     while True:
-        s = next((j for j in range(n) if t[m][j] < 0), None)
-        if s is None:
+        cost = t[m]
+        for s in range(n):
+            if cost[s] < 0:
+                break
+        else:
             return d
         r = None
         for i in range(m):
-            a, rhs = t[i][s], t[i][-1]
+            row = t[i]
+            a, rhs = row[s], row[-1]
             if a <= 0:
                 if not (a and rhs == 0 and basis[i] >= n):
                     continue
@@ -136,20 +141,23 @@ def _simplex(cols, b, cost):
     """
     m, n = len(b), len(cols)
     sign = [1 if v >= 0 else -1 for v in b]
-    t = [
-        [sign[i] * col[i] for col in cols] + [int(k == i) for k in range(m)] + [sign[i] * b[i]]
-        for i in range(m)
-    ]
+    t = []
+    for i, row in enumerate(zip(*cols) if n else [()] * m):  # zip(*[]) has no rows
+        unit = [0] * m
+        unit[i] = 1
+        t.append([*row, *unit, b[i]] if b[i] >= 0 else [-x for x in row] + unit + [-b[i]])
     basis = list(range(n, n + m))
     # phase 1: minimise the sum of the artificials
-    t.append([-sum(row[j] for row in t) if j < n or j == n + m else 0 for j in range(n + m + 1)])
+    sums = [-sum(c) for c in zip(*t)] if m else [0] * (n + 1)
+    t.append(sums[:n] + [0] * m + sums[-1:])
     d = _optimise(t, basis, n, 1)
     if t[m][-1] < 0:
         return None, tuple(sign[k] * (d - t[m][n + k]) for k in range(m)), d
     if any(cost):
         # phase 2 from the feasible basis; basic artificials sit at zero
         full = list(cost) + [0] * (m + 1)
-        t[m] = [d * full[j] - sum(full[k] * t[i][j] for i, k in enumerate(basis)) for j in range(n + m + 1)]
+        priced = [(full[k], t[i]) for i, k in enumerate(basis) if full[k]]
+        t[m] = [d * c - sum(f * row[j] for f, row in priced) for j, c in enumerate(full)]
         d = _optimise(t, basis, n, d)
         y = tuple(-sign[k] * t[m][n + k] for k in range(m))
     else:
@@ -247,12 +255,12 @@ def facets(h):
         g = h.c.row_gcd(i)
         if g == 0:
             continue  # zero rows fall to the implication test, which drops them
-        primitive[i] = tuple(x // g for x in h.c[i])
-        key = (primitive[i], h.offset[i] / g)
-        if key in seen:
+        primitive[i] = p = tuple(x // g for x in h.c[i])
+        # the key holds offset / g in lowest terms
+        num = h.offset[i].numerator
+        q = gcd(num, g)
+        if seen.setdefault((p, num // q, h.offset[i].denominator * (g // q)), i) != i:
             dup.add(i)
-        else:
-            seen[key] = i
     base = [i for i in range(r) if i not in dup]
     rows = [h.c[i] for i in base]
     # row i as the column (c_i, L offset_i); the last entry of a sum may fall short
@@ -274,6 +282,7 @@ def facets(h):
     irredundant = []
     for pos, i in enumerate(base):
         others = cols[:pos] + cols[pos + 1:]
+        others.append(slack)
         # s_i = A_i . w for w = m A_j - sum(A)
         me = m * e[pos]
         s = [ei * (me * g - t) for ei, g, t in zip(e, gram[pos], dots)]
@@ -286,13 +295,13 @@ def facets(h):
             w = [me * c - t for c, t in zip(rows[pos], total)]
             y = [2 * k * wk - scale * cut * uk for wk, uk in zip(w, u)] + [-den * cut]
         else:
-            lam, y, d = _simplex(others + [slack], cols[pos], [0] * len(cols))
+            lam, y, d = _simplex(others, cols[pos], [0] * len(others))
         if lam is None:
-            assert all(_dot(y, col) <= 0 for col in others + [slack]) and _dot(y, cols[pos]) > 0
+            assert all(_dot(y, col) <= 0 for col in others) and _dot(y, cols[pos]) > 0
             irredundant.append(i)
         else:
             assert min(lam) >= 0
-            assert [_dot(lam, row) for row in zip(*others, slack)] == [d * c for c in cols[pos]]
+            assert [_dot(lam, row) for row in zip(*others)] == [d * c for c in cols[pos]]
     kmap = [None] * r
     for facet_idx, i in enumerate(irredundant):
         kmap[i] = facet_idx

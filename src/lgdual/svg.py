@@ -112,10 +112,13 @@ def render_svg(model, truncate=Fraction(1)):
         (x1, y1), (x2, y2) = flipped[i], flipped[(i + 1) % n]
         mx, my = (x1 + x2) / 2, (y1 + y2) / 2
         c = dv[row]
-        norm = (c[0] ** 2 + c[1] ** 2) ** 0.5
+        # scaled into the unit square first, so no square leaves the floats
+        top = max(abs(c[0]), abs(c[1]))
+        cx, cy = c[0] / top, c[1] / top
+        norm = (cx * cx + cy * cy) ** 0.5
         # inward normal, flipped along with the y axis
-        mx += 0.35 * c[0] / norm
-        my += 0.35 * -c[1] / norm
+        mx += 0.35 * cx / norm
+        my += 0.35 * -cy / norm
         name = _display_name(model.variety.divisors, model.variety.divisors[row])
         parts.append(
             '<text x="%s" y="%s" font-size="0.45" text-anchor="middle" '

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, and output contracts."""
 
+import math
 import os
 import shutil
 import subprocess
@@ -114,6 +115,24 @@ def test_a_coefficient_too_large_for_a_float_exits_3(tmp_path, capsys, command):
     )
 
 
+TINY = "1/1%s" % ("0" * 400)
+# a nonzero coefficient that rounds to 0.0 is not reported as zero
+ZERO_AS_A_FLOAT = {
+    "1e-400": "coefficient %s is too small for a float" % TINY,
+    "1e-400i": "coefficient 0+%si is too small for a float" % TINY,
+    "-1e-400+1e-400i": "coefficient -%s+%si is too small for a float" % (TINY, TINY),
+    "0": "superpotential coefficients must be nonzero",
+    "0.0e-400+0i": "superpotential coefficients must be nonzero",
+}
+
+
+@pytest.mark.parametrize("literal", sorted(ZERO_AS_A_FLOAT))
+def test_a_coefficient_that_is_zero_as_a_float_exits_3(tmp_path, capsys, literal):
+    path = write_text(tmp_path, "[variety]\ndegrees = -2\n[potential]\nterm = %s : 1 1\n" % literal)
+    assert main(["analyze", path]) == 3
+    assert capsys.readouterr() == ("", "error: %s\n" % ZERO_AS_A_FLOAT[literal])
+
+
 # --- dualize ------------------------------------------------------------------
 
 def test_dualize_twist_two(model_file, capsys):
@@ -145,6 +164,21 @@ def test_dualize_output_reparses_and_reanalyzes(model_file, tmp_path, capsys):
     dual_path.write_text(out.split("# self-dual")[0], encoding="utf-8")
     assert main(["analyze", str(dual_path)]) == 0
     assert "=> PASS" in capsys.readouterr().out
+
+
+def test_dualize_output_with_no_rays_reparses_and_reanalyzes(tmp_path, capsys):
+    # an empty potential dualizes to a variety with no rays: dv and labels are empty
+    path = write_text(tmp_path, "[variety]\ndv = 2 1; 1 1; -1 -1; 0 1; 1 0\n")
+    assert main(["dualize", path]) == 0
+    out = capsys.readouterr().out
+    assert "dv = \nlabels = \n" in out
+    dual = lgmodel.dualize(lgmodel.linear_data(parse_model(open(path, encoding="utf-8").read())))
+    again = parse_model(format_model(dual))
+    assert (again.variety.dv.rows, again.variety.dv.cols) == (0, 2)
+    assert again.potential.terms == dual.potential.terms
+    assert again.k_class.values() == dual.k_class.values()
+    dual_path = write_text(tmp_path, out, "dual.lg")
+    assert main(["analyze", dual_path]) == 0
 
 
 def test_dualize_check_involution(model_file, capsys):
@@ -719,6 +753,20 @@ def test_polytope_rejects_a_truncation_too_large_to_draw(model_file, tmp_path, c
         "", "error: polygon coordinate %d is too large to draw\n" % (2 * 10**400 + 1)
     )
     assert not out_path.exists()
+
+
+def test_polytope_draws_a_huge_primitive_ray(tmp_path, capsys):
+    # the ray's squared entries leave the floats; its direction does not
+    ray = 10**170 + 1
+    path = write_text(tmp_path, "[variety]\ndv = 1 0; 0 1; -1 -%d\n" % ray)
+    out_path = tmp_path / "p.svg"
+    assert main(["polytope", path, "--svg", str(out_path)]) == 0
+    assert capsys.readouterr() == ("wrote %s\n" % out_path, "")
+    labels = out_path.read_text(encoding="utf-8").split("<text ")[1:]
+    assert len(labels) == 3
+    for label in labels:
+        x, y = (float(label.split('%s="' % axis)[1].split('"')[0]) for axis in "xy")
+        assert math.isfinite(x) and math.isfinite(y)
 
 
 def test_polytope_needs_rank_two(model_file, tmp_path, capsys):

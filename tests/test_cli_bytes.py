@@ -61,7 +61,86 @@ MODELS = {
     "short_offset.lg": "[variety]\ndegrees = -2\noffset = 0 1\n",
     "wrong_offset.lg": "[variety]\ndegrees = -2\noffset = 0 1 1\n",
     "no_kmap.lg": "[variety]\ndv = 1 0; 0 1\n[potential]\nterm = 1 : 2 0\nterm = 1 : 0 1\n",
+    # one dense dimension-4 model of each (rays, terms) shape the model-files
+    # benchmark draws, with coefficients in every literal form the parser takes
+    "shape8x5.lg": (
+        "[variety]\n"
+        "dv = 3 0 1 0; 1 0 1 0; 2 1 1 -1; 1 0 0 1; "
+        "1 0 -1 1; 3 1 0 0; 1 1 1 0; 3 -1 -1 1\n"
+        "[potential]\n"
+        "term = 1/2+3i : 2 0 0 1\n"
+        "term = -i : 1 1 -1 -1\n"
+        "term = 0.25-1e-2i : 2 -1 1 0\n"
+        "term = 7 : 1 0 -1 0\n"
+        "term = 2.5E+1-i : 2 -1 -1 -1\n"
+    ),
+    "shape8x6.lg": (
+        "[variety]\n"
+        "dv = 3 -1 0 -1; 2 -1 1 0; 3 0 -1 1; 3 -1 1 -1; "
+        "3 1 0 -1; 3 -1 1 1; 3 -1 -1 0; 2 0 0 1\n"
+        "[potential]\n"
+        "term = -i : 2 0 0 -1\n"
+        "term = 0.25-1e-2i : 2 0 1 0\n"
+        "term = 7 : 2 1 0 1\n"
+        "term = 2.5E+1-i : 2 -1 -1 0\n"
+        "term = -3/4i : 1 0 1 1\n"
+        "term = 5/3-2/9i : 2 1 0 -1\n"
+    ),
+    "shape8x7.lg": (
+        "[variety]\n"
+        "dv = 2 -1 0 0; 3 -1 1 0; 2 1 0 0; 3 1 1 -1; "
+        "1 1 1 -1; 3 -1 0 -1; 1 1 1 0; 3 1 1 0\n"
+        "[potential]\n"
+        "term = 0.25-1e-2i : 2 -1 0 1\n"
+        "term = 7 : 1 1 -1 0\n"
+        "term = 2.5E+1-i : 2 1 1 0\n"
+        "term = -3/4i : 1 1 -1 -1\n"
+        "term = 5/3-2/9i : 2 -1 0 -1\n"
+        "term = 1/2+3i : 1 0 0 -1\n"
+        "term = -i : 2 1 1 -1\n"
+    ),
+    "shape9x5.lg": (
+        "[variety]\n"
+        "dv = 1 1 -1 1; 2 -1 1 0; 1 1 1 -1; 2 0 -1 -1; "
+        "2 1 0 -1; 2 0 1 1; 1 0 1 0; 2 -1 0 -1; 3 1 1 1\n"
+        "[potential]\n"
+        "term = 7 : 2 -1 1 0\n"
+        "term = 2.5E+1-i : 1 0 1 1\n"
+        "term = -3/4i : 1 0 0 -1\n"
+        "term = 5/3-2/9i : 2 -1 1 1\n"
+        "term = 1/2+3i : 1 0 0 1\n"
+    ),
+    "shape9x6.lg": (
+        "[variety]\n"
+        "dv = 2 0 -1 1; 2 1 0 -1; 1 0 1 0; 1 0 -1 -1; "
+        "3 1 0 -1; 3 0 1 1; 2 0 1 1; 2 -1 -1 1; 1 0 0 0\n"
+        "[potential]\n"
+        "term = 2.5E+1-i : 2 0 -1 1\n"
+        "term = -3/4i : 2 1 0 1\n"
+        "term = 5/3-2/9i : 2 -1 1 -1\n"
+        "term = 1/2+3i : 1 1 -1 0\n"
+        "term = -i : 1 1 -1 1\n"
+        "term = 0.25-1e-2i : 2 -1 0 1\n"
+    ),
+    "shape9x7.lg": (
+        "[variety]\n"
+        "dv = 2 1 0 1; 1 -1 0 1; 2 0 1 0; 2 0 -1 -1; "
+        "1 0 0 0; 3 1 0 0; 3 1 -1 0; 3 -1 -1 0; 3 0 1 1\n"
+        "[potential]\n"
+        "term = -3/4i : 2 1 1 1\n"
+        "term = 5/3-2/9i : 2 -1 -1 0\n"
+        "term = 1/2+3i : 2 0 1 1\n"
+        "term = -i : 1 1 1 0\n"
+        "term = 0.25-1e-2i : 2 0 -1 1\n"
+        "term = 7 : 2 -1 0 0\n"
+        "term = 2.5E+1-i : 1 1 0 1\n"
+    ),
 }
+
+# malformed coefficient literals, the last with a NUL character in it
+BAD_LITERALS = ("1/0", "i+i", "2/3/4i", "1e", "--1", "1+2+3i", "2\x003i")
+for _k, _literal in enumerate(BAD_LITERALS):
+    MODELS["literal%d.lg" % _k] = "[variety]\ndegrees = -2\n[potential]\nterm = %s : 0 1\n" % _literal
 
 DIGESTS = {
     "sweep --cy 6 6": "45bf5d7754691229d1a1408fb746ca259c0470acd9831d47610a0c8012d656d6",
@@ -95,6 +174,25 @@ DIGESTS = {
     "analyze short_offset.lg": "171e45944de09d760c470c83a2764c08995ca11be53f9846eab72ea105a1bc1e",
     "analyze wrong_offset.lg": "929cf4080193d26d3d45e70cb31b85b406adcb2c757db97b602c33963e5fbb76",
     "dualize no_kmap.lg": "506cacbb3e7009547a25b22ec241bf6eea7eaff02d0d98c55b1a108917053b59",
+    "analyze shape8x5.lg": "a8928446d5a2a5bc8e9c3e92ec413a9492e292681c05c5001ac965ca796ecd54",
+    "dualize --check-involution shape8x5.lg": "1e5b10531f9a147aa4505ff74b07a66d19837dc8465ee777bb47d0db2dfb4adc",
+    "analyze shape8x6.lg": "a59449860f77d1194a9359bebf9d5436ea4134015d05054e6a918b552ef617e8",
+    "dualize --check-involution shape8x6.lg": "37e5ac84ddf4a74394fc3b8ce05f0b13ff80fcf60ebf360c5812d4e7d4a1ea9e",
+    "analyze shape8x7.lg": "a9de9fdc873d6a5c3b552909df261c26dc7dd3bcd24c05cf173e85518640d577",
+    "dualize --check-involution shape8x7.lg": "534c0fceddcc569dc66ba790d88c21ed0ddf0934b63522dd02b6fe6a11c56493",
+    "analyze shape9x5.lg": "762f7a391ab73c61e40c2944c32698f6498b63da14a7a49d87b2f778f6a712d9",
+    "dualize --check-involution shape9x5.lg": "519a055cc1e523980ea4ba208ef97a417c3a8cd9265c0e28cf21bda3ddbe549b",
+    "analyze shape9x6.lg": "763b9147deac891d80e28631d60dce7ff63f4ab23cf21bb060f26baa754beee8",
+    "dualize --check-involution shape9x6.lg": "480fd1766d347cbe108bee7816d8282bdece47ffa5fac3ed1d667292639605f5",
+    "analyze shape9x7.lg": "d3e715f2fb86db88e7750772b571f93f81a03856b03a35caaa99379502b320d3",
+    "dualize --check-involution shape9x7.lg": "46186f2145c1ad5dcd314815634875b36b191f73c591943161123f77e97d3bf4",
+    "analyze literal0.lg": "9e1d9786fee8b38a4899bd1ff39634cc4123ac0392793933491122aa3018df88",
+    "analyze literal1.lg": "cf6bfbf910fefee3a954589c4b131644cfd48c88620c51c51840d69aee045916",
+    "analyze literal2.lg": "2d116d2ae5e80f22a16ab94cd43b3a15966d4ad676f471ba23a40de7bce556a4",
+    "analyze literal3.lg": "5229ad795bb19f88128e500f1c8aebacf12022224d8114edce0fe1cc75848008",
+    "analyze literal4.lg": "9e47ce892e6e36bb5b0929fbe7b0710029e95b9e4591a46e3033081c7f189add",
+    "analyze literal5.lg": "c2df63380cee7ddf8f8f4adce1326d58f49e6f916831a694819a6641de353a7f",
+    "analyze literal6.lg": "a5ec5f40f4bc4172632848f05fac932c0dff88ffd19946606ff2e8d49171c6c4",
 }
 
 

@@ -143,6 +143,10 @@ def test_parse_offset_solves_the_real_parts_of_the_lift():
         ("[variety]\noffset = 0 1 0\ndegrees = -2\noffset = 0\n", "duplicate offset", 4),
         ("[variety]\ndegrees =\n", "degrees must be nonempty", 2),
         ("[variety]\ndv = 1 0; 1\n", "equal length", 2),
+        # an empty dv needs terms to fix the rank
+        ("[variety]\ndv =\nlabels =\n", "dv rows must be nonempty", 2),
+        ("[variety]\ndv =\n[potential]\n", "dv rows must be nonempty", 2),
+        ("[variety]\ndv =\n[potential]\nterm = 1 : 1 0\nterm = 1 : 1\n", "length 1", 5),
         ("[variety]\ndegrees = -2\ndv = 1 0\n", "mutually exclusive", None),
         ("[variety]\nlabels = a\n", "needs 'degrees' or 'dv'", None),
         ("[variety]\ndegrees = -2\n[potential]\nterm = 1 0 1\n", "coefficient", 4),
@@ -160,6 +164,13 @@ def test_parse_errors_carry_line_numbers(text, fragment, line):
     assert fragment in str(err.value)
     if line is not None:
         assert "line %d:" % line in str(err.value)
+
+
+def test_parse_empty_dv_takes_the_rank_of_its_terms():
+    m = parse_model("[variety]\ndv =\nlabels =\n[potential]\nterm = 1 : 1 0\nterm = i : 2 1\n")
+    assert (m.variety.dv.rows, m.variety.dv.cols) == (0, 2)
+    assert m.variety.divisors == ()
+    assert m.potential.exponents() == ((1, 0), (2, 1))
 
 
 @pytest.mark.parametrize(

@@ -278,6 +278,10 @@ def test_dense_model_systems_match_the_lp_oracle(h):
     st.data(),
 )
 @settings(max_examples=200, deadline=None)
+# no columns, no rows, or neither: the unpriced programs draw no costs
+@example(([], [0]), False, None)
+@example(([[]], []), False, None)
+@example(([], []), False, None)
 def test_simplex_matches_the_lp_oracle(lp, priced, data):
     # nonnegative costs keep the program bounded; zero costs skip phase 2
     cols, b = lp
