@@ -325,22 +325,17 @@ def _parser():
     return build_parser()
 
 
+# the exit code of each error a command reports; the first type that matches wins
+_EXIT_CODES = {ParseError: 2, NotKopasepticError: 4, ValidationError: 3, OSError: 2}
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
+    except tuple(_EXIT_CODES) as e:
         print("error: %s" % e, file=sys.stderr)
-        return 2
-    except NotKopasepticError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 4
-    except ValidationError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 3
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
 
 if __name__ == "__main__":

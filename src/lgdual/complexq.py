@@ -66,12 +66,8 @@ def _coerce(x):
     raise TypeError("cannot mix ComplexQ with %r" % (x,))
 
 
-_TERM = re.compile(r"[+-]?[^+-]+")
-# exponent signs are hidden from the term splitter as NUL and \x01, and
-# restored after it; a text with none of _HIDDEN needs neither step
-_EXPONENT_PLUS = re.compile(r"([0-9.][eE])\+")
-_EXPONENT_MINUS = re.compile(r"([0-9.][eE])-")
-_HIDDEN = frozenset("eE\x00\x01")
+# a sign starts a term, except right after [0-9.][eE]: "1e-3" is one term
+_TERM = re.compile(r"[+-]?[^+-]+(?:(?<=[0-9.][eE])[+-][^+-]*)*")
 _PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # two int() calls convert it
 
 
@@ -96,15 +92,8 @@ def parse_complex(text):
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
-    # "1e-3" is one term; the restore also turns a NUL of the text into "+"
-    hidden = not _HIDDEN.isdisjoint(s)
-    protected = _EXPONENT_MINUS.sub("\\1\x01", _EXPONENT_PLUS.sub("\\1\x00", s)) if hidden else s
-    terms = _TERM.findall(protected)
-    if "".join(terms) != protected:
-        raise ValueError("bad complex literal %r" % text)
-    if hidden:
-        terms = [t.replace("\x00", "+").replace("\x01", "-") for t in terms]
-    if not 1 <= len(terms) <= 2:
+    terms = _TERM.findall(s)
+    if "".join(terms) != s or not 1 <= len(terms) <= 2:
         raise ValueError("bad complex literal %r" % text)
     re_part = None
     im_part = None

@@ -60,10 +60,12 @@ class Superpotential:
                 z = complex(coeff)
             except OverflowError:
                 raise ValidationError("coefficient %s is too large for a float" % (coeff,)) from None
+            small = not z and coeff  # 0.0 as a float, yet nonzero
+            if isinstance(coeff, ComplexQ):  # either part may underflow on its own
+                small = not z.real and coeff.re or not z.imag and coeff.im
+            if small:
+                raise ValidationError("coefficient %s is too small for a float" % (coeff,))
             if z == 0:
-                # a ComplexQ has no equality with 0, so its parts are tested
-                if any((coeff.re, coeff.im) if isinstance(coeff, ComplexQ) else (coeff,)):
-                    raise ValidationError("coefficient %s is too small for a float" % (coeff,))
                 raise ValidationError("superpotential coefficients must be nonzero")
             cooked.append((z, _integers(exps, "exponents")))
         seen = set()

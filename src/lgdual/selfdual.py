@@ -10,7 +10,7 @@ mon rows, in lexicographic order, reads maximal minors from one table of
 mon's n x n minors (its Plücker coordinates) per search, and reaches only the
 subsets whose |minors| are exactly dv's (_minor_walk).  The table works a
 minor out when first read, as the cofactor vector of its first n - 1 rows
-(kept per head) times its last row (_minor_table).  A reached subset goes
+(kept per head) times its last row (_Minors).  A reached subset goes
 through one depth-first search over row orders, which places at each position
 a row with dv's key there: the charge when dv is corank 1, (n+1) x n with
 rows spanning Z^n as for every split bundle over the line (the signed maximal
@@ -81,9 +81,14 @@ def matrix_self_dual(a, b):
 
 
 class _Minors(dict):
-    """det of the n-row subsets T of rows, keyed by T in lexicographic order,
-    each worked out when first read and kept.  Expanding along T's last row
-    i, det(T) = (-1)^(n-1) c(H) . rows[i] for the cofactors c(H) of the
+    """Plücker table of a row configuration: det of every n-row subset T of
+    rows, keyed by T in lexicographic order.
+
+    n + 1 rows fill the table at once from the cofactors c of their
+    n x (n + 1) transpose: det(without row i) = (-1)^i c_i.  Any other row
+    count works each minor out when it is first read and keeps it, so a
+    caller that needs every minor reads every key.  Expanding along T's last
+    row i, det(T) = (-1)^(n-1) c(H) . rows[i] for the cofactors c(H) of the
     other n - 1 rows H, taken once per H: the walk reads one H with many i.
     The empty subset of n = 0 has det 1."""
 
@@ -91,6 +96,12 @@ class _Minors(dict):
 
     def __init__(self, rows, n):
         self.rows, self.n, self.heads = rows, n, {}
+        m = len(rows)
+        if m == n + 1:
+            c = _cofactors(list(zip(*rows)), m)
+            # combinations list the subset without row i at position n - i
+            subsets = itertools.combinations(range(m), n)
+            self.update((t, (-1) ** i * c[i]) for t, i in zip(subsets, reversed(range(m))))
 
     def __missing__(self, t):
         if not t:
@@ -104,24 +115,6 @@ class _Minors(dict):
             self.heads[h] = c
         v = self[t] = sum(map(mul, c, self.rows[t[-1]]))
         return v
-
-
-def _minor_table(rows, n):
-    """Plücker table of a row configuration: det of every n-row subset T of
-    rows, keyed by T in lexicographic order.
-
-    n + 1 rows fill a dict from the cofactors c of their n x (n + 1)
-    transpose: det(without row i) = (-1)^i c_i.  Any other row count gives
-    a _Minors, which works each minor out when it is first read and holds
-    only those read so far, so a caller that needs every minor reads every
-    key."""
-    m = len(rows)
-    if m != n + 1:
-        return _Minors(rows, n)
-    c = _cofactors(list(zip(*rows)), m)
-    # combinations list the subset without row i at position n - i
-    subsets = itertools.combinations(range(m), n)
-    return {t: (-1) ** i * c[i] for t, i in zip(subsets, reversed(range(m)))}
 
 
 def _minor_walk(table, m, r, n, counts):
@@ -426,10 +419,10 @@ def _search_matrix_witness(dv, mon):
     if not corank_one and mon.rank() < dv.rank():
         return None
     # every minor of dv is used, so each key is read from its table
-    minors = _minor_table(dv.entries, n)
+    minors = _Minors(dv.entries, n)
     minors = {t: minors[t] for t in itertools.combinations(range(dv.rows), n)}
     # with fewer rows than n a subset has no n-row minor to read
-    table = _minor_table(mon.entries, n) if dv.rows >= n else {}
+    table = _Minors(mon.entries, n) if dv.rows >= n else {}
     walk = _minor_walk(table, mon.rows, dv.rows, n, Counter(map(abs, minors.values())))
     if not any(minors.values()):
         # dv @ v == [h | 0] with h of full column rank r, and v^-1 tracked

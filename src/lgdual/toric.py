@@ -147,13 +147,14 @@ def from_linear_data(c, offset):
     kmap records where every input row went.
     """
     report = facets(HalfspaceSystem(c, offset))
-    for pos, i in enumerate(report.irredundant):
-        if tuple(c[i]) != tuple(report.primitive_normals[pos]):
-            raise NotKopasepticError(
-                "irredundant row %d is non-primitive; generators may only map "
-                "to generators or to zero" % i,
-                condition="k-map",
-            )
+    # facets drops zero rows, so a kept row can only fail by its gcd
+    bad = _imprimitive_row(c.take_rows(report.irredundant))
+    if bad:
+        raise NotKopasepticError(
+            "irredundant row %d is non-primitive; generators may only map "
+            "to generators or to zero" % report.irredundant[bad[0]],
+            condition="k-map",
+        )
     kept_labels = tuple("D%d" % (i + 1) for i in report.irredundant)
     variety = ToricData(c.cols, kept_labels, report.primitive_normals)
     return variety, report

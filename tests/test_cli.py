@@ -121,6 +121,9 @@ ZERO_AS_A_FLOAT = {
     "1e-400": "coefficient %s is too small for a float" % TINY,
     "1e-400i": "coefficient 0+%si is too small for a float" % TINY,
     "-1e-400+1e-400i": "coefficient -%s+%si is too small for a float" % (TINY, TINY),
+    # one part underflows while the other does not
+    "1e-400+1i": "coefficient %s+1i is too small for a float" % TINY,
+    "1+1e-400i": "coefficient 1+%si is too small for a float" % TINY,
     "0": "superpotential coefficients must be nonzero",
     "0.0e-400+0i": "superpotential coefficients must be nonzero",
 }

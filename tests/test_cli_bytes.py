@@ -192,7 +192,10 @@ DIGESTS = {
     "analyze literal3.lg": "5229ad795bb19f88128e500f1c8aebacf12022224d8114edce0fe1cc75848008",
     "analyze literal4.lg": "9e47ce892e6e36bb5b0929fbe7b0710029e95b9e4591a46e3033081c7f189add",
     "analyze literal5.lg": "c2df63380cee7ddf8f8f4adce1326d58f49e6f916831a694819a6641de353a7f",
-    "analyze literal6.lg": "a5ec5f40f4bc4172632848f05fac932c0dff88ffd19946606ff2e8d49171c6c4",
+    # the NUL is quoted as written, not as the sign "+"
+    "analyze literal6.lg": "27bd265ffef1b5735a519d914591d0f2a37477a264918cc139068361be94269a",
+    # no such file: the OSError exit
+    "analyze missing.lg": "cc9d6605504acfdd50df8f44e88ea1795f19be1f2b2a3d44abd307966b7ca354",
 }
 
 

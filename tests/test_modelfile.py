@@ -1,10 +1,13 @@
 """ModelFile text format: complex literals, grammar, round trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import literal_oracle
 
 from lgdual.complexq import ComplexQ, format_complex, parse_complex
 from lgdual.errors import ParseError, ValidationError
@@ -56,6 +59,50 @@ def test_format_complex_canonical_forms():
 def test_complex_text_round_trip(re_part, im_part):
     z = ComplexQ(re_part, im_part)
     assert parse_complex(format_complex(z)) == z
+
+
+def _outcome(parse, text):
+    """The value of parse(text), or the type and message of what it raised."""
+    try:
+        return parse(text)
+    except Exception as e:
+        return type(e), str(e)
+
+
+# Fraction("1e9999999") alone takes seconds, so exponents of 5 or more
+# digits are left out
+LITERALS = st.text(alphabet="0123456789+-eE./iIjJ_x ", min_size=1, max_size=10).filter(
+    lambda text: not re.search(r"[eE][+-]?[0-9]{5}", text)
+)
+
+
+@given(LITERALS)
+@example("1e-3+2i")
+@example("0.25-1e-2i")
+@example("2.5E+1-i")
+@example("1e+-2")
+@example("e+1")
+@example("-i")
+@example("1/0")
+@settings(max_examples=1000, deadline=None)
+def test_term_pattern_matches_the_literal_oracle(text):
+    assert _outcome(parse_complex, text) == _outcome(literal_oracle.parse_complex, text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2\x003i", "Invalid literal for Fraction: '2\\x003'"),
+        ("1e\x01", "Invalid literal for Fraction: '1e\\x01'"),
+        ("1\x00-2i", "Invalid literal for Fraction: '1\\x00'"),
+        ("\x01", "Invalid literal for Fraction: '\\x01'"),
+    ],
+)
+def test_a_control_character_is_quoted_as_written(text, message):
+    # NUL and \x01 are characters like any other, never signs
+    with pytest.raises(ValueError) as e:
+        parse_complex(text)
+    assert str(e.value) == message
 
 
 # --- grammar ------------------------------------------------------------------

@@ -35,7 +35,7 @@ from lgdual.selfdual import (
     _basis_change,
     _charge_k_step,
     _charge_row,
-    _minor_table,
+    _Minors,
     _search_matrix_witness,
     classify_cy,
     k_reconstruction_class,
@@ -350,7 +350,7 @@ def plucker_configurations(draw):
 @settings(max_examples=300, deadline=None)
 def test_one_elimination_table_matches_per_subset_determinants(case):
     kind, rows, n, vanish = case
-    table = _minor_table(rows, n)
+    table = _Minors(rows, n)
     assert list(table.items()) == per_subset_table(rows, n)
     if kind == "low-rank" and n:
         assert not any(table.values())
@@ -391,7 +391,7 @@ def minor_configurations(draw):
 def test_minors_on_demand_match_per_subset_determinants(case, data):
     rows, n, low, need = case
     expected = per_subset_table(rows, n)
-    table = _minor_table(rows, n)
+    table = _Minors(rows, n)
     assert isinstance(table, selfdual._Minors) and not table
     shuffled = data.draw(st.permutations(expected))
     assert [(t, table[t]) for t, _ in shuffled] == shuffled
@@ -408,7 +408,7 @@ def test_p1_minor_lemma():
     for c in range(1, 4):
         for degrees in itertools.combinations_with_replacement(range(0, -5, -1), c):
             mon = bundle_model(degrees).mon()
-            table = _minor_table(mon.entries, c + 1)
+            table = _Minors(mon.entries, c + 1)
             for t in itertools.combinations(range(mon.rows), c + 1):
                 summand = {i: mon[i][1:].index(1) for i in t}
                 covered = Counter(summand.values())
@@ -676,13 +676,13 @@ DENSE_B = IntMatrix.from_rows([
 @pytest.fixture
 def minor_tables(monkeypatch):
     seen = []
-    original = selfdual._minor_table
+    original = selfdual._Minors
 
     def counted(rows, n):
         seen.append(rows)
         return original(rows, n)
 
-    monkeypatch.setattr(selfdual, "_minor_table", counted)
+    monkeypatch.setattr(selfdual, "_Minors", counted)
     return seen
 
 
@@ -866,7 +866,7 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
     # Each read is counted as it goes to the table, which works a minor out
     # on its first read, so the walk reads as many as ever and computes fewer
     reads, eliminations = Counter(), []
-    original, cofactors = selfdual._minor_table, selfdual._cofactors
+    original, cofactors = selfdual._Minors, selfdual._cofactors
 
     class CountedReads:
         def __init__(self, rows, n):
@@ -883,7 +883,7 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
         eliminations.append(rows)
         return cofactors(rows, cols)
 
-    monkeypatch.setattr(selfdual, "_minor_table", CountedReads)
+    monkeypatch.setattr(selfdual, "_Minors", CountedReads)
     monkeypatch.setattr(selfdual, "_cofactors", counted)
     verdicts = sweep_line_bundles(20)
     assert [v.degrees for v in verdicts if v.self_dual] == [(-2,)]

@@ -190,6 +190,10 @@ def test_reconstruction_rejects_imprimitive_facet():
     with pytest.raises(NotKopasepticError) as e:
         from_linear_data(rows, (0, 0, 5))
     assert e.value.condition == "k-map"
+    # row 0 is dropped as redundant, so the kept row (2, 0) is input row 1
+    rows = IntMatrix.from_rows([(1, 0), (2, 0), (0, 1), (-1, -1)])
+    with pytest.raises(NotKopasepticError, match=r"^irredundant row 1 is non-primitive"):
+        from_linear_data(rows, (10, 0, 0, 5))
 
 
 def test_reconstruction_requires_interior():
