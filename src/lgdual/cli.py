@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .complexq import format_complex
+from .complexq import _fraction as _rational, format_complex
 from .errors import (
     GroupMismatchError,
     NotKopasepticError,
@@ -61,10 +61,10 @@ def _matrix_lines(mat, labels=None, indent="  "):
 
 
 def _fraction(text):
-    """A rational option value; a zero denominator is invalid, like "nan"."""
+    """A rational option value; a zero denominator or a long exponent is invalid, like "nan"."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return _rational(text, text)
+    except ValueError:
         raise argparse.ArgumentTypeError("invalid Fraction value: %r" % text) from None
 
 

@@ -3,7 +3,8 @@
 Kahler-type class decorations live in C/Z tensor a finitely generated
 group; deciding class equality needs exact arithmetic, so lifts are kept
 as pairs of Fractions rather than floats.  The text form is ``a+bi`` where
-both parts accept anything Fraction parses ("2/3", "0.25", "-1e-3").
+both parts accept anything Fraction parses ("2/3", "0.25", "-1e-3") with an
+exponent of at most EXPONENT_DIGITS digits.
 """
 
 import re
@@ -69,13 +70,19 @@ def _coerce(x):
 # a sign starts a term, except right after [0-9.][eE]: "1e-3" is one term
 _TERM = re.compile(r"[+-]?[^+-]+(?:(?<=[0-9.][eE])[+-][^+-]*)*")
 _PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # two int() calls convert it
+EXPONENT_DIGITS = 4  # Fraction builds 10^exponent, so longer exponents are refused
+_LONG_EXPONENT = re.compile(r"[eE][+-]?\d(?:_?\d){%d}" % EXPONENT_DIGITS)  # "_" may split digits
+QUOTED_DIGITS = 1000  # a message quotes a longer integer by its first 20 digits and its length
+_QUOTED = 10**QUOTED_DIGITS
 
 
 def _fraction(body, text):
-    """Fraction(body); a zero denominator is a bad literal, like any other."""
+    """Fraction(body); a zero denominator or a long exponent is a bad literal."""
     plain = _PLAIN.fullmatch(body)
     try:
         if plain is None:
+            if _LONG_EXPONENT.search(body):
+                raise ValueError("exponent over %d digits in complex literal %r" % (EXPONENT_DIGITS, text))
             return Fraction(body)
         num, den = plain.groups()
         return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
@@ -86,8 +93,8 @@ def _fraction(body, text):
 def parse_complex(text):
     """Parse ``a+bi`` / ``a`` / ``bi`` / ``i`` into a ComplexQ.
 
-    Both components may be any Fraction-parsable literal, e.g. "1/2-3i",
-    "0.25+1e-2i", "-i", "2".
+    Both components may be any Fraction-parsable literal with an exponent
+    of at most EXPONENT_DIGITS digits, e.g. "1/2-3i", "0.25+1e-2i", "-i", "2".
     """
     s = text.strip().replace(" ", "")
     if not s:
@@ -115,13 +122,30 @@ def parse_complex(text):
     return ComplexQ(re_part or 0, im_part or 0)
 
 
-def format_complex(z):
-    """Canonical ``a+bi`` text form; pure reals drop the imaginary part."""
+def format_complex(z, part=str):
+    """Canonical ``a+bi`` text form, each rational part written by part;
+    pure reals drop the imaginary part."""
     if isinstance(z, complex):
         sign = "+" if z.imag >= 0 else "-"
         return "%r%s%ri" % (z.real, sign, abs(z.imag))
     if z.im == 0:
-        return str(z.re)
+        return part(z.re)
     sign = "+" if z.im >= 0 else "-"
-    mag = abs(z.im)
-    return "%s%s%si" % (str(z.re), sign, str(mag))
+    return "%s%s%si" % (part(z.re), sign, part(abs(z.im)))
+
+
+def _quoted(x):
+    """str(x) for an error message: each integer in an int, Fraction or
+    ComplexQ x of more than QUOTED_DIGITS digits is written as its first 20
+    digits and its length, as str() refuses integers past a limit."""
+    if isinstance(x, ComplexQ):
+        return format_complex(x, _quoted)
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return "%s/%s" % (_quoted(x.numerator), _quoted(x.denominator))
+    if not isinstance(x, (int, Fraction)) or -_QUOTED < x < _QUOTED:
+        return str(x)
+    m = abs(int(x))
+    k = (m.bit_length() - 1) * 3010299 // 10**7  # at most log10(m), and close
+    while 10 ** (k + 1) <= m:
+        k += 1
+    return "%s%d...(%d digits)" % ("-" if x < 0 else "", m // 10 ** (k - 19), k + 1)

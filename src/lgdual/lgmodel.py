@@ -12,7 +12,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexq import ComplexQ
+from .complexq import ComplexQ, _quoted
 from .errors import (
     EmptyInteriorError,
     GroupMismatchError,
@@ -59,12 +59,12 @@ class Superpotential:
             try:
                 z = complex(coeff)
             except OverflowError:
-                raise ValidationError("coefficient %s is too large for a float" % (coeff,)) from None
+                raise ValidationError("coefficient %s is too large for a float" % _quoted(coeff)) from None
             small = not z and coeff  # 0.0 as a float, yet nonzero
             if isinstance(coeff, ComplexQ):  # either part may underflow on its own
                 small = not z.real and coeff.re or not z.imag and coeff.im
             if small:
-                raise ValidationError("coefficient %s is too small for a float" % (coeff,))
+                raise ValidationError("coefficient %s is too small for a float" % _quoted(coeff))
             if z == 0:
                 raise ValidationError("superpotential coefficients must be nonzero")
             cooked.append((z, _integers(exps, "exponents")))
@@ -118,14 +118,22 @@ def is_regular(x, w):
     return not _orders(x.dv, mon_matrix(w, rank=x.rank))[1]
 
 
+MAX_GENERIC_TERMS = 10_000  # the most terms, sum of max(0, 1 - a), a generic potential may have
+
+
 def generic_sections(degrees):
     """Generic superpotential of a split bundle over the projective line.
 
     Each summand of degree a <= 0 contributes the sections t1^j * sigma_i
     for 0 <= j <= -a (unit coefficients); positive-degree summands have no
-    sections and contribute nothing.
+    sections and contribute nothing.  More than MAX_GENERIC_TERMS are refused.
     """
     degrees = _integers(degrees, "degrees")
+    count = sum([1 - a for a in degrees if a < 1])
+    if count > MAX_GENERIC_TERMS:
+        raise ValidationError(
+            "generic potential has %s terms, over the limit of %d" % (_quoted(count), MAX_GENERIC_TERMS)
+        )
     c = len(degrees)
     units = [tuple([1 if t == i else 0 for t in range(c)]) for i in range(c)]
     return Superpotential._trusted(
@@ -394,7 +402,7 @@ def dualize(d):
         if coeff == 0:  # exp never vanishes, so the float range was left
             raise ValidationError(
                 "K lift entry %s gives a dual coefficient exp(2 pi i k) outside the float range"
-                % d.k.lift[j]
+                % _quoted(d.k.lift[j])
             )
         terms.append((coeff, tuple(d.a[j])))
     potential = Superpotential(terms)

@@ -14,9 +14,7 @@
 Integer and rational lists may also be comma-separated or bracketed.
 """
 
-from fractions import Fraction
-
-from .complexq import ComplexQ, format_complex, parse_complex
+from .complexq import ComplexQ, _fraction, _quoted, format_complex, parse_complex
 from .errors import ParseError, ValidationError
 from .lgmodel import (
     ChowClass,
@@ -52,9 +50,15 @@ def _int_list(value, line):
 
 def _fraction_list(value, line):
     try:
-        return [Fraction(t) for t in _tokens(value)]
-    except (ValueError, ZeroDivisionError):
+        return [_fraction(t, value) for t in _tokens(value)]
+    except ValueError:
         raise ParseError("expected rational numbers, got %r" % value, line) from None
+
+
+def _imaginary_parts(values):
+    """repr(tuple(v.im for v in values)), each integer quoted by _quoted."""
+    parts = ["Fraction(%s, %s)" % (_quoted(v.im.numerator), _quoted(v.im.denominator)) for v in values]
+    return "(%s)" % (parts[0] + "," if len(parts) == 1 else ", ".join(parts))
 
 
 def _scan(text):
@@ -189,7 +193,7 @@ def parse_model(text):
         if got != want:
             raise ValidationError(
                 "offset projects to %s but the kahler classes have imaginary parts %s"
-                % (tuple(v.im for v in got), tuple(v.im for v in want))
+                % (_imaginary_parts(got), _imaginary_parts(want))
             )
         k = moved
 

@@ -388,10 +388,13 @@ class BundleVerdict:
         return self.canonical_trivial and self.polystable
 
 
-def _search_matrix_witness(dv, mon):
+def _search_matrix_witness(dv, mon, group=None):
     """First subset of mon rows that is right-equivalent to dv after a
     permutation, as (subset, perm, u), or None.  Subsets in lexicographic
-    order, so the reported witness is deterministic.
+    order, so the reported witness is deterministic.  A subset's rank is at
+    most mon's, so none matches when mon's rank is below dv's; group, dv's
+    class group when the caller holds it, gives rank(dv) = dv.rows -
+    free_rank, and this precheck then eliminates mon alone.
 
     Unimodular right multiplication and row order leave the multiset of
     |maximal minors| unchanged, so a subset S whose n x n minors, read from
@@ -412,11 +415,12 @@ def _search_matrix_witness(dv, mon):
     rank(dv) columns and h_S[perm] w = h for some w in GL(r, Z), which the
     search decides at full column rank; then u = v_S diag(w, 1) v^-1.
     """
+    if group is not None and group.source != dv:
+        raise GroupMismatchError("class group is not the cokernel of dv")
     n = dv.cols
     corank_one = dv.rows == mon.rows == n + 1
-    # a subset's rank is at most mon's, but it may be below mon's and match;
     # for two (n + 1)-row matrices the walk compares the minors, which hold the ranks
-    if not corank_one and mon.rank() < dv.rank():
+    if not corank_one and mon.rank() < (dv.rank() if group is None else dv.rows - group.free_rank):
         return None
     # every minor of dv is used, so each key is read from its table
     minors = _Minors(dv.entries, n)
@@ -484,7 +488,7 @@ def self_dual_witness(m):
     mon = m.mon()
     if mon.rows < dv.rows:
         return None, "not-enough-monomials"
-    found = _search_matrix_witness(dv, mon)
+    found = _search_matrix_witness(dv, mon, m.k_class.group)
     if found is None:
         return None, "no-matrix-witness"
     k = k_reconstruction_class(m.variety, m.k_class.group)

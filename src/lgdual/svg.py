@@ -9,6 +9,7 @@ Every facet edge carries one label; the artificial truncation edge none.
 
 from fractions import Fraction
 
+from .complexq import _quoted
 from .errors import DimensionMismatchError, ValidationError
 from .polyhedra import HalfspaceSystem, _boundary, _rotate_to_lexmin
 
@@ -91,7 +92,7 @@ def render_svg(model, truncate=Fraction(1)):
         pixels = int(480 * height / width)
     except (OverflowError, ValueError):  # a coordinate or the image height left the floats
         far = max((c for p in points for c in p), key=abs)
-        raise ValidationError("polygon coordinate %s is too large to draw" % far) from None
+        raise ValidationError("polygon coordinate %s is too large to draw" % _quoted(far)) from None
 
     parts = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -134,6 +135,61 @@ def test_a_coefficient_that_is_zero_as_a_float_exits_3(tmp_path, capsys, literal
     path = write_text(tmp_path, "[variety]\ndegrees = -2\n[potential]\nterm = %s : 1 1\n" % literal)
     assert main(["analyze", path]) == 3
     assert capsys.readouterr() == ("", "error: %s\n" % ZERO_AS_A_FLOAT[literal])
+
+
+# a quoted integer past QUOTED_DIGITS digits shows its first 20 and its length
+HUGE = "10000000000000000000...(5001 digits)"
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("1e5000", "coefficient %s is too large for a float" % HUGE),
+        ("1e-5000", "coefficient 1/%s is too small for a float" % HUGE),
+    ],
+    ids=["1e5000", "1e-5000"],
+)
+def test_a_coefficient_past_the_digit_limit_exits_3_in_under_a_second(
+    tmp_path, capsys, literal, message
+):
+    # str() of a 5001-digit integer raises, so the message abbreviates it
+    path = write_text(tmp_path, "[variety]\ndegrees = -2\n[potential]\nterm = %s : 1 1\n" % literal)
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("term = 1e12345678 : 1 1", "line 4: exponent over 4 digits in complex literal '1e12345678'"),
+        ("term = 1e-1_2345678i : 1 1", "line 4: exponent over 4 digits in complex literal '1e-1_2345678i'"),
+        ("offset = 0 1e12345678 0", "line 3: expected rational numbers, got '0 1e12345678 0'"),
+    ],
+    ids=["term", "underscores", "offset"],
+)
+def test_an_eight_digit_exponent_exits_2_in_under_a_second(tmp_path, capsys, line, message):
+    # Fraction would build 10^12345678 exactly, which takes minutes
+    section = "[potential]\n" if line.startswith("term") else ""
+    path = write_text(tmp_path, "[variety]\ndegrees = -2\n%s%s\n" % (section, line))
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["selfdual"], ["selfdual", "--degrees=-100000000000000000000"]])
+def test_a_generic_potential_past_the_term_limit_exits_3_in_under_a_second(tmp_path, capsys, argv):
+    # the generic potential of O(-10^20) would have 10^20 + 1 terms
+    if len(argv) == 1:
+        argv = argv + [write_text(tmp_path, "[variety]\ndegrees = -100000000000000000000\n")]
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "error: generic potential has 100000000000000000001 terms, over the limit of 10000\n"
+    )
 
 
 # --- dualize ------------------------------------------------------------------
@@ -735,9 +791,10 @@ def test_polytope_rejects_a_truncation_that_cuts_nothing(model_file, tmp_path, c
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("height", ["1/0", "nan"])
+@pytest.mark.parametrize("height", ["1/0", "nan", "1e12345678"])
 def test_polytope_rejects_a_truncation_that_is_not_rational(model_file, tmp_path, capsys, height):
-    # a zero denominator is a usage error like "nan", not a traceback
+    # a zero denominator, or an exponent that would take minutes to build, is
+    # a usage error like "nan", not a traceback
     out_path = tmp_path / "p.svg"
     with pytest.raises(SystemExit) as exc:
         main(["polytope", model_file([-2]), "--svg", str(out_path), "--truncate=" + height])
@@ -754,6 +811,16 @@ def test_polytope_rejects_a_truncation_too_large_to_draw(model_file, tmp_path, c
     assert main(["polytope", model_file([-2]), "--svg", str(out_path), "--truncate=1e400"]) == 3
     assert capsys.readouterr() == (
         "", "error: polygon coordinate %d is too large to draw\n" % (2 * 10**400 + 1)
+    )
+    assert not out_path.exists()
+
+
+def test_polytope_quotes_a_coordinate_past_the_digit_limit(model_file, tmp_path, capsys):
+    # x = 2 * 10^5000 + 1, whose str() raises, is quoted by its first digits and length
+    out_path = tmp_path / "p.svg"
+    assert main(["polytope", model_file([-2]), "--svg", str(out_path), "--truncate=1e5000"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: polygon coordinate 20000000000000000000...(5001 digits) is too large to draw\n"
     )
     assert not out_path.exists()
 

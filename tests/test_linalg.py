@@ -451,6 +451,42 @@ def test_cokernel_matches_the_smith_presentation_on_corank_one(a):
     assert g.source is a
 
 
+@st.composite
+def rank_read_matrices(draw):
+    """(kind, a) for a up to 7 x 4 with entries in [-3, 3]: drawn as is; rank
+    deficient, by a column repeated; with torsion when of full column rank, by
+    a column of even entries (the Smith path); or (n+1) x n with coprime
+    maximal minors, so its rows span Z^n (the cofactor path)."""
+    kind = draw(st.sampled_from(["drawn", "rank-deficient", "torsion", "spanning"]))
+    cols = draw(st.integers(1 if kind == "torsion" else 2 if kind == "rank-deficient" else 0, 4))
+    rows = cols + 1 if kind == "spanning" else draw(st.integers(0, 7))
+    m = [[draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+    if kind == "rank-deficient":
+        m = [row[:-1] + [row[0]] for row in m]
+    elif kind == "torsion":
+        m = [[2 * draw(st.integers(-1, 1))] + row[1:] for row in m]
+    a = IntMatrix(rows, cols, m)
+    if kind == "spanning":
+        assume(math.gcd(*linalg._cofactors(list(zip(*m)), rows)) == 1)
+    return kind, a
+
+
+@given(rank_read_matrices())
+@settings(max_examples=400, deadline=None)
+def test_cokernel_free_rank_gives_the_rank(case):
+    # the self-duality precheck reads rank(dv) as dv.rows - free_rank off the
+    # class group, which both paths of cokernel must make equal
+    kind, a = case
+    g = cokernel(a)
+    assert a.rows - g.free_rank == a.rank() == fraction_rank(a)
+    if kind == "rank-deficient":
+        assert a.rank() < a.cols
+    elif kind == "torsion" and a.rank() == a.cols:
+        assert g.torsion[-1] % 2 == 0
+    elif kind == "spanning":
+        assert (g.free_rank, g.torsion) == (1, ())
+
+
 # (a, snf(a) as (u, s, v), hnf_col_transform(a) as (h, u, u^-1),
 # cokernel(a).projection), recorded as exact entries: each transform's
 # sequence of elementary operations fixes the printed generators and lifts,

@@ -1,6 +1,7 @@
 """ModelFile text format: complex literals, grammar, round trips."""
 
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import literal_oracle
 
-from lgdual.complexq import ComplexQ, format_complex, parse_complex
+from lgdual.complexq import QUOTED_DIGITS, ComplexQ, _quoted, format_complex, parse_complex
 from lgdual.errors import ParseError, ValidationError
 from lgdual.lgmodel import bundle_model
 from lgdual.modelfile import format_model, load_model, parse_model
@@ -70,9 +71,10 @@ def _outcome(parse, text):
 
 
 # Fraction("1e9999999") alone takes seconds, so exponents of 5 or more
-# digits are left out
+# digits, also with "_" or " " between them, are left out: parse_complex
+# drops the spaces and refuses them (see the next test)
 LITERALS = st.text(alphabet="0123456789+-eE./iIjJ_x ", min_size=1, max_size=10).filter(
-    lambda text: not re.search(r"[eE][+-]?[0-9]{5}", text)
+    lambda text: not re.search(r"[eE][+-]?[0-9](?:_?[0-9]){4}", text.replace(" ", ""))
 )
 
 
@@ -87,6 +89,37 @@ LITERALS = st.text(alphabet="0123456789+-eE./iIjJ_x ", min_size=1, max_size=10).
 @settings(max_examples=1000, deadline=None)
 def test_term_pattern_matches_the_literal_oracle(text):
     assert _outcome(parse_complex, text) == _outcome(literal_oracle.parse_complex, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e12345", "1e-99999999", "2-1E+1_2345i", "1e00001", "1/2+1e1_0_0_0_0i"]
+)
+def test_a_long_exponent_is_refused_before_fraction_runs(text):
+    # Fraction would build 10^exponent exactly: 10^99999999 takes minutes
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as e:
+        parse_complex(text)
+    assert time.perf_counter() - start < 1
+    assert str(e.value) == "exponent over 4 digits in complex literal %r" % text
+
+
+def test_a_four_digit_exponent_parses_exactly():
+    assert parse_complex("1e9999") == ComplexQ(10**9999)
+    assert parse_complex("-1e-9_999i") == ComplexQ(0, Fraction(-1, 10**9999))
+    assert parse_complex("1.5e0003+2E-1i") == ComplexQ(1500, Fraction(1, 5))
+
+
+def test_quoted_abbreviates_only_past_the_digit_limit():
+    # up to QUOTED_DIGITS digits a number is quoted as str() writes it
+    for x in (0, -7, 10**999, -(10**1000) + 1, Fraction(-3, 10**400), ComplexQ(1, -2)):
+        assert _quoted(x) == str(x)
+    assert QUOTED_DIGITS == 1000
+    big = 12345678901234567890 * 10**1000 + 1
+    assert _quoted(big) == "12345678901234567890...(1020 digits)"
+    assert _quoted(-(10**1000)) == "-10000000000000000000...(1001 digits)"
+    assert _quoted(Fraction(1, 10**5000)) == "1/10000000000000000000...(5001 digits)"
+    assert _quoted(ComplexQ(0, -big)) == "0-12345678901234567890...(1020 digits)i"
+    assert _quoted(1.5) == "1.5" and _quoted("1e5000") == "1e5000"
 
 
 @pytest.mark.parametrize(
@@ -231,6 +264,17 @@ def test_parse_empty_dv_takes_the_rank_of_its_terms():
         (
             "[variety]\ndegrees = -2\noffset = 0 0 2\n[kahler]\nclass = i\n",
             "offset projects to",
+        ),
+        # 10^5000 is quoted by its first digits and length, as str() would raise
+        (
+            "[variety]\ndegrees = -2\noffset = 1e5000 0 0\n",
+            "offset projects to (Fraction(10000000000000000000...(5001 digits), 1),) but the"
+            " kahler classes have imaginary parts (Fraction(1, 1),)",
+        ),
+        (
+            "[variety]\ndv = 1 0; 0 1; -1 0; 0 -1\noffset = 0 0 2 1\n",
+            "offset projects to (Fraction(2, 1), Fraction(1, 1)) but the kahler classes have"
+            " imaginary parts (Fraction(1, 1), Fraction(1, 1))",
         ),
     ],
 )

@@ -764,6 +764,109 @@ def test_search_takes_two_minor_tables(dv, mon, bareiss, ranks, minor_tables, el
     assert eliminations == Counter(bareiss=bareiss, rank=ranks)
 
 
+@pytest.fixture
+def bareiss_runs(monkeypatch):
+    """Counts of every Bareiss elimination, in linalg and selfdual alike, and
+    of IntMatrix.rank calls."""
+    counts = Counter()
+    original, rank = linalg._bareiss, IntMatrix.rank
+
+    def counted(entries, cols):
+        counts["bareiss"] += 1
+        return original(entries, cols)
+
+    def counted_rank(m):
+        counts["rank"] += 1
+        return rank(m)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    monkeypatch.setattr(IntMatrix, "rank", counted_rank)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "sweep, ranks, bareiss",
+    [
+        # 975 of the 1,025 searches end at the rank precheck, which eliminates
+        # mon alone: 1,950 rank calls and 3,097 eliminations when dv's rank
+        # was eliminated too
+        (lambda: classify_cy(6, 6), 975, 2_122),
+        # 18 of the 21 (36 and 268 with dv eliminated)
+        (lambda: sweep_line_bundles(20), 18, 250),
+    ],
+    ids=["classify_cy(6,6)", "sweep_line_bundles(20)"],
+)
+def test_precheck_reads_dv_rank_from_the_class_group(sweep, ranks, bareiss, bareiss_runs):
+    sweep()
+    assert bareiss_runs == Counter(rank=ranks, bareiss=bareiss)
+
+
+class _PastPrecheck(Exception):
+    pass
+
+
+def test_precheck_with_the_class_group_decides_as_without(monkeypatch):
+    # every degree tuple of rank <= 4 with entries in [-4, 3]: the search
+    # reads the group in its precheck alone, so a search that gets past it
+    # stops at its first minor table, and both searches stop alike
+    def stop(rows, n):
+        raise _PastPrecheck
+
+    def outcome(*args):
+        try:
+            return _search_matrix_witness(*args)
+        except _PastPrecheck:
+            return _PastPrecheck
+
+    monkeypatch.setattr(selfdual, "_Minors", stop)
+    outcomes = Counter()
+    for c in (1, 2, 3, 4):
+        for degrees in itertools.product(range(-4, 4), repeat=c):
+            m = bundle_model(degrees)
+            dv, mon, group = m.variety.dv, m.mon(), m.k_class.group
+            found = outcome(dv, mon, group)
+            assert found == outcome(dv, mon)
+            outcomes[found] += 1
+    assert outcomes[None] and outcomes[_PastPrecheck]
+
+
+def _class_group_cases():
+    # whole searches: every tuple of rank <= 3 and the nonincreasing ones of
+    # rank 4 in [-4, 3], then the dense models above
+    for c in (1, 2, 3):
+        for degrees in itertools.product(range(-4, 4), repeat=c):
+            m = bundle_model(degrees)
+            yield m.variety.dv, m.mon()
+    for degrees in itertools.combinations_with_replacement(range(3, -5, -1), 4):
+        m = bundle_model(degrees)
+        yield m.variety.dv, m.mon()
+    six = IntMatrix.from_rows(DENSE_A.entries[:6])
+    reversed_rows = DENSE_A.take_rows(tuple(reversed(range(DENSE_A.rows))))
+    other = IntMatrix.from_rows(RANK_TWO.entries[:-1] + ((1, 2, 1),))
+    higher = parse_model(HIGHER_RANK_MON)
+    yield from [
+        (DENSE_A, DENSE_B), (six, DENSE_B), (DENSE_A, reversed_rows), (RANK_TWO, other),
+        (RANK_TWO, RANK_TWO.take_rows(tuple(reversed(range(6))))),
+        (higher.variety.dv, higher.mon()), (IntMatrix.from_rows([(0, 2, -1, 3)]), DENSE_A),
+    ]
+
+
+def test_search_with_the_class_group_returns_what_the_search_without_does():
+    found = Counter()
+    for dv, mon in _class_group_cases():
+        with_group = _search_matrix_witness(dv, mon, cokernel(dv))
+        assert with_group == _search_matrix_witness(dv, mon)
+        found[with_group is not None] += 1
+    assert found[True] and found[False]
+
+
+def test_search_rejects_a_class_group_of_another_matrix():
+    dv, mon = bundle_over_p1([-2]).dv, bundle_model([-2]).mon()
+    with pytest.raises(GroupMismatchError):
+        _search_matrix_witness(dv, mon, cokernel(bundle_over_p1([-3]).dv))
+    assert _search_matrix_witness(dv, mon, cokernel(dv)) is not None
+
+
 def test_short_dv_builds_no_mon_minor_table(minor_tables):
     # a 1 x 4 dv has no 4-row minor, so no subset reads a table of mon's
     # C(14, 4) = 1,001 minors
