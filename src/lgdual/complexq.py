@@ -122,9 +122,21 @@ def parse_complex(text):
     return ComplexQ(re_part or 0, im_part or 0)
 
 
-def format_complex(z, part=str):
-    """Canonical ``a+bi`` text form, each rational part written by part;
-    pure reals drop the imaginary part."""
+def _exact(x):
+    """str(x) for an int or Fraction x of any length, in chunks past str()'s limit."""
+    try:
+        return str(x)
+    except ValueError:  # an integer past the interpreter's digit limit
+        n, d = x.numerator, x.denominator
+    if d != 1:
+        return "%s/%s" % (_exact(n), _exact(d))
+    high, low = divmod(abs(n), 10**600)  # 600 digits: below every limit str() allows
+    return "%s%s%0600d" % ("-" if n < 0 else "", _exact(high), low)
+
+
+def format_complex(z, part=_exact):
+    """Canonical ``a+bi`` text form, each rational part written by part
+    (exactly, by default); pure reals drop the imaginary part."""
     if isinstance(z, complex):
         sign = "+" if z.imag >= 0 else "-"
         return "%r%s%ri" % (z.real, sign, abs(z.imag))

@@ -8,16 +8,17 @@ onto dv, and some K class reproduces the variety from its own halfspace data.
 One search decides every shape of dv.  A depth-first walk over the subsets of
 mon rows, in lexicographic order, reads maximal minors from one table of
 mon's n x n minors (its Plücker coordinates) per search, and reaches only the
-subsets whose |minors| are exactly dv's (_minor_walk).  The table works a
-minor out when first read, as the cofactor vector of its first n - 1 rows
-(kept per head) times its last row (_Minors).  A reached subset goes
-through one depth-first search over row orders, which places at each position
-a row with dv's key there: the charge when dv is corank 1, (n+1) x n with
-rows spanning Z^n as for every split bundle over the line (the signed maximal
-minors, which generate the charge lattice of the class-group sequence), and
-the row gcd otherwise, where each minor of the placed rows is also checked
-against dv's.  One Hermite-form solve decides each order, once Hermite forms
-bring a dv of column rank below n and its subsets to full column rank.
+subsets whose |minors| are exactly dv's (_minor_walk).  The table keeps one
+row of minors per head H, the first n - 1 rows of a minor: det(H + (i,)) for
+every later row i, worked out when H is first read (_Minors).  A reached
+subset goes through one depth-first search over row orders, which places at
+each position a row with dv's key there: the charge when dv is corank 1,
+(n+1) x n with rows spanning Z^n as for every split bundle over the line (the
+signed maximal minors, which generate the charge lattice of the class-group
+sequence), and the row gcd otherwise, where each minor of the placed rows is
+also checked against dv's.  One Hermite-form solve decides each order, once
+Hermite forms bring a dv of column rank below n and its subsets to full
+column rank.
 
 The K step asks for a class K = +-i per free generator whose halfspaces
 dv xi + Im K >= 0 keep every row as a facet.  When dv is corank 1 with
@@ -81,40 +82,39 @@ def matrix_self_dual(a, b):
 
 
 class _Minors(dict):
-    """Plücker table of a row configuration: det of every n-row subset T of
-    rows, keyed by T in lexicographic order.
+    """Plücker table of a row configuration, one row of minors per head: for
+    an (n-1)-subset H of rows in increasing order, table[H][i] = det(H + (i,))
+    for every later row i (0 before them, which no increasing key reads).
 
-    n + 1 rows fill the table at once from the cofactors c of their
-    n x (n + 1) transpose: det(without row i) = (-1)^i c_i.  Any other row
-    count works each minor out when it is first read and keeps it, so a
-    caller that needs every minor reads every key.  Expanding along T's last
-    row i, det(T) = (-1)^(n-1) c(H) . rows[i] for the cofactors c(H) of the
-    other n - 1 rows H, taken once per H: the walk reads one H with many i.
-    The empty subset of n = 0 has det 1."""
+    Expanding along the last row i, det(H + (i,)) = (-1)^(n-1) c(H) . rows[i]
+    for the cofactors c(H) of H, so a head's row is one elimination and one
+    comprehension, made at its first read: the walk reads one H with many i.
+    n + 1 rows fill every row at once from the cofactors c of their
+    n x (n + 1) transpose: det(without row j) = (-1)^j c_j."""
 
-    __slots__ = ("rows", "n", "heads")
+    __slots__ = ("rows", "n")
 
     def __init__(self, rows, n):
-        self.rows, self.n, self.heads = rows, n, {}
+        self.rows, self.n = rows, n
         m = len(rows)
-        if m == n + 1:
+        if m == n + 1 and n:
             c = _cofactors(list(zip(*rows)), m)
-            # combinations list the subset without row i at position n - i
-            subsets = itertools.combinations(range(m), n)
-            self.update((t, (-1) ** i * c[i]) for t, i in zip(subsets, reversed(range(m))))
+            # det(without row j) = (-1)^j c_j ends in row n, or in n - 1 for j = n
+            heads = itertools.combinations(range(n), n - 1)
+            filled = {h: [0] * n + [(-1) ** j * c[j]] for j, h in zip(reversed(range(n)), heads)}
+            filled[tuple(range(n - 1))][n - 1] = (-1) ** n * c[n]
+            self.update(filled)
 
-    def __missing__(self, t):
-        if not t:
-            return 1
-        h = t[:-1]
-        c = self.heads.get(h)
-        if c is None:
-            c = _cofactors([self.rows[k] for k in h], self.n)
-            if self.n % 2 == 0:
-                c = [-x for x in c]
-            self.heads[h] = c
-        v = self[t] = sum(map(mul, c, self.rows[t[-1]]))
-        return v
+    def __missing__(self, h):
+        c = [(-1) ** (self.n - 1) * x for x in _cofactors([self.rows[k] for k in h], self.n)]
+        start = h[-1] + 1 if h else 0
+        row = self[h] = [0] * start + [sum(map(mul, c, x)) for x in self.rows[start:]]
+        return row
+
+    def minors(self, s):
+        """det of every n-subset of the increasing indices s, in lexicographic
+        order; the empty subset of n = 0 has det 1."""
+        return [self[t[:-1]][t[-1]] for t in itertools.combinations(s, self.n)] if self.n else [1]
 
 
 def _minor_walk(table, m, r, n, counts):
@@ -128,28 +128,35 @@ def _minor_walk(table, m, r, n, counts):
     of that prefix.  A complete subset has taken off all C(r, n) of its
     minors, so its |minors| are the multiset counts started with.  counts is
     restored before the walk returns."""
-    if n == 0:
-        # the one minor of every subset is the empty determinant
-        if counts.get(abs(table[()])):
+    if n == 0 or r < n:
+        # a subset has no minor to read (r < n), or only the empty one, det 1
+        if set(counts.elements()) <= {1}:
             yield from itertools.combinations(range(m), r)
         return
-    yield from _extend_walk(table, m, r, n, counts, [], 0)
+    # the first n - 1 indices complete no minor: each head starts a prefix
+    for h in itertools.combinations(range(m - r + n - 1), n - 1):
+        yield from _extend_walk(table, m, r, n, counts, list(h), h[-1] + 1 if h else 0)
 
 
 def _extend_walk(table, m, r, n, counts, prefix, start):
     """The subsets of _minor_walk that extend prefix by indices from start
-    on.  It recurses at module level: a nested function that calls itself
-    is a reference cycle, which would hold the table and counts of every
-    search until the cyclic collector runs."""
+    on, fetching each head's row once, at its first read; the first head's
+    row, read over every index in one pass, cuts most of them.  It recurses
+    at module level: a nested function that calls itself is a reference
+    cycle, holding the table and counts until the cyclic collector runs."""
     k = len(prefix)
     if k == r:
         yield tuple(prefix)
         return
     heads = list(itertools.combinations(prefix, n - 1))
-    for i in range(start, m - r + k + 1):
+    rows = [None] * len(heads)
+    first = rows[0] = table[heads[0]]
+    for i in [i for i in range(start, m - r + k + 1) if counts.get(abs(first[i]))]:
         taken = []
-        for t in heads:
-            v = abs(table[t + (i,)])
+        for j, row in enumerate(rows):
+            if row is None:
+                row = rows[j] = table[heads[j]]
+            v = abs(row[i])
             if not counts.get(v):
                 break
             counts[v] -= 1
@@ -192,7 +199,8 @@ def _row_orders(keys, target, checks, table, s):
     perm, levels = [], [iter(pools[t]) for t in target[:1]]
 
     def fits(j, head, v):
-        return abs(table[tuple(s[i] for i in sorted([perm[h] for h in head] + [j]))]) == v
+        *rest, i = sorted([s[perm[h]] for h in head] + [s[j]])
+        return abs(table[tuple(rest)][i]) == v
 
     if not target:
         yield ()
@@ -422,13 +430,13 @@ def _search_matrix_witness(dv, mon, group=None):
     # for two (n + 1)-row matrices the walk compares the minors, which hold the ranks
     if not corank_one and mon.rank() < (dv.rank() if group is None else dv.rows - group.free_rank):
         return None
-    # every minor of dv is used, so each key is read from its table
-    minors = _Minors(dv.entries, n)
-    minors = {t: minors[t] for t in itertools.combinations(range(dv.rows), n)}
+    # every minor of dv is used, so all are read from its table at once
+    subsets = list(itertools.combinations(range(dv.rows), n))
+    minors = _Minors(dv.entries, n).minors(range(dv.rows))
     # with fewer rows than n a subset has no n-row minor to read
     table = _Minors(mon.entries, n) if dv.rows >= n else {}
-    walk = _minor_walk(table, mon.rows, dv.rows, n, Counter(map(abs, minors.values())))
-    if not any(minors.values()):
+    walk = _minor_walk(table, mon.rows, dv.rows, n, Counter(map(abs, minors)))
+    if not any(minors):
         # dv @ v == [h | 0] with h of full column rank r, and v^-1 tracked
         h, _, v_inv = hnf_col_transform(dv, with_u=False)
         r = sum(map(any, zip(*h.entries)))
@@ -445,22 +453,22 @@ def _search_matrix_witness(dv, mon, group=None):
     for s in walk:
         if targets is None:
             # built at the first subset reached, as most searches reach none
-            spanning = dv.rows == n + 1 and gcd(*minors.values()) == 1
+            spanning = dv.rows == n + 1 and gcd(*minors) == 1
             if spanning:
-                qa = _charges(minors.values())
+                qa = _charges(minors)
                 targets = (qa, tuple(-x for x in qa))
             else:
                 targets, gcds = (dv.row_gcds(),), mon.row_gcds()
             # each minor is checked once its last row is placed; a charge is
             # the |minor| without its row, so matching charges match them all
             checks = [[] for _ in range(dv.rows)]
-            for t, x in minors.items():
+            for t, x in zip(subsets, minors):
                 if t and not spanning:
                     checks[t[-1]].append((t[:-1], abs(x)))
-            nonzero = {t: abs(x) for t, x in minors.items() if x}
+            nonzero = {t: abs(x) for t, x in zip(subsets, minors) if x}
             keep = min(reversed(nonzero), key=nonzero.get)
         if spanning:
-            keys = _charges([table[t] for t in itertools.combinations(s, n)])
+            keys = _charges(table.minors(s))
         else:
             keys = [gcds[i] for i in s]
         ks = sorted(keys)

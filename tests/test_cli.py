@@ -161,6 +161,27 @@ def test_a_coefficient_past_the_digit_limit_exits_3_in_under_a_second(
 
 
 @pytest.mark.parametrize(
+    "literal, value",
+    [
+        ("1e5000i", "0+1%si" % ("0" * 5000)),
+        ("1e-5000i", "0+1/1%si" % ("0" * 5000)),
+        ("-1e9999+2/3i", "-1%s+2/3i" % ("0" * 9999)),
+    ],
+    ids=["1e5000i", "1e-5000i", "-1e9999+2/3i"],
+)
+def test_analyze_prints_a_class_past_the_digit_limit_exactly(tmp_path, capsys, literal, value):
+    # str() refuses an integer of more than 4,300 digits, which made analyze
+    # exit 1 with a traceback; the class is written exactly instead
+    path = write_text(tmp_path, "[variety]\ndegrees = -2\n[kahler]\nclass = %s\n" % literal)
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 0
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert "K class:\n  values: [%s]\n  lift: [0, %s, 0]\n" % (value, value) in out
+    assert err == ""
+
+
+@pytest.mark.parametrize(
     "line, message",
     [
         ("term = 1e12345678 : 1 1", "line 4: exponent over 4 digits in complex literal '1e12345678'"),

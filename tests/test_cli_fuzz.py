@@ -35,9 +35,12 @@ COEFFICIENTS = (
     # malformed
     "0", "1/0", "1+", "2i3", "abc", "1e", "++1", "i i", "",
 )
-# a class stays below the interpreter's 4,300-digit limit: analyze prints
-# the K lift exactly, and str() refuses a longer integer
-CLASSES = ("i", "-i", "2i", "1/2+3i", "1", "0", "200i", "-200i", "1e400i", "1/0", "x", "1e12345678i")
+# past the interpreter's 4,300-digit limit too: analyze prints the K lift
+# exactly, and dualize and polytope quote what they refuse
+CLASSES = (
+    "i", "-i", "2i", "1/2+3i", "1", "0", "200i", "-200i", "1e400i", "1/0", "x", "1e12345678i",
+    "1e5000i", "-1e5000i", "1e-5000i", "1e9999+1e-9999i", "-1e9999",
+)
 COMMANDS = (
     ["analyze"],
     ["dualize", "--check-involution"],

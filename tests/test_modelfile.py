@@ -1,6 +1,7 @@
 """ModelFile text format: complex literals, grammar, round trips."""
 
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -120,6 +121,26 @@ def test_quoted_abbreviates_only_past_the_digit_limit():
     assert _quoted(Fraction(1, 10**5000)) == "1/10000000000000000000...(5001 digits)"
     assert _quoted(ComplexQ(0, -big)) == "0-12345678901234567890...(1020 digits)i"
     assert _quoted(1.5) == "1.5" and _quoted("1e5000") == "1e5000"
+
+
+def test_format_complex_writes_integers_past_the_digit_limit_exactly():
+    # str() refuses an integer past the interpreter's digit limit (4,300 by
+    # default, 640 at the lowest); format_complex writes it in chunks of 600
+    # digits, zeros inside chunks kept
+    n = 10**9999 + 123 * 10**2000 + 7
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [str(n), str(-n), str(Fraction(-3, n))]
+        for digits in (4300, 640):
+            sys.set_int_max_str_digits(digits)
+            assert format_complex(ComplexQ(n)) == expected[0]
+            assert format_complex(ComplexQ(1, -n)) == "1%si" % expected[1]
+            assert format_complex(ComplexQ(0, Fraction(-3, n))) == "0%si" % expected[2]
+            assert format_complex(ComplexQ(0, 10**5000)) == "0+1%si" % ("0" * 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected[0]) == 10_000
 
 
 @pytest.mark.parametrize(

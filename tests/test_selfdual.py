@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
@@ -351,10 +352,15 @@ def plucker_configurations(draw):
 def test_one_elimination_table_matches_per_subset_determinants(case):
     kind, rows, n, vanish = case
     table = _Minors(rows, n)
-    assert list(table.items()) == per_subset_table(rows, n)
+    # one row per (n-1)-subset of the first n rows, all filled at construction
+    assert sorted(table) == list(itertools.combinations(range(n), n - 1)) if n else not table
+    expected = per_subset_table(rows, n)
+    read = list(zip([t for t, _ in expected], table.minors(range(n + 1))))
+    assert read == expected
+    assert len(table) == n  # the reads built no row
     if kind == "low-rank" and n:
-        assert not any(table.values())
-    assert all(table[t] == 0 for t in table if vanish and vanish <= set(t))
+        assert not any(map(any, table.values()))
+    assert all(x == 0 for t, x in read if vanish and vanish <= set(t))
 
 
 @st.composite
@@ -394,9 +400,10 @@ def test_minors_on_demand_match_per_subset_determinants(case, data):
     table = _Minors(rows, n)
     assert isinstance(table, selfdual._Minors) and not table
     shuffled = data.draw(st.permutations(expected))
-    assert [(t, table[t]) for t, _ in shuffled] == shuffled
-    # a second read returns the kept value
-    assert [(t, table[t]) for t, _ in expected] == expected
+    assert [(t, *table.minors(t)) for t, _ in shuffled] == shuffled
+    # one row per head read, and a second read returns the kept value
+    assert sorted(table) == sorted({t[:-1] for t, _ in expected}) if n else not table
+    assert [(t, *table.minors(t)) for t, _ in expected] == expected
     assert all(x == 0 for t, x in expected if len(low & set(t)) >= need)
 
 
@@ -414,9 +421,9 @@ def test_p1_minor_lemma():
                 covered = Counter(summand.values())
                 if len(covered) == c:
                     j, k = (mon[i][0] for i in t if covered[summand[i]] == 2)
-                    assert abs(table[t]) == abs(j - k) > 0
+                    assert abs(table[t[:-1]][t[-1]]) == abs(j - k) > 0
                 else:
-                    assert table[t] == 0
+                    assert table[t[:-1]][t[-1]] == 0
                 checked += 1
     assert checked == 9_042
 
@@ -480,11 +487,56 @@ def test_search_raises_when_matching_charges_have_no_basis_change(monkeypatch):
         model_self_dual((-2,))
 
 
+def fraction_det(rows):
+    """det of a square list of integer rows by Gaussian elimination over
+    Fractions, apart from every elimination in lgdual; 1 for no rows."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p], det = a[p], a[k], -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+@st.composite
+def minor_rows(draw, max_m, max_n, entries):
+    """(rows, n): m <= max_m integer rows of length n <= max_n, with m = n + 1
+    (the table filled at construction) drawn as often as any other m."""
+    n = draw(st.integers(0, max_n))
+    m = draw(st.just(n + 1) | st.integers(0, max_m))
+    vectors = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    return draw(st.lists(vectors, min_size=m, max_size=m)), n
+
+
+@given(minor_rows(9, 4, st.integers(-10**6, 10**6) | st.integers(-2, 2)), st.data())
+@settings(max_examples=400, deadline=None)
+def test_minor_reads_match_fraction_determinants(case, data):
+    # every read of a table, from a head's row or through minors, in random
+    # order, is the determinant of its rows
+    rows, n = case
+    table = _Minors(rows, n)
+    subsets = list(itertools.combinations(range(len(rows)), n))
+    dets = [fraction_det([rows[i] for i in t]) for t in subsets]
+    for t, det in data.draw(st.permutations(list(zip(subsets, dets)))):
+        assert table.minors(t) == [det]
+        if t:
+            assert table[t[:-1]][t[-1]] == det
+    assert table.minors(range(len(rows))) == dets
+
+
 @st.composite
 def minor_walks(draw):
-    """(table, m, r, n, key): a random table of n-subset minors of range(m)
-    and the |minors| key of r-subsets to find, planted from one subset or
-    drawn at random, with zeros and repeated |values| throughout."""
+    """(rows, m, r, n, key): m integer rows of length n and the |minors| key
+    of r-subsets to find, planted from one subset or drawn at random; entries
+    in [-2, 2] give zeros and repeated |minors| throughout."""
     n = draw(st.integers(0, 3))
     m = draw(st.integers(n, 7))
     shape = draw(st.sampled_from(("any", "r == n", "r == m", "r < n")))
@@ -496,28 +548,30 @@ def minor_walks(draw):
         r = draw(st.integers(0, n - 1))
     else:
         r = draw(st.integers(0, m))
-    values = st.integers(-2, 2)
-    table = {t: draw(values) for t in itertools.combinations(range(m), n)}
+    vectors = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(vectors, min_size=m, max_size=m))
     if draw(st.booleans()):
         s = draw(st.sampled_from(list(itertools.combinations(range(m), r))))
-        key = [abs(table[t]) for t in itertools.combinations(s, n)]
+        key = [abs(fraction_det([rows[i] for i in t])) for t in itertools.combinations(s, n)]
     else:
-        key = [abs(draw(values)) for _ in range(comb(r, n))]
-    if r < n:
-        table = {}  # as in the search: no r-subset has an n-row minor to read
-    return table, m, r, n, key
+        key = [draw(st.integers(0, 4)) for _ in range(comb(r, n))]
+    return rows, m, r, n, key
 
 
 @given(minor_walks())
 @settings(max_examples=400, deadline=None)
 def test_minor_walk_yields_every_matching_subset_in_order(case):
-    table, m, r, n, key = case
+    rows, m, r, n, key = case
+    # as in the search: with r < n no subset has an n-row minor to read
+    table = _Minors(rows, n) if r >= n else {}
     counts = Counter(key)
     before = dict(counts)
     walked = list(selfdual._minor_walk(table, m, r, n, counts))
     expected = [
         s for s in itertools.combinations(range(m), r)
-        if sorted(abs(table[t]) for t in itertools.combinations(s, n)) == sorted(key)
+        if sorted(
+            abs(fraction_det([rows[i] for i in t])) for t in itertools.combinations(s, n)
+        ) == sorted(key)
     ]
     assert walked == expected
     assert dict(counts) == before  # restored
@@ -935,21 +989,20 @@ def test_rank_deficient_pair_takes_no_hermite_pair(right_equivalent_calls, hermi
 
 
 def test_line_bundle_takes_each_minor_once(monkeypatch):
-    # the subset loop reads every charge from mon's 2-row minors, each worked
-    # out once, on its first read, from the cofactors of its first row: one
-    # elimination per row that heads a read, not one per pair of rows nor 3
-    # per 3-row subset; dv's 3 minors come from one elimination of its 2 x 3
-    # transpose
-    calls, computed = [], []
+    # the subset loop reads every charge from mon's 2-row minors, kept as one
+    # row per head row and built on the head's first read from one
+    # elimination: not one per pair of rows nor 3 per 3-row subset; dv's 3
+    # minors come from one elimination of its 2 x 3 transpose
+    calls, built = [], []
     original, missing = selfdual._cofactors, selfdual._Minors.__missing__
 
     def counted(rows, cols):
         calls.append(tuple(map(tuple, rows)))
         return original(rows, cols)
 
-    def counted_missing(table, t):
-        computed.append(t)
-        return missing(table, t)
+    def counted_missing(table, h):
+        built.append(h)
+        return missing(table, h)
 
     monkeypatch.setattr(selfdual, "_cofactors", counted)
     monkeypatch.setattr(selfdual._Minors, "__missing__", counted_missing)
@@ -958,29 +1011,42 @@ def test_line_bundle_takes_each_minor_once(monkeypatch):
     assert len(calls) == 1 + 19 < comb(mon.rows, 2)
     assert calls[0] == tuple(zip(*dv.entries))
     assert calls[1:] == [(row,) for row in mon.entries[:19]]
-    # every pair headed by rows 0..18 is worked out once, and no other
-    assert len(computed) == len(set(computed))
-    assert sorted(computed) == [(h, i) for h in range(19) for i in range(h + 1, mon.rows)]
+    # rows 0..18 each head a read and are built once; row 19 heads none
+    assert built == [(h,) for h in range(19)]
 
 
 def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
     # reading 3 minors for each of the 7,315 3-row subsets would take 21,945
     # reads; the walk cuts a prefix at its first minor outside dv's multiset.
-    # Each read is counted as it goes to the table, which works a minor out
-    # on its first read, so the walk reads as many as ever and computes fewer
-    reads, eliminations = Counter(), []
+    # It fetches each head's row once per prefix and reads the row's minors:
+    # the first head's over every next index, the others' for the indices
+    # that the first keeps.  Each row is built on its first fetch
+    reads, fetches, eliminations = Counter(), Counter(), []
     original, cofactors = selfdual._Minors, selfdual._cofactors
 
-    class CountedReads:
-        def __init__(self, rows, n):
-            self.rows, self.table = rows, original(rows, n)
-
-        def __getitem__(self, t):
+    class CountedRow(list):
+        def __getitem__(self, i):
             reads[self.rows] += 1
-            return self.table[t]
+            return list.__getitem__(self, i)
 
-        def values(self):
-            return self.table.values()
+    class CountedReads(original):
+        def __init__(self, rows, n):
+            super().__init__(rows, n)
+            for h in list(self):
+                self[h] = self.counted(dict.__getitem__(self, h))
+
+        def counted(self, row):
+            row = CountedRow(row)
+            row.rows = self.rows
+            return row
+
+        def __missing__(self, h):
+            row = self[h] = self.counted(super().__missing__(h))
+            return row
+
+        def __getitem__(self, h):
+            fetches[self.rows] += 1
+            return super().__getitem__(h)
 
     def counted(rows, cols):
         eliminations.append(rows)
@@ -993,11 +1059,13 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
     subsets = sum(comb(bundle_model((-k,)).mon().rows, 3) for k in range(21))
     assert 3 * subsets == 21_945
     mons = [bundle_model((-k,)).mon().entries for k in range(21)]
-    assert sum(reads[rows] for rows in mons) == 2_682
+    assert sum(reads[rows] for rows in mons) == 2_891
+    assert sum(fetches[rows] for rows in mons) == 402
     # dv's 3 minors are read once per search that reaches the tables, and
     # O(0) and O(-1) have fewer monomials than dv has rows
     dvs = [bundle_over_p1([-k]).dv.entries for k in range(21)]
     assert [reads[rows] for rows in dvs] == [0, 0] + [3] * 19
+    assert [fetches[rows] for rows in dvs] == [0, 0] + [3] * 19
     assert len(eliminations) == 209
 
 
@@ -1253,6 +1321,19 @@ def test_sweeps_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_line_bundle_search_memory_stays_under_a_bound():
+    # the table keeps one row of minors per head row, not one tuple-keyed
+    # entry per minor: O(-400) peaks at about 3.9 MB under tracemalloc, where
+    # an entry per minor peaked at 11.3 MB.  Growth is still about k^2
+    tracemalloc.start()
+    try:
+        assert model_self_dual((-400,)).failure == "no-matrix-witness"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 @pytest.mark.parametrize("degrees", [(-1.5,), (True, -1.0), (Fraction(-2),), ("-2",)])
@@ -1515,7 +1596,8 @@ def test_projective_cy_table(n, low, high, count, yes):
 
 def test_p3_bundle_reads_minors_on_demand(monkeypatch):
     # mon has 37 rows and dv 6 columns: C(37, 6) = 2,324,784 minors, of which
-    # the search works out those it reads, one cofactor vector per 5-row head
+    # the search works out the rows it reads, one row of minors per 5-row
+    # head, each from one cofactor vector
     m = projective_bundle_model(3, (0, 0, -4))
     dv, mon = m.variety.dv, m.mon()
     assert (mon.rows, dv.rows, dv.cols) == (37, 7, 6)
