@@ -8,7 +8,8 @@ onto dv, and some K class reproduces the variety from its own halfspace data.
 One search decides every shape of dv.  A depth-first walk over the subsets of
 mon rows, in lexicographic order, reads maximal minors from one table of
 mon's n x n minors (its Plücker coordinates) per search, and reaches only the
-subsets whose |minors| are exactly dv's (_minor_walk).  The table keeps one
+subsets whose |minors| are exactly dv's (_minor_walk), dv's read off the charge
+row of its class group when that group is Z.  The table keeps one
 row of minors per head H, the first n - 1 rows of a minor: det(H + (i,)) for
 every later row i, worked out when H is first read (_Minors).  A reached
 subset goes through one depth-first search over row orders, which places at
@@ -90,15 +91,16 @@ class _Minors(dict):
     for the cofactors c(H) of H, so a head's row is one elimination and one
     comprehension, made at its first read: the walk reads one H with many i.
     n + 1 rows fill every row at once from the cofactors c of their
-    n x (n + 1) transpose: det(without row j) = (-1)^j c_j."""
+    n x (n + 1) transpose: det(without row j) = (-1)^j c_j, so c is their
+    charge vector, kept as charges (None for other row counts)."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("rows", "n", "charges")
 
     def __init__(self, rows, n):
-        self.rows, self.n = rows, n
+        self.rows, self.n, self.charges = rows, n, None
         m = len(rows)
         if m == n + 1 and n:
-            c = _cofactors(list(zip(*rows)), m)
+            c = self.charges = _cofactors(list(zip(*rows)), m)
             # det(without row j) = (-1)^j c_j ends in row n, or in n - 1 for j = n
             heads = itertools.combinations(range(n), n - 1)
             filled = {h: [0] * n + [(-1) ** j * c[j]] for j, h in zip(reversed(range(n)), heads)}
@@ -192,18 +194,22 @@ def _row_orders(keys, target, checks, table, s):
     equal to target as multisets.  checks[k] lists each maximal minor whose
     last position is k as its other positions and dv's |minor| there, read
     off mon's table once k is placed.  A loop over one candidate iterator
-    per position: nested generators cost a YES verdict more."""
+    per position: nested generators cost a YES verdict more.  With no check
+    (charge keys, or n = 0) the first order decides, so it alone is listed:
+    nothing cuts it, and it takes each key's rows in increasing order."""
     pools = {}
     for j, x in enumerate(keys):
         pools.setdefault(x, []).append(j)
-    perm, levels = [], [iter(pools[t]) for t in target[:1]]
+    if not any(checks):
+        firsts = {x: iter(p) for x, p in pools.items()}
+        yield tuple(next(firsts[t]) for t in target)
+        return
+    perm, levels = [], [iter(pools[target[0]])]
 
     def fits(j, head, v):
         *rest, i = sorted([s[perm[h]] for h in head] + [s[j]])
         return abs(table[tuple(rest)][i]) == v
 
-    if not target:
-        yield ()
     while levels:
         k = len(levels) - 1
         del perm[k:]  # perm holds the rows placed before position k
@@ -222,7 +228,8 @@ def _row_orders(keys, target, checks, table, s):
 
 def _charges(minors):
     """q_i = (-1)^i det(without row i) from the n-row minors of n + 1 rows in
-    lexicographic order, which list the minor without row i at position n - i."""
+    lexicographic order, which list the minor without row i at position n - i;
+    from q it gives the minors back times (-1)^n."""
     return tuple((-1) ** i * x for i, x in enumerate(reversed(minors)))
 
 
@@ -236,7 +243,7 @@ def _charge_row(dv, group):
         return None
     q = group.projection[0]
     i = next(i for i, x in enumerate(q) if x)
-    if any(sum(x * row[j] for x, row in zip(q, dv.entries)) for j in range(n)) or not (
+    if any(sum(map(mul, q, col)) for col in zip(*dv.entries)) or not (
         dv.take_rows([k for k in range(dv.rows) if k != i]).det()
     ):
         raise AssertionError("class group row is not the charge vector of dv")
@@ -244,14 +251,14 @@ def _charge_row(dv, group):
 
 
 def _slack_holds(q, beta, s, den, cut=None):
-    """s / den is the slack vector C xi + b of a point of the affine hyperplane
-    q . s = beta (den > 0): strictly inside every row, or, for a row cut,
-    past that row and inside every other."""
-    if den <= 0 or sum(x * y for x, y in zip(q, s)) != den * beta:
+    """s / den is the slack vector C xi + b of a point of q . s = beta
+    (den > 0), s as {row: entry}, 0 on every row it omits: strictly inside
+    every row, or, for a row cut, past that row and inside every other."""
+    if den <= 0 or sum(q[k] * x for k, x in s.items()) != den * beta:
         return False
     if cut is None:
-        return min(s) > 0
-    return s[cut] < 0 and all(x >= 0 for k, x in enumerate(s) if k != cut)
+        return len(s) == len(q) and min(s.values()) > 0
+    return s.get(cut, 0) < 0 and all(x >= 0 for k, x in s.items() if k != cut)
 
 
 def _charge_k_step(q, offset):
@@ -287,17 +294,15 @@ def _charge_k_step(q, offset):
         if not (pos and neg):
             return False
         d, s = 1, [neg if x > 0 else pos if x < 0 else 1 for x in q]
-    assert _slack_holds(q, beta, s, d)
+    assert _slack_holds(q, beta, dict(enumerate(s)), d)
     for i in range(r):
         if q[i] * beta < 0:
-            d, s = q[i] ** 2, [0] * r
-            s[i] = beta * q[i]
+            d, s = q[i] ** 2, {i: beta * q[i]}
         else:
             j = next((j for j in range(r) if j != i and q[j] and (beta + q[i]) * q[j] >= 0), None)
             if j is None:
                 return False
-            d, s = q[j] ** 2, [0] * r
-            s[i], s[j] = -d, (beta + q[i]) * q[j]
+            d, s = q[j] ** 2, {i: -q[j] ** 2, j: (beta + q[i]) * q[j]}
         assert _slack_holds(q, beta, s, d, cut=i)
     return True
 
@@ -402,7 +407,9 @@ def _search_matrix_witness(dv, mon, group=None):
     order, so the reported witness is deterministic.  A subset's rank is at
     most mon's, so none matches when mon's rank is below dv's; group, dv's
     class group when the caller holds it, gives rank(dv) = dv.rows -
-    free_rank, and this precheck then eliminates mon alone.
+    free_rank, and this precheck then eliminates mon alone.  For an (n+1) x n
+    dv with free rank 1 and no torsion, the group's charge row q gives dv's
+    minors too, up to one sign, so dv is not eliminated again (_charges).
 
     Unimodular right multiplication and row order leave the multiset of
     |maximal minors| unchanged, so a subset S whose n x n minors, read from
@@ -430,9 +437,10 @@ def _search_matrix_witness(dv, mon, group=None):
     # for two (n + 1)-row matrices the walk compares the minors, which hold the ranks
     if not corank_one and mon.rank() < (dv.rank() if group is None else dv.rows - group.free_rank):
         return None
-    # every minor of dv is used, so all are read from its table at once
+    # every minor of dv is used, so all are read at once
     subsets = list(itertools.combinations(range(dv.rows), n))
-    minors = _Minors(dv.entries, n).minors(range(dv.rows))
+    charged = group is not None and dv.rows == n + 1 and group.free_rank == 1 and not group.torsion
+    minors = _charges(group.projection[0]) if charged else _Minors(dv.entries, n).minors(range(dv.rows))
     # with fewer rows than n a subset has no n-row minor to read
     table = _Minors(mon.entries, n) if dv.rows >= n else {}
     walk = _minor_walk(table, mon.rows, dv.rows, n, Counter(map(abs, minors)))
@@ -468,7 +476,7 @@ def _search_matrix_witness(dv, mon, group=None):
             nonzero = {t: abs(x) for t, x in zip(subsets, minors) if x}
             keep = min(reversed(nonzero), key=nonzero.get)
         if spanning:
-            keys = _charges(table.minors(s))
+            keys = table.charges or _charges(table.minors(s))
         else:
             keys = [gcds[i] for i in s]
         ks = sorted(keys)

@@ -7,12 +7,15 @@ then -10^20 with no [potential] (the generic-potential bound); offsets with
 denominators, sometimes of the wrong length; terms whose coefficients come
 from a list of literals, malformed and out-of-range ones among them, over
 exponents that are sometimes of the wrong length; and an optional class.
+One example in ten is a valid `degrees` model whose class is past the
+interpreter's 4,300-digit limit, so `analyze` prints such a class on every
+run (25 to 41 times in five counting runs of 500 examples).
 
 Each example runs four commands.  Over 1,500 examples the slowest took
-0.14 s and the whole run 5.5 s (CPython 3.11.7, 2 vCPUs), so a deadline of
-2 s per example leaves a tenfold margin for a loaded host, while a command
-that runs unbounded, as one on a -10^20 degree did, fails it.  500
-examples take about 2 s.
+0.14 s and the whole run 5.5 s (CPython 3.11.7, 2 vCPUs), and the slowest
+huge-class model takes 0.19 s, so a deadline of 2 s per example leaves a
+tenfold margin for a loaded host, while a command that runs unbounded, as
+one on a -10^20 degree did, fails it.  500 examples take about 3 s.
 """
 
 import contextlib
@@ -35,11 +38,12 @@ COEFFICIENTS = (
     # malformed
     "0", "1/0", "1+", "2i3", "abc", "1e", "++1", "i i", "",
 )
-# past the interpreter's 4,300-digit limit too: analyze prints the K lift
+# past the interpreter's 4,300-digit limit: analyze prints the K lift
 # exactly, and dualize and polytope quote what they refuse
+HUGE_CLASSES = ("1e5000i", "-1e5000i", "1e-5000i", "1e9999+1e-9999i", "-1e9999")
 CLASSES = (
     "i", "-i", "2i", "1/2+3i", "1", "0", "200i", "-200i", "1e400i", "1/0", "x", "1e12345678i",
-    "1e5000i", "-1e5000i", "1e-5000i", "1e9999+1e-9999i", "-1e9999",
+    *HUGE_CLASSES,
 )
 COMMANDS = (
     ["analyze"],
@@ -56,6 +60,11 @@ def _row(values):
 @st.composite
 def model_files(draw):
     lines = ["[variety]"]
+    if draw(st.integers(0, 9)) == 0:
+        # a valid model with a huge class, so analyze prints its class lines
+        degrees = draw(st.lists(st.integers(-3, 2), min_size=1, max_size=3))
+        lines += ["degrees = " + _row(degrees), "[kahler]"]
+        return "\n".join(lines + ["class = " + draw(st.sampled_from(HUGE_CLASSES))]) + "\n"
     if draw(st.integers(0, 2)) == 0:
         degrees = draw(st.lists(st.integers(-3, 2), min_size=1, max_size=3))
         if draw(st.integers(0, 3)) == 0:

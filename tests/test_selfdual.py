@@ -36,6 +36,7 @@ from lgdual.selfdual import (
     _basis_change,
     _charge_k_step,
     _charge_row,
+    _charges,
     _Minors,
     _search_matrix_witness,
     classify_cy,
@@ -357,6 +358,8 @@ def test_one_elimination_table_matches_per_subset_determinants(case):
     expected = per_subset_table(rows, n)
     read = list(zip([t for t, _ in expected], table.minors(range(n + 1))))
     assert read == expected
+    # the cofactor vector that fills the table is the rows' charge vector
+    assert table.charges == (list(_charges([x for _, x in read])) if n else None)
     assert len(table) == n  # the reads built no row
     if kind == "low-rank" and n:
         assert not any(map(any, table.values()))
@@ -843,16 +846,34 @@ def bareiss_runs(monkeypatch):
     [
         # 975 of the 1,025 searches end at the rank precheck, which eliminates
         # mon alone: 1,950 rank calls and 3,097 eliminations when dv's rank
-        # was eliminated too
-        (lambda: classify_cy(6, 6), 975, 2_122),
-        # 18 of the 21 (36 and 268 with dv eliminated)
-        (lambda: sweep_line_bundles(20), 18, 250),
+        # was eliminated too; the 50 that pass it read dv's minors off the
+        # class group, not from an elimination of dv (2,122 when they did)
+        (lambda: classify_cy(6, 6), 975, 2_072),
+        # 18 of the 21 (36 and 268 with dv eliminated, 250 with dv's minors)
+        (lambda: sweep_line_bundles(20), 18, 231),
     ],
     ids=["classify_cy(6,6)", "sweep_line_bundles(20)"],
 )
 def test_precheck_reads_dv_rank_from_the_class_group(sweep, ranks, bareiss, bareiss_runs):
     sweep()
     assert bareiss_runs == Counter(rank=ranks, bareiss=bareiss)
+
+
+def test_rank_six_yes_verdict_eliminates_each_matrix_once(bareiss_runs, monkeypatch):
+    # one elimination each: dv's transpose in cokernel, whose charge row also
+    # gives dv's minors; mon's transpose, whose cofactors fill its minor
+    # table and give its charges; the basis change's det, and _charge_row's
+    # replayed minor of dv (5 and 2 when dv's minors were eliminated again)
+    original, cofactors = selfdual._cofactors, []
+
+    def counted(rows, cols):
+        cofactors.append(rows)
+        return original(rows, cols)
+
+    monkeypatch.setattr(selfdual, "_cofactors", counted)
+    assert model_self_dual((0, 0, 0, 0, 0, -2)).self_dual
+    assert bareiss_runs == Counter(bareiss=4)
+    assert cofactors == [list(zip(*bundle_model((0, 0, 0, 0, 0, -2)).mon().entries))]
 
 
 class _PastPrecheck(Exception):
@@ -912,6 +933,67 @@ def test_search_with_the_class_group_returns_what_the_search_without_does():
         assert with_group == _search_matrix_witness(dv, mon)
         found[with_group is not None] += 1
     assert found[True] and found[False]
+
+
+@st.composite
+def class_group_searches(draw):
+    """(kind, dv, mon): dv (n + 1) x n with n = 1..5 and entries in [-3, 3],
+    mon of up to n + 4 rows with dv's rows planted among them (after a
+    unimodular change and a shuffle) in half the draws.  The torsion kind
+    doubles dv's last column, so every maximal minor is even, and the
+    low-rank kind zeroes it, so every maximal minor is 0."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("random", "torsion", "low-rank")))
+    dv = draw(small_matrices(n + 1, n))
+    if kind != "random":
+        dv = IntMatrix.from_rows([row[:-1] + (2 * row[-1] if kind == "torsion" else 0,) for row in dv])
+    plant = draw(st.booleans())
+    m = draw(st.integers(n + 1 if plant else 0, n + 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=m, max_size=m))
+    if plant:
+        rows[: n + 1] = planted(draw, dv).entries
+    order = draw(st.permutations(range(m)))
+    return kind, dv, IntMatrix.from_rows([rows[i] for i in order], n)
+
+
+@given(class_group_searches())
+@settings(max_examples=300, deadline=None)
+def test_minors_read_off_the_class_group_match_dv_table(case):
+    # the fast path reads dv's minors off its class group when cokernel took
+    # its cofactor path (free rank 1, no torsion); the slow path eliminates
+    # dv's transpose again in _Minors(dv), which every other dv still takes
+    kind, dv, mon = case
+    n, group = dv.cols, cokernel(dv)
+    minors = _Minors(dv.entries, n).minors(range(n + 1))
+    fast = group.free_rank == 1 and not group.torsion
+    assert fast == (kind == "random" and gcd(*minors) == 1)
+    if fast:
+        read = list(_charges(group.projection[0]))
+        assert read in (minors, [-x for x in minors])
+    original, calls, found = selfdual._cofactors, {}, {}
+    for with_group in (True, False):
+        seen = calls[with_group] = []
+
+        def counted(rows, cols, seen=seen):
+            seen.append(rows)
+            return original(rows, cols)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selfdual, "_cofactors", counted)
+            found[with_group] = _search_matrix_witness(dv, mon, group if with_group else None)
+    assert found[True] == found[False]
+    if found[True] is not None:
+        subset, perm, u = found[True]
+        assert mon.take_rows(subset).take_rows(perm) @ u == dv and u.is_unimodular()
+    # a search past the rank precheck builds dv's minors first, from dv's
+    # transpose, unless the group holds them
+    dv_t = list(zip(*dv.entries))
+    if not (mon.rows == n + 1 or mon.rank() >= dv.rank()):
+        assert calls == {True: [], False: []}
+    elif fast:
+        assert calls[False] == [dv_t] + calls[True]
+    else:
+        assert calls[True] == calls[False] and calls[True][0] == dv_t
 
 
 def test_search_rejects_a_class_group_of_another_matrix():
@@ -992,7 +1074,8 @@ def test_line_bundle_takes_each_minor_once(monkeypatch):
     # the subset loop reads every charge from mon's 2-row minors, kept as one
     # row per head row and built on the head's first read from one
     # elimination: not one per pair of rows nor 3 per 3-row subset; dv's 3
-    # minors come from one elimination of its 2 x 3 transpose
+    # minors are read off the charge row of its class group, which cokernel
+    # took from one elimination of dv's 2 x 3 transpose
     calls, built = [], []
     original, missing = selfdual._cofactors, selfdual._Minors.__missing__
 
@@ -1006,11 +1089,10 @@ def test_line_bundle_takes_each_minor_once(monkeypatch):
 
     monkeypatch.setattr(selfdual, "_cofactors", counted)
     monkeypatch.setattr(selfdual._Minors, "__missing__", counted_missing)
-    dv, mon = bundle_over_p1([-20]).dv, bundle_model([-20]).mon()
+    mon = bundle_model([-20]).mon()
     assert model_self_dual((-20,)).failure == "no-matrix-witness"
-    assert len(calls) == 1 + 19 < comb(mon.rows, 2)
-    assert calls[0] == tuple(zip(*dv.entries))
-    assert calls[1:] == [(row,) for row in mon.entries[:19]]
+    assert len(calls) == 19 < comb(mon.rows, 2)
+    assert calls == [(row,) for row in mon.entries[:19]]
     # rows 0..18 each head a read and are built once; row 19 heads none
     assert built == [(h,) for h in range(19)]
 
@@ -1059,14 +1141,16 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
     subsets = sum(comb(bundle_model((-k,)).mon().rows, 3) for k in range(21))
     assert 3 * subsets == 21_945
     mons = [bundle_model((-k,)).mon().entries for k in range(21)]
-    assert sum(reads[rows] for rows in mons) == 2_891
-    assert sum(fetches[rows] for rows in mons) == 402
-    # dv's 3 minors are read once per search that reaches the tables, and
+    # O(-2)'s 3-row mon gives its charges from the cofactor vector that
+    # fills its table, with no read
+    assert sum(reads[rows] for rows in mons) == 2_888
+    assert sum(fetches[rows] for rows in mons) == 399
+    # dv's 3 minors are read off its class group, so dv has no table, and
     # O(0) and O(-1) have fewer monomials than dv has rows
     dvs = [bundle_over_p1([-k]).dv.entries for k in range(21)]
-    assert [reads[rows] for rows in dvs] == [0, 0] + [3] * 19
-    assert [fetches[rows] for rows in dvs] == [0, 0] + [3] * 19
-    assert len(eliminations) == 209
+    assert [reads[rows] for rows in dvs] == [0] * 21
+    assert [fetches[rows] for rows in dvs] == [0] * 21
+    assert len(eliminations) == 190
 
 
 # --- K reconstruction ---------------------------------------------------------
@@ -1597,7 +1681,8 @@ def test_projective_cy_table(n, low, high, count, yes):
 def test_p3_bundle_reads_minors_on_demand(monkeypatch):
     # mon has 37 rows and dv 6 columns: C(37, 6) = 2,324,784 minors, of which
     # the search works out the rows it reads, one row of minors per 5-row
-    # head, each from one cofactor vector
+    # head, each from one cofactor vector; dv's 7 minors are read off the
+    # charge row of the class group the model holds
     m = projective_bundle_model(3, (0, 0, -4))
     dv, mon = m.variety.dv, m.mon()
     assert (mon.rows, dv.rows, dv.cols) == (37, 7, 6)
@@ -1611,9 +1696,9 @@ def test_p3_bundle_reads_minors_on_demand(monkeypatch):
     monkeypatch.setattr(selfdual, "_cofactors", counted)
     witness, failure = self_dual_witness(m)
     assert failure is None and witness.verify(dv, mon)
-    assert len(calls) == 1_207
-    # dv's 7 minors from its transpose; every other elimination is a head
-    assert calls[0] == dv.cols and set(calls[1:]) == {dv.cols - 1}
+    assert len(calls) == 1_206
+    # every elimination is a head
+    assert set(calls) == {dv.cols - 1}
 
 
 # --- products -----------------------------------------------------------------
