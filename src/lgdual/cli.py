@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .complexq import _fraction as _rational, format_complex
+from .complexq import _exact, _fraction as _rational, format_complex
 from .errors import (
     GroupMismatchError,
     NotKopasepticError,
@@ -49,7 +49,7 @@ def _matrix_lines(mat, labels=None, indent="  "):
     """Row-major display with optional row-header labels, columns aligned."""
     if mat.rows == 0:
         return [indent + "(no rows)"]
-    text = [[str(x) for x in row] for row in mat]
+    text = [[_exact(x) for x in row] for row in mat]
     widths = [max(map(len, col)) for col in zip(*text)]
     head = max((len(s) for s in labels), default=0) if labels else 0
     lines = []
@@ -98,7 +98,7 @@ def cmd_analyze(args):
     proj = group.free_projection()
     for i in range(group.free_rank):
         out.append(
-            "  free generator %d: (%s)" % (i + 1, ", ".join(str(v) for v in proj[i]))
+            "  free generator %d: (%s)" % (i + 1, ", ".join(map(_exact, proj[i])))
         )
     out += _class_lines("K", m.k_class)
     names = [monomial_name(e) for e in m.potential.exponents()]

@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import IntMatrix, _bareiss_solve, _integers, _scaled, cokernel
-from .toric import ToricData, bundle_over_p1, from_linear_data, point, product
+from .toric import ToricData, bundle_over_p1, from_linear_data, product
 
 __all__ = [
     "Superpotential",
@@ -38,7 +38,6 @@ __all__ = [
     "default_k_class",
     "default_l_class",
     "bundle_model",
-    "empty_model",
     "linear_data",
     "is_kopaseptic",
     "dualize",
@@ -274,8 +273,8 @@ class LGModel:
         if poles:
             k, i, v = poles[0]
             raise RegularityError(
-                "superpotential term %d has a pole of order %d along divisor %s"
-                % (i, -v, self.variety.divisors[k]),
+                "superpotential term %d has a pole of order %s along divisor %s"
+                % (i, _quoted(-v), self.variety.divisors[k]),
                 pairs=poles,
                 orders=om,
             )
@@ -294,12 +293,6 @@ def bundle_model(degrees):
     each free generator of the class group."""
     variety = bundle_over_p1(degrees)
     return LGModel(variety, generic_sections(degrees), default_k_class(variety))
-
-
-def empty_model():
-    """The zero-dimensional model with W = 0 (identity for sums)."""
-    v = point()
-    return LGModel(v, Superpotential(()), ChowClass((), v.chow_group()))
 
 
 @dataclass(frozen=True)

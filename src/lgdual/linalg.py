@@ -18,7 +18,6 @@ __all__ = [
     "ChowGroup",
     "snf",
     "cokernel",
-    "hnf_col",
     "hnf_col_transform",
     "right_equivalent",
 ]
@@ -193,10 +192,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls._trusted(n, n, _identity_rows(n))
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls._trusted(rows, cols, [(0,) * cols] * rows)
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -465,20 +460,13 @@ def _hnf_col_ops(a, with_u=True, with_uinv=True):
     return m, u, [list(row) for row in zip(*vt)]
 
 
-def hnf_col(a):
-    """Unique column-style Hermite normal form h = a @ u.
+def hnf_col_transform(a, with_u=True, with_uinv=True):
+    """Unique column-style Hermite normal form h = a @ u plus the transform
+    pair: returns (h, u, u_inv).
 
     Convention: pivots positive, entries left of a pivot within its row lie
-    in [0, pivot), zero columns pushed rightmost.
-    """
-    m, _, _ = _hnf_col_ops(a, with_u=False, with_uinv=False)
-    return IntMatrix._trusted(a.rows, a.cols, m)
-
-
-def hnf_col_transform(a, with_u=True, with_uinv=True):
-    """Hermite form plus the transform pair: returns (h, u, u_inv).
-
-    A transform that is not asked for is not tracked and comes back as None.
+    in [0, pivot), zero columns pushed rightmost.  A transform that is not
+    asked for is not tracked and comes back as None.
     """
     m, u, uinv = _hnf_col_ops(a, with_u, with_uinv)
     n = a.cols

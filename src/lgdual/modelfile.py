@@ -14,7 +14,7 @@
 Integer and rational lists may also be comma-separated or bracketed.
 """
 
-from .complexq import ComplexQ, _fraction, _quoted, format_complex, parse_complex
+from .complexq import ComplexQ, _exact, _fraction, _quoted, format_complex, parse_complex
 from .errors import ParseError, ValidationError
 from .lgmodel import (
     ChowClass,
@@ -212,16 +212,16 @@ def format_model(m, header=None):
         for h in header.splitlines():
             lines.append("# " + h)
     lines.append("[variety]")
-    lines.append("dv = " + "; ".join(" ".join(str(v) for v in row) for row in m.variety.dv))
+    lines.append("dv = " + "; ".join(" ".join(map(_exact, row)) for row in m.variety.dv))
     lines.append("labels = " + " ".join(m.variety.divisors))
     im = m.k_class.im_lift()
     if any(im):
-        lines.append("offset = " + " ".join(map(str, im)))
+        lines.append("offset = " + " ".join(map(_exact, im)))
     lines.append("[potential]")
     for coeff, exps in m.potential.terms:
         lines.append(
             "term = %s : %s  # %s"
-            % (format_complex(coeff), " ".join(str(e) for e in exps), monomial_name(exps))
+            % (format_complex(coeff), " ".join(map(_exact, exps)), monomial_name(exps))
         )
     values = m.k_class.values()
     if values:

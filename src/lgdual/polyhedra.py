@@ -10,11 +10,10 @@ is replayed against the original rows before it is returned: interior
 points, nonnegative multiplier certificates of emptiness, the multipliers
 behind each dropped row, and the polar or Farkas vector behind each kept
 one.  For display, one counterclockwise walk over the kept facets of a 2D
-system, sorted by the angle of their edge directions, gives its vertices,
-rays and edges.
+system, sorted by the angle of their edge directions, gives its corners
+and edges, from which ``svg`` draws the polygon.
 """
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -30,7 +29,6 @@ __all__ = [
     "strict_interior_point",
     "infeasibility_certificate",
     "facets",
-    "vertices_and_rays_2d",
 ]
 
 
@@ -50,17 +48,6 @@ class HalfspaceSystem:
             )
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "offset", offset)
-
-    def contains(self, point, strict=False):
-        if len(point) != self.c.cols:
-            raise DimensionMismatchError(
-                "point of length %d for a system in %d dims" % (len(point), self.c.cols)
-            )
-        for i in range(self.c.rows):
-            val = sum(Fraction(a) * Fraction(x) for a, x in zip(self.c[i], point)) + self.offset[i]
-            if val < 0 or (strict and val == 0):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -314,27 +301,21 @@ def facets(h):
 
 
 # ---------------------------------------------------------------------------
-# 2D enumeration
+# 2D boundary walk
 
 def _ccw_key(points):
-    """Sort comparator data for exact counterclockwise ordering around origin."""
+    """Nonzero points sorted exactly counterclockwise around the origin,
+    starting at the positive x-axis.  A point's half-plane h is 0 for an
+    angle in [0, pi) and 1 for [pi, 2 pi); within one, the angle falls as
+    t = x / (|x| + |y|) rises for h = 0 and rises with it for h = 1."""
 
-    def half(p):
+    def key(p):
         x, y = p
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+        t = Fraction(x, abs(x) + abs(y))
+        h = 0 if (y > 0 or (y == 0 and x > 0)) else 1
+        return (h, -t if h == 0 else t)
 
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = p[0] * q[1] - p[1] * q[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=functools.cmp_to_key(cmp))
+    return sorted(points, key=key)
 
 
 def _rotate_to_lexmin(seq):
@@ -374,36 +355,3 @@ def _boundary(h):
             det = a * f - b * c
             corners.append((Fraction(-o1 * f + o2 * b, det), Fraction(-o2 * a + o1 * c, det)))
     return edges, corners
-
-
-def vertices_and_rays_2d(h):
-    """Vertices (rational pairs) and primitive recession rays of a 2D system.
-
-    Vertices are the corners of the boundary walk, ordered counterclockwise
-    starting from the lexicographically smallest; rays generate the
-    recession cone, also counterclockwise from the smallest: the outward
-    directions of the two unbounded edges, both directions of the lines
-    of a region bounded by parallel lines, and none for a bounded region
-    or the whole plane.  A 1D system is accepted and embedded on the
-    first axis.
-    """
-    n = h.c.cols
-    if n not in (1, 2):
-        raise DimensionMismatchError("vertex/ray enumeration supports 1 or 2 dims, not %d" % n)
-    if n == 1:
-        # each kept row's boundary point lies on the region, and two kept
-        # rows never share one, as that would leave no interior
-        kept = facets(h).irredundant
-        rows = [h.c[i][0] for i in kept]
-        verts = sorted((-h.offset[i] / a, Fraction(0)) for i, a in zip(kept, rows))
-        rays = [(d, 0) for d in (-1, 1) if all(a * d >= 0 for a in rows)]
-        return verts, rays
-
-    edges, corners = _boundary(h)
-    verts = _rotate_to_lexmin(corners)
-    if len(corners) == len(edges):
-        return verts, []
-    first, last = edges[0][1], edges[-1][1]
-    if not corners:
-        last = first  # parallel lines: both directions along them
-    return verts, sorted({(-first[0], -first[1]), last})

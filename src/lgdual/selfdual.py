@@ -351,10 +351,6 @@ class SelfDualityWitness:
     basis_change: IntMatrix
     k_class: object = None
 
-    def selected_rows(self):
-        """Indices into the full exponent matrix, in output-row order."""
-        return tuple(self.monomial_subset[p] for p in self.row_permutation)
-
     def verify(self, dv, mon, check_k=True):
         """True when the witness replays against (dv, mon); False also for a
         malformed witness: a subset that is not strictly increasing within

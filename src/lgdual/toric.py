@@ -10,6 +10,7 @@ halfspace linear data.
 from dataclasses import dataclass
 from functools import cache
 
+from .complexq import _quoted
 from .errors import NotKopasepticError, ShapeMismatchError
 from .linalg import IntMatrix, _integers, block_diag, cokernel
 from .polyhedra import HalfspaceSystem, facets
@@ -21,7 +22,6 @@ __all__ = [
     "split_bundle_total_space",
     "bundle_over_p1",
     "product",
-    "point",
     "from_linear_data",
 ]
 
@@ -46,9 +46,6 @@ class ToricData:
     def chow_group(self):
         return cokernel(self.dv)
 
-    def halfspaces(self, offset):
-        return HalfspaceSystem(self.dv, offset)
-
 
 def _imprimitive_row(dv):
     """(i, how) for the first row i of dv that is not a primitive ray
@@ -57,7 +54,7 @@ def _imprimitive_row(dv):
     for i in range(dv.rows):
         g = dv.row_gcd(i)
         if g != 1:
-            return i, "zero" if g == 0 else "non-primitive (gcd %d)" % g
+            return i, "zero" if g == 0 else "non-primitive (gcd %s)" % _quoted(g)
     return None
 
 
@@ -130,11 +127,6 @@ def product(x, y):
         return y
     labels = tuple("%s.1" % l for l in x.divisors) + tuple("%s.2" % l for l in y.divisors)
     return ToricData(x.rank + y.rank, labels, block_diag(x.dv, y.dv))
-
-
-def point():
-    """The zero-dimensional variety (identity for products)."""
-    return ToricData(0, (), IntMatrix(0, 0, []))
 
 
 def from_linear_data(c, offset):

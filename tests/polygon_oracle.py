@@ -7,6 +7,8 @@ intersects every pair of kept rows and tests each point against every
 row, sorts the vertices around their centroid, takes rays from both
 directions of every row, and rebuilds the polygon's edges from the
 vertices with a second facet pass and a shoelace orientation test.
+``contains`` is the membership test it tests each point with, in Fraction
+arithmetic; the polyhedra tests use it too.
 """
 
 from fractions import Fraction
@@ -17,33 +19,25 @@ from lgdual.polyhedra import HalfspaceSystem, _ccw_key, _rotate_to_lexmin, facet
 from lgdual.svg import _truncation_point
 
 
+def contains(h, point, strict=False):
+    """True when point satisfies every row of h, strictly if strict."""
+    for row, off in zip(h.c, h.offset):
+        val = sum(Fraction(a) * Fraction(x) for a, x in zip(row, point)) + off
+        if val < 0 or (strict and val == 0):
+            return False
+    return True
+
+
 def vertices_and_rays_2d(h):
     """Vertices (rational pairs) and primitive recession rays of a 2D system.
 
     Vertices are the feasible pairwise facet intersections, ordered
     counterclockwise starting from the lexicographically smallest; rays
     generate the recession cone, also counterclockwise from the smallest.
-    A 1D system is accepted and embedded on the first axis.
     """
-    n = h.c.cols
-    if n not in (1, 2):
-        raise DimensionMismatchError("vertex/ray enumeration supports 1 or 2 dims, not %d" % n)
     rep = facets(h)
     rows = [h.c[i] for i in rep.irredundant]
     offs = [h.offset[i] for i in rep.irredundant]
-
-    if n == 1:
-        verts = set()
-        for (a,), off in zip(rows, offs):
-            x = -off / a
-            if h.contains((x,)):
-                verts.add((x, Fraction(0)))
-        rays = set()
-        for d in ((1,), (-1,)):
-            if all(a * d[0] >= 0 for (a,) in rows):
-                rays.add((d[0], 0))
-        verts = sorted(verts)
-        return verts, sorted(rays)
 
     verts = set()
     m = len(rows)
@@ -57,7 +51,7 @@ def vertices_and_rays_2d(h):
             o1, o2 = offs[i], offs[j]
             x = Fraction(-o1 * d + o2 * b, det)
             y = Fraction(-o2 * a + o1 * c, det)
-            if h.contains((x, y)):
+            if contains(h, (x, y)):
                 verts.add((x, y))
     verts = list(verts)
     if len(verts) > 2:

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, and output contracts."""
 
+import decimal
 import math
 import os
 import shutil
@@ -179,6 +180,33 @@ def test_analyze_prints_a_class_past_the_digit_limit_exactly(tmp_path, capsys, l
     out, err = capsys.readouterr()
     assert "K class:\n  values: [%s]\n  lift: [0, %s, 0]\n" % (value, value) in out
     assert err == ""
+
+
+# 4,000 digits parse, but their square is past str()'s limit of 4,300
+SEVENS = "7" * 4000
+# dv row 2 times the one exponent vector is (+-SEVENS) * SEVENS
+SQUARE_ORDER = "[variety]\ndv = 1 0; %s%s 1\n[potential]\nterm = 1 : %s 0\n"
+
+
+def test_analyze_prints_an_order_past_the_digit_limit_exactly(tmp_path, capsys):
+    path = write_text(tmp_path, SQUARE_ORDER % ("", SEVENS, SEVENS))
+    assert main(["analyze", path]) == 0
+    out, err = capsys.readouterr()
+    with decimal.localcontext() as ctx:  # Decimal multiplies digit strings, with no limit
+        ctx.prec, ctx.traps[decimal.Inexact] = 8000, True
+        square = str(decimal.Decimal(SEVENS) ** 2)
+    assert "order matrix (dv . mon^T):\n  D1  %s\n  D2  %s\n" % (SEVENS.rjust(8000), square) in out
+    assert err == ""
+
+
+def test_a_pole_order_past_the_digit_limit_exits_3(tmp_path, capsys):
+    path = write_text(tmp_path, SQUARE_ORDER % ("-", SEVENS, SEVENS))
+    assert main(["analyze", path]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error: superpotential term 0 has a pole of order 60493827160493827160...(8000 digits) "
+        "along divisor D2\n",
+    )
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from lgdual.lgmodel import (
     default_k_class,
     default_l_class,
     dualize,
-    empty_model,
     generic_sections,
     is_kopaseptic,
     is_regular,
@@ -557,6 +556,8 @@ def test_sum_with_torus_model_keeps_both_factors():
 
 def test_sum_with_empty_model_is_identity():
     m = bundle_model([-2])
-    s = sum_models(m, empty_model())
+    point = toric.ToricData(0, (), IntMatrix(0, 0, []))
+    empty = LGModel(point, Superpotential(()), ChowClass((), point.chow_group()))
+    s = sum_models(m, empty)
     assert s.variety == m.variety
     assert s.potential.exponents() == m.potential.exponents()

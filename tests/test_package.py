@@ -30,15 +30,15 @@ PUBLIC_NAMES = [
     "ShapeMismatchError", "SmithDecomposition", "Superpotential", "ToricData",
     "ValidationError", "__version__", "bundle_model",
     "bundle_over_p1", "canonical_class", "classify_cy", "cokernel", "default_k_class",
-    "default_l_class", "dualize", "empty_model", "facets", "format_complex",
-    "format_model", "from_linear_data", "generic_sections", "hnf_col",
+    "default_l_class", "dualize", "facets", "format_complex",
+    "format_model", "from_linear_data", "generic_sections",
     "hnf_col_transform", "infeasibility_certificate", "is_kopaseptic", "is_regular",
     "k_reconstruction_class", "linear_data", "load_model", "matrix_self_dual",
     "model_self_dual", "moment_polygon", "mon_matrix", "monomial_name", "order_matrix",
-    "parse_complex", "parse_model", "point", "product", "product_self_dual",
+    "parse_complex", "parse_model", "product", "product_self_dual",
     "projective_line", "render_svg", "right_equivalent", "self_dual_witness", "snf",
     "split_bundle_total_space", "strict_interior_nonempty", "strict_interior_point",
-    "sum_models", "sweep_line_bundles", "sweep_rank_two", "vertices_and_rays_2d",
+    "sum_models", "sweep_line_bundles", "sweep_rank_two",
 ]
 
 

@@ -1,6 +1,6 @@
 """Simplex feasibility and redundancy removal, checked against the
 Fourier-Motzkin oracle in ``fm_oracle`` and step for step against the
-Fraction-era kernel in ``lp_oracle``, and 2D enumeration."""
+Fraction-era kernel in ``lp_oracle``, and the 2D boundary walk."""
 
 import itertools
 import random
@@ -13,19 +13,21 @@ from hypothesis import strategies as st
 
 import fm_oracle
 import lp_oracle
+from polygon_oracle import contains
 from lgdual import polyhedra
 from lgdual.errors import DimensionMismatchError, EmptyInteriorError
 from lgdual.linalg import IntMatrix
 from lgdual.polyhedra import (
     FacetReport,
     HalfspaceSystem,
+    _boundary,
     _simplex,
     facets,
     infeasibility_certificate,
     strict_interior_nonempty,
     strict_interior_point,
-    vertices_and_rays_2d,
 )
+from lgdual.svg import moment_polygon
 
 
 def system(rows, offsets, cols=None):
@@ -50,16 +52,9 @@ def random_systems(draw, max_rows=5):
 
 
 def test_contains():
-    assert OM2.contains((Fraction(1, 2), Fraction(1, 2)))
-    assert OM2.contains((0, 0)) and not OM2.contains((0, 0), strict=True)
-    assert not OM2.contains((-1, 0))
-
-
-def test_contains_checks_the_point_length():
-    with pytest.raises(DimensionMismatchError):
-        OM2.contains((1,))
-    with pytest.raises(DimensionMismatchError):
-        OM2.contains((0, 0, 0), strict=True)
+    assert contains(OM2, (Fraction(1, 2), Fraction(1, 2)))
+    assert contains(OM2, (0, 0)) and not contains(OM2, (0, 0), strict=True)
+    assert not contains(OM2, (-1, 0))
 
 
 def test_fraction_offsets_kept_as_they_are():
@@ -76,7 +71,7 @@ def test_offset_length_checked():
 
 def test_interior_point_known():
     p = strict_interior_point(OM2)
-    assert p is not None and OM2.contains(p, strict=True)
+    assert p is not None and contains(OM2, p, strict=True)
 
 
 def test_interior_empty_line():
@@ -96,7 +91,7 @@ def test_interior_empty_strictly_infeasible():
 def test_feasibility_verdicts_sound(h):
     point = strict_interior_point(h)
     if point is not None:
-        assert h.contains(point, strict=True)
+        assert contains(h, point, strict=True)
     else:
         lam = infeasibility_certificate(h, strict=True)
         assert lam is not None
@@ -120,7 +115,7 @@ def test_grid_point_implies_feasible(h):
             (x, y)
             for x in span
             for y in span
-            if h.contains((x, y), strict=True)
+            if contains(h, (x, y), strict=True)
         ),
         None,
     )
@@ -203,7 +198,7 @@ def test_facets_preserve_the_set(h):
     span = [Fraction(k, 2) for k in range(-5, 6)]
     for x in span:
         for y in span:
-            assert h.contains((x, y)) == sub.contains((x, y))
+            assert contains(h, (x, y)) == contains(sub, (x, y))
 
 
 # --- the integer kernel against the Fraction-era one in lp_oracle -------------
@@ -542,47 +537,27 @@ def test_polar_certificates_match_per_row_lps(h):
     assert facets(h) == expected
 
 
-# --- 2D enumeration ----------------------------------------------------------
+# --- 2D boundary walk ---------------------------------------------------------
 
 def test_vertices_and_rays_cotangent_total_space():
-    verts, rays = vertices_and_rays_2d(OM2)
-    assert verts == [(0, 0), (1, 0)]
-    assert rays == [(0, 1), (2, 1)]
+    # unbounded: the walk starts after the gap, so the region's rays are the
+    # first edge reversed, (0, 1), and the last, (2, 1)
+    edges, corners = _boundary(OM2)
+    assert edges == [(0, (0, -1)), (2, (1, 0)), (1, (2, 1))]
+    assert corners == [(0, 0), (1, 0)]
 
 
 def test_vertices_unit_square_ccw_from_lexmin():
     h = system([(1, 0), (0, 1), (-1, 0), (0, -1)], (0, 0, 1, 1))
-    verts, rays = vertices_and_rays_2d(h)
-    assert verts == [(0, 0), (1, 0), (1, 1), (0, 1)]
-    assert rays == []
-
-
-def test_vertices_1d_embedding():
-    h = HalfspaceSystem(IntMatrix.from_rows([(1,), (-1,)]), (0, 1))
-    verts, rays = vertices_and_rays_2d(h)
-    assert verts == [(0, 0), (1, 0)]
-    assert rays == []
-
-
-def test_vertices_1d_halfline():
-    h = HalfspaceSystem(IntMatrix.from_rows([(1,)]), (0,))
-    verts, rays = vertices_and_rays_2d(h)
-    assert verts == [(0, 0)]
-    assert rays == [(1, 0)]
-
-
-def test_vertices_dimension_guard():
-    h = HalfspaceSystem(IntMatrix.from_rows([(1, 0, 0)]), (0,))
-    with pytest.raises(DimensionMismatchError):
-        vertices_and_rays_2d(h)
+    points, edge_rows = moment_polygon(h.c, h.offset)
+    assert points == [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert edge_rows == [1, 2, 3, 0]
 
 
 def test_row_scaling_does_not_change_geometry():
     a = system([(1, 0), (-1, 2), (0, 1)], (0, 1, 0))
     b = system([(3, 0), (-2, 4), (0, 5)], (0, 2, 0))
-    va, ra = vertices_and_rays_2d(a)
-    vb, rb = vertices_and_rays_2d(b)
-    assert va == vb and ra == rb
+    assert _boundary(a) == _boundary(b)
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3))
@@ -593,7 +568,7 @@ def test_translation_moves_vertices(ux, uy):
     shifted = [
         OM2.offset[i] + c[i][0] * ux + c[i][1] * uy for i in range(c.rows)
     ]
-    verts, rays = vertices_and_rays_2d(HalfspaceSystem(c, shifted))
-    base_verts, base_rays = vertices_and_rays_2d(OM2)
-    assert rays == base_rays
-    assert sorted(verts) == sorted((x - ux, y - uy) for x, y in base_verts)
+    edges, corners = _boundary(HalfspaceSystem(c, shifted))
+    base_edges, base_corners = _boundary(OM2)
+    assert edges == base_edges
+    assert corners == [(x - ux, y - uy) for x, y in base_corners]

@@ -1,10 +1,12 @@
-"""The README's Library example runs as a doctest."""
+"""The README's Library example runs as a doctest, and its module line
+count is the line count of ``src/lgdual/*.py``."""
 
 import doctest
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def library_example():
@@ -25,3 +27,10 @@ def test_readme_library_example():
     runner.run(test)
     failed, attempted = runner.summarize(verbose=False)
     assert attempted > 0 and failed == 0
+
+
+def test_readme_counts_the_module_lines():
+    count = re.search(r"Modules \(([\d,]+) lines in all", README.read_text(encoding="utf-8"))
+    # as `cat src/lgdual/*.py | wc -l` counts them: newline characters
+    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "lgdual").glob("*.py"))
+    assert int(count.group(1).replace(",", "")) == lines

@@ -19,7 +19,6 @@ from lgdual.toric import (
     ToricData,
     bundle_over_p1,
     from_linear_data,
-    point,
     product,
     projective_line,
     split_bundle_total_space,
@@ -158,8 +157,9 @@ def test_product_with_torus_adds_its_rank():
 
 def test_point_is_product_identity():
     x = bundle_over_p1([-1])
-    assert product(x, point()) == x
-    assert product(point(), x) == x
+    point = ToricData(0, (), IntMatrix(0, 0, []))
+    assert product(x, point) == x
+    assert product(point, x) == x
 
 
 # --- reconstruction ----------------------------------------------------------
