@@ -8,16 +8,56 @@ exponent of at most EXPONENT_DIGITS digits.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from operator import attrgetter
 
 __all__ = ["ComplexQ", "parse_complex", "format_complex"]
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexQ:
-    re: Fraction
-    im: Fraction
+class _Frozen:
+    """Base of lgdual's immutable value types, in place of a frozen dataclass,
+    whose generated methods cost more than half of an import to build.
+    Equality (between instances of one class only), hashing and repr read
+    the fields that the class names in ``_fields``; assigning or deleting an
+    attribute raises FrozenInstanceError, so each ``__init__`` sets its
+    fields with object.__setattr__; pickling and copying carry every
+    attribute, including any an unslotted type keeps besides its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(["%s=%r" % (f, getattr(self, f)) for f in self._fields])
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __getstate__(self):
+        return getattr(self, "__dict__", None) or {f: getattr(self, f) for f in self._fields}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
+class ComplexQ(_Frozen):
+    __slots__ = _fields = ("re", "im")
 
     def __init__(self, re=0, im=0):
         # a Fraction is immutable, so one is kept as it is

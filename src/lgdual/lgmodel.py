@@ -9,10 +9,9 @@ the two halves, which is implemented here as ``dualize``.
 """
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexq import ComplexQ, _quoted
+from .complexq import ComplexQ, _Frozen, _quoted
 from .errors import (
     EmptyInteriorError,
     GroupMismatchError,
@@ -46,11 +45,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Superpotential:
+class Superpotential(_Frozen):
     """Ordered terms (coefficient, exponent vector); exponents are distinct."""
 
-    terms: tuple
+    _fields = ("terms",)
 
     def __init__(self, terms):
         cooked = []
@@ -163,8 +161,7 @@ def _mat_apply(mat, vec):
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ChowClass:
+class ChowClass(_Frozen):
     """A class in (cokernel) tensor C/Z, stored through an explicit lift.
 
     Two classes are equivalent iff their lifts differ by an integer vector
@@ -173,8 +170,7 @@ class ChowClass:
     projection of the difference.
     """
 
-    lift: tuple
-    group: object
+    __slots__ = _fields = ("lift", "group")
 
     def __init__(self, lift, group):
         lift = tuple(z if isinstance(z, ComplexQ) else ComplexQ(z) for z in lift)
@@ -255,29 +251,29 @@ def default_l_class(mon):
 # ---------------------------------------------------------------------------
 # Models
 
-@dataclass(frozen=True)
-class LGModel:
+class LGModel(_Frozen):
     """A model (variety, potential, K).  The exponent matrix and the order
     matrix dv @ mon^T that the regularity check forms are kept, so mon()
     and order_matrix() return them."""
 
-    variety: ToricData
-    potential: Superpotential
-    k_class: ChowClass
+    _fields = ("variety", "potential", "k_class")
 
-    def __post_init__(self):
-        if self.k_class.group.source != self.variety.dv:
+    def __init__(self, variety, potential, k_class):
+        if k_class.group.source != variety.dv:
             raise GroupMismatchError("K class group is not the variety's divisor class group")
-        mon = mon_matrix(self.potential, rank=self.variety.rank)
-        om, poles = _orders(self.variety.dv, mon)
+        mon = mon_matrix(potential, rank=variety.rank)
+        om, poles = _orders(variety.dv, mon)
         if poles:
             k, i, v = poles[0]
             raise RegularityError(
                 "superpotential term %d has a pole of order %s along divisor %s"
-                % (i, _quoted(-v), self.variety.divisors[k]),
+                % (i, _quoted(-v), variety.divisors[k]),
                 pairs=poles,
                 orders=om,
             )
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "potential", potential)
+        object.__setattr__(self, "k_class", k_class)
         object.__setattr__(self, "_mon", mon)
         object.__setattr__(self, "_order_matrix", om)
 
@@ -295,21 +291,20 @@ def bundle_model(degrees):
     return LGModel(variety, generic_sections(degrees), default_k_class(variety))
 
 
-@dataclass(frozen=True)
-class LinearData:
+class LinearData(_Frozen):
     """The two matrix/class pairs (a, k) and (b, l) of a model."""
 
-    a: IntMatrix
-    k: ChowClass
-    b: IntMatrix
-    l: ChowClass
+    _fields = ("a", "k", "b", "l")
 
-    def __post_init__(self):
-        if self.a.cols != self.b.cols:
+    def __init__(self, a, k, b, l):
+        if a.cols != b.cols:
             raise ShapeMismatchError(
-                "paired matrices must share their domain: %d vs %d columns"
-                % (self.a.cols, self.b.cols)
+                "paired matrices must share their domain: %d vs %d columns" % (a.cols, b.cols)
             )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "l", l)
 
     def swapped(self):
         return LinearData(self.b, self.l, self.a, self.k)
@@ -325,18 +320,22 @@ def linear_data(m, l=None):
     return LinearData(m.variety.dv, m.k_class, mon, l)
 
 
-@dataclass(frozen=True)
-class KopasepticReport:
+class KopasepticReport(_Frozen):
     """The three kopaseptic conditions for linear data (a, k), (b, l):
     nonempty strict interior of {a xi + Im k >= 0}, existence of a
     generator-to-generator-or-zero reconstruction map, and nonnegativity
     of a @ b^T.  ``passed`` is their conjunction."""
 
-    interior_nonempty: bool
-    kmap_exists: bool
-    order_nonneg: bool
-    facet_report: object
-    negative_orders: tuple
+    _fields = (
+        "interior_nonempty", "kmap_exists", "order_nonneg", "facet_report", "negative_orders"
+    )
+
+    def __init__(self, interior_nonempty, kmap_exists, order_nonneg, facet_report, negative_orders):
+        object.__setattr__(self, "interior_nonempty", interior_nonempty)
+        object.__setattr__(self, "kmap_exists", kmap_exists)
+        object.__setattr__(self, "order_nonneg", order_nonneg)
+        object.__setattr__(self, "facet_report", facet_report)
+        object.__setattr__(self, "negative_orders", negative_orders)
 
     @property
     def passed(self):

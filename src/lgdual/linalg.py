@@ -6,10 +6,10 @@ right-equivalence solving.  Everything here is pure and exact; matrices are
 immutable after construction.
 """
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import index
 
+from .complexq import _Frozen
 from .errors import ShapeMismatchError, ValidationError
 
 __all__ = [
@@ -137,8 +137,7 @@ def _add_col(mats, j, i, q):
             row[j] += q * row[i]
 
 
-@dataclass(frozen=True, slots=True)
-class IntMatrix:
+class IntMatrix(_Frozen):
     """Immutable integer matrix, row-major, arbitrary precision.
 
     The column count is explicit so zero-row matrices keep their shape
@@ -152,9 +151,7 @@ class IntMatrix:
     boundary, and skips both passes.
     """
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
         # built from lists: tuple() of a generator allocates 10 slots and
@@ -258,13 +255,15 @@ def block_diag(a, b):
     return IntMatrix._trusted(a.rows + b.rows, a.cols + b.cols, rows)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Frozen):
     """u @ a @ v == s with u, v unimodular and s = diag(d1 | d2 | ...)."""
 
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
+    _fields = ("u", "s", "v")
+
+    def __init__(self, u, s, v):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "v", v)
 
     def diagonal(self):
         return tuple(self.s[i][i] for i in range(min(self.s.rows, self.s.cols)))
@@ -356,8 +355,7 @@ def snf(a):
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ChowGroup:
+class ChowGroup(_Frozen):
     """Cokernel presentation of an integer matrix map.
 
     The map sends the column lattice into the row lattice (chi -> a @ chi);
@@ -367,10 +365,13 @@ class ChowGroup:
     torsion coordinate functionals.  ``source`` is the defining matrix.
     """
 
-    free_rank: int
-    torsion: tuple
-    projection: IntMatrix
-    source: IntMatrix
+    __slots__ = _fields = ("free_rank", "torsion", "projection", "source")
+
+    def __init__(self, free_rank, torsion, projection, source):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "source", source)
 
     def free_projection(self):
         return self.projection.take_rows(range(self.free_rank))

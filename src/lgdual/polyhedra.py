@@ -14,11 +14,11 @@ system, sorted by the angle of their edge directions, gives its corners
 and edges, from which ``svg`` draws the polygon.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .complexq import _Frozen
 from .errors import DimensionMismatchError, EmptyInteriorError
 from .linalg import IntMatrix, _scaled
 
@@ -32,12 +32,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HalfspaceSystem:
+class HalfspaceSystem(_Frozen):
     """Constraint rows c (r x n, integer) and a rational offset r-vector."""
 
-    c: IntMatrix
-    offset: tuple
+    _fields = ("c", "offset")
 
     def __init__(self, c, offset):
         # a Fraction is immutable, so one is kept as it is
@@ -50,8 +48,7 @@ class HalfspaceSystem:
         object.__setattr__(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class FacetReport:
+class FacetReport(_Frozen):
     """Redundancy report: which input rows cut actual facets.
 
     ``irredundant`` lists surviving row indices in input order;
@@ -59,9 +56,12 @@ class FacetReport:
     ``kmap`` assigns each input row its facet position or None if dropped.
     """
 
-    irredundant: tuple
-    primitive_normals: IntMatrix
-    kmap: tuple
+    _fields = ("irredundant", "primitive_normals", "kmap")
+
+    def __init__(self, irredundant, primitive_normals, kmap):
+        object.__setattr__(self, "irredundant", irredundant)
+        object.__setattr__(self, "primitive_normals", primitive_normals)
+        object.__setattr__(self, "kmap", kmap)
 
     def is_identity(self):
         return all(k is not None for k in self.kmap)

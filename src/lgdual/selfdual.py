@@ -342,6 +342,9 @@ def k_reconstruction_class(variety, group=None):
     return None
 
 
+# The two verdict types stay dataclasses, unlike the other value types
+# (complexq._Frozen): bench/selftest.py builds altered verdicts with
+# dataclasses.replace.
 @dataclass(frozen=True, slots=True)
 class SelfDualityWitness:
     """Data certifying P . mon_S . U = dv together with a working K class."""

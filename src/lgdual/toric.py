@@ -7,10 +7,9 @@ spaces of split bundles over it, finite products, and reconstruction from
 halfspace linear data.
 """
 
-from dataclasses import dataclass
 from functools import cache
 
-from .complexq import _quoted
+from .complexq import _Frozen, _quoted
 from .errors import NotKopasepticError, ShapeMismatchError
 from .linalg import IntMatrix, _integers, block_diag, cokernel
 from .polyhedra import HalfspaceSystem, facets
@@ -26,22 +25,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToricData:
-    rank: int
-    divisors: tuple
-    dv: IntMatrix
+class ToricData(_Frozen):
+    _fields = ("rank", "divisors", "dv")
 
-    def __post_init__(self):
-        if self.dv.cols != self.rank:
-            raise ShapeMismatchError(
-                "ray matrix has %d columns, expected rank %d" % (self.dv.cols, self.rank)
-            )
-        if len(self.divisors) != self.dv.rows:
-            raise ShapeMismatchError(
-                "%d divisor labels for %d rows" % (len(self.divisors), self.dv.rows)
-            )
-        object.__setattr__(self, "divisors", tuple(self.divisors))
+    def __init__(self, rank, divisors, dv):
+        if dv.cols != rank:
+            raise ShapeMismatchError("ray matrix has %d columns, expected rank %d" % (dv.cols, rank))
+        if len(divisors) != dv.rows:
+            raise ShapeMismatchError("%d divisor labels for %d rows" % (len(divisors), dv.rows))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "divisors", tuple(divisors))
+        object.__setattr__(self, "dv", dv)
 
     def chow_group(self):
         return cokernel(self.dv)
@@ -65,20 +59,20 @@ def projective_line():
     return ToricData(1, ("f0", "fInf"), IntMatrix.from_rows([(1,), (-1,)]))
 
 
-@dataclass(frozen=True)
-class BundleSpec:
+class BundleSpec(_Frozen):
     """Split-bundle data: one column per summand, giving the divisor D_j
     (as coefficients over the base divisors) with X = Tot(O(-D_1) + ...)."""
 
-    base: ToricData
-    divisor_columns: IntMatrix
+    _fields = ("base", "divisor_columns")
 
-    def __post_init__(self):
-        if self.divisor_columns.rows != self.base.dv.rows:
+    def __init__(self, base, divisor_columns):
+        if divisor_columns.rows != base.dv.rows:
             raise ShapeMismatchError(
                 "divisor columns have %d rows, base has %d divisors"
-                % (self.divisor_columns.rows, self.base.dv.rows)
+                % (divisor_columns.rows, base.dv.rows)
             )
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "divisor_columns", divisor_columns)
 
 
 def split_bundle_total_space(spec):

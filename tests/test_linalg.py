@@ -4,6 +4,8 @@ import copy
 import itertools
 import math
 import pickle
+import types
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,16 @@ from hypothesis import strategies as st
 
 import elimination_oracle
 from lgdual import linalg
-from lgdual.lgmodel import bundle_model, dualize, linear_data
+from lgdual.complexq import ComplexQ
+from lgdual.lgmodel import (
+    LGModel,
+    Superpotential,
+    bundle_model,
+    default_k_class,
+    dualize,
+    is_kopaseptic,
+    linear_data,
+)
 from lgdual.errors import ShapeMismatchError, ValidationError
 from lgdual.linalg import (
     IntMatrix,
@@ -24,7 +35,9 @@ from lgdual.linalg import (
     snf,
 )
 from lgdual.modelfile import parse_model
+from lgdual.polyhedra import HalfspaceSystem, facets
 from lgdual.selfdual import model_self_dual
+from lgdual.toric import BundleSpec, ToricData, projective_line
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -139,24 +152,150 @@ term = 3/9+3i : 2 1 0 0
 """
 
 
+def line_model():
+    """The affine line with potential 2 + t: a model small enough to print."""
+    x = ToricData(1, ("D1",), IntMatrix.from_rows([(1,)]))
+    return LGModel(x, Superpotential([(2, (0,)), (1, (1,))]), default_k_class(x))
+
+
+# Each value type other than the two verdicts, with a small instance, its
+# fields, whether it is slotted, and its repr as printed when these types
+# were frozen dataclasses.
+VALUE_TYPES = [
+    pytest.param(
+        lambda: ComplexQ(1, -2), ("re", "im"), True,
+        "ComplexQ(re=Fraction(1, 1), im=Fraction(-2, 1))",
+        id="ComplexQ",
+    ),
+    pytest.param(
+        lambda: IntMatrix.from_rows([(1, -2), (0, 3)]), ("rows", "cols", "entries"), True,
+        "IntMatrix(2, 2, [[1, -2], [0, 3]])",
+        id="IntMatrix",
+    ),
+    pytest.param(
+        lambda: snf(IntMatrix.from_rows([(2, 4)])), ("u", "s", "v"), False,
+        "SmithDecomposition(u=IntMatrix(1, 1, [[1]]), s=IntMatrix(1, 2, [[2, 0]]), "
+        "v=IntMatrix(2, 2, [[1, -2], [0, 1]]))",
+        id="SmithDecomposition",
+    ),
+    pytest.param(
+        lambda: cokernel(IntMatrix.from_rows([(2,), (0,)])),
+        ("free_rank", "torsion", "projection", "source"), True,
+        "ChowGroup(free_rank=1, torsion=(2,), projection=IntMatrix(2, 2, [[0, 1], [1, 0]]), "
+        "source=IntMatrix(2, 1, [[2], [0]]))",
+        id="ChowGroup",
+    ),
+    pytest.param(
+        lambda: Superpotential([(1, (0, 1)), (ComplexQ(1, 2), (1, 0))]), ("terms",), False,
+        "Superpotential(terms=(((1+0j), (0, 1)), ((1+2j), (1, 0))))",
+        id="Superpotential",
+    ),
+    pytest.param(
+        lambda: default_k_class(projective_line()), ("lift", "group"), True,
+        "ChowClass(lift=(ComplexQ(re=Fraction(0, 1), im=Fraction(0, 1)), "
+        "ComplexQ(re=Fraction(0, 1), im=Fraction(1, 1))), group=ChowGroup(free_rank=1, "
+        "torsion=(), projection=IntMatrix(1, 2, [[1, 1]]), source=IntMatrix(2, 1, [[1], [-1]])))",
+        id="ChowClass",
+    ),
+    pytest.param(
+        line_model, ("variety", "potential", "k_class"), False,
+        "LGModel(variety=ToricData(rank=1, divisors=('D1',), dv=IntMatrix(1, 1, [[1]])), "
+        "potential=Superpotential(terms=(((2+0j), (0,)), ((1+0j), (1,)))), "
+        "k_class=ChowClass(lift=(ComplexQ(re=Fraction(0, 1), im=Fraction(0, 1)),), "
+        "group=ChowGroup(free_rank=0, torsion=(), projection=IntMatrix(0, 1, []), "
+        "source=IntMatrix(1, 1, [[1]]))))",
+        id="LGModel",
+    ),
+    pytest.param(
+        lambda: linear_data(line_model()), ("a", "k", "b", "l"), False,
+        "LinearData(a=IntMatrix(1, 1, [[1]]), k=ChowClass(lift=(ComplexQ(re=Fraction(0, 1), "
+        "im=Fraction(0, 1)),), group=ChowGroup(free_rank=0, torsion=(), "
+        "projection=IntMatrix(0, 1, []), source=IntMatrix(1, 1, [[1]]))), "
+        "b=IntMatrix(2, 1, [[0], [1]]), l=ChowClass(lift=(ComplexQ(re=Fraction(0, 1), "
+        "im=Fraction(1, 1)), ComplexQ(re=Fraction(0, 1), im=Fraction(0, 1))), "
+        "group=ChowGroup(free_rank=1, torsion=(), projection=IntMatrix(1, 2, [[1, 0]]), "
+        "source=IntMatrix(2, 1, [[0], [1]]))))",
+        id="LinearData",
+    ),
+    pytest.param(
+        lambda: is_kopaseptic(linear_data(line_model())),
+        ("interior_nonempty", "kmap_exists", "order_nonneg", "facet_report", "negative_orders"),
+        False,
+        "KopasepticReport(interior_nonempty=True, kmap_exists=True, order_nonneg=True, "
+        "facet_report=FacetReport(irredundant=(0,), primitive_normals=IntMatrix(1, 1, [[1]]), "
+        "kmap=(0,)), negative_orders=())",
+        id="KopasepticReport",
+    ),
+    pytest.param(
+        lambda: HalfspaceSystem(IntMatrix.from_rows([(1,), (-1,)]), (0, 1)), ("c", "offset"), False,
+        "HalfspaceSystem(c=IntMatrix(2, 1, [[1], [-1]]), offset=(Fraction(0, 1), Fraction(1, 1)))",
+        id="HalfspaceSystem",
+    ),
+    pytest.param(
+        lambda: facets(HalfspaceSystem(IntMatrix.from_rows([(2,), (-1,), (1,)]), (1, 1, 1))),
+        ("irredundant", "primitive_normals", "kmap"), False,
+        "FacetReport(irredundant=(0, 1), primitive_normals=IntMatrix(2, 1, [[1], [-1]]), "
+        "kmap=(0, 1, None))",
+        id="FacetReport",
+    ),
+    pytest.param(
+        projective_line, ("rank", "divisors", "dv"), False,
+        "ToricData(rank=1, divisors=('f0', 'fInf'), dv=IntMatrix(2, 1, [[1], [-1]]))",
+        id="ToricData",
+    ),
+    pytest.param(
+        lambda: BundleSpec(projective_line(), IntMatrix.from_rows([(0,), (2,)])),
+        ("base", "divisor_columns"), False,
+        "BundleSpec(base=ToricData(rank=1, divisors=('f0', 'fInf'), "
+        "dv=IntMatrix(2, 1, [[1], [-1]])), divisor_columns=IntMatrix(2, 1, [[0], [2]]))",
+        id="BundleSpec",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, fields, slotted, text", VALUE_TYPES)
+def test_value_types_compare_print_and_stay_frozen(make, fields, slotted, text):
+    value, same = make(), make()
+    assert value == same and not value != same and hash(value) == hash(same)
+    assert repr(value) == text
+    assert hasattr(value, "__dict__") is not slotted
+    if slotted:
+        assert type(value).__slots__ == fields
+    # equality holds only between instances of one class: not with a look-alike
+    # holding the same fields, nor with any other value type
+    twin = types.SimpleNamespace(**{f: getattr(value, f) for f in fields})
+    assert value != twin and twin != value
+    for other in VALUE_TYPES:
+        if other.id != type(value).__name__:
+            assert value != other.values[0]()
+    for f in fields:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, f, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, f)
+    assert value == same
+
+
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: IntMatrix.from_rows([(1, -2), (0, 3)]),
-        lambda: cokernel(IntMatrix.from_rows([(1, 0), (-1, 2), (0, 1)])),  # charge vector
-        lambda: cokernel(IntMatrix.from_rows([(2, 3), (0, -3), (2, 3)])),  # Smith form
-        lambda: bundle_model([-1, -1]),
-        lambda: parse_model(DENSE_MODEL),
-        lambda: dualize(linear_data(parse_model(DENSE_MODEL))),
-        lambda: model_self_dual((-2,)),
-    ],
-    ids=["matrix", "cokernel-charges", "cokernel-smith", "bundle-model", "model-file",
-         "dual", "verdict"],
+        pytest.param(lambda: cokernel(IntMatrix.from_rows([(1, 0), (-1, 2), (0, 1)])),
+                     id="cokernel-charges"),
+        pytest.param(lambda: cokernel(IntMatrix.from_rows([(2, 3), (0, -3), (2, 3)])),
+                     id="cokernel-smith"),
+        pytest.param(lambda: bundle_model([-1, -1]), id="bundle-model"),
+        pytest.param(lambda: parse_model(DENSE_MODEL), id="model-file"),
+        pytest.param(lambda: dualize(linear_data(parse_model(DENSE_MODEL))), id="dual"),
+        pytest.param(lambda: model_self_dual((-2,)), id="verdict"),
+    ] + [pytest.param(p.values[0], id=p.id) for p in VALUE_TYPES],
 )
 def test_values_survive_pickle_and_deepcopy(make):
     value = make()
-    assert pickle.loads(pickle.dumps(value)) == value
-    assert copy.deepcopy(value) == value
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value and hash(copied) == hash(value)
+        if isinstance(value, LGModel):
+            # the exponent and order matrices kept by the constructor travel along
+            assert copied.mon() == value.mon() and copied.order_matrix() == value.order_matrix()
 
 
 def test_matrix_fields_cannot_be_assigned():

@@ -1,6 +1,8 @@
 """Package surface: exports resolve and the version is set."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import lgdual
@@ -49,3 +51,17 @@ def test_public_names_are_pinned():
 def test_version_string():
     major, minor, patch = lgdual.__version__.split(".")
     assert all(part.isdigit() for part in (major, minor, patch))
+
+
+def test_only_the_two_verdict_types_are_dataclasses():
+    # Building a dataclass generates and compiles its methods at import, which
+    # cost more than half of `import lgdual`; the other value types share
+    # complexq._Frozen instead.  These two stay dataclasses because
+    # bench/selftest.py builds altered verdicts with dataclasses.replace.
+    found = set()
+    for info in pkgutil.iter_modules(lgdual.__path__):
+        module = importlib.import_module("lgdual." + info.name)
+        for name, obj in inspect.getmembers(module, inspect.isclass):
+            if obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
+                found.add(name)
+    assert found == {"BundleVerdict", "SelfDualityWitness"}
