@@ -3,7 +3,8 @@
 A model is self-dual when its dual has the same divisor matrix up to a choice
 of character basis and an ordering of the support: concretely, some subset of
 the exponent rows, a permutation, and a unimodular change of basis carry mon
-onto dv, and some K class reproduces the variety from its own halfspace data.
+onto dv, and the model's K class reproduces the variety from its own
+halfspace data.
 
 One search decides every shape of dv.  A depth-first walk over the subsets of
 mon rows, in lexicographic order, reads maximal minors from one table of
@@ -21,27 +22,25 @@ also checked against dv's.  One Hermite-form solve decides each order, once
 Hermite forms bring a dv of column rank below n and its subsets to full
 column rank.
 
-The K step asks for a class K = +-i per free generator whose halfspaces
-dv xi + Im K >= 0 keep every row as a facet.  When dv is corank 1 with
-primitive rows, the slack map carries that polyhedron onto
-{s >= 0 : q . s = beta}, q the charge vector (the free row of the class
-group, the Gale dual of the rays) and beta = q . Im K, so the answer is read
-off the signs of q and beta; other shapes go through the facet pass.  Over
-the line, q = (1, 1, a_1, ..., a_c) and K = i gives beta = 1: the two
+The K step checks the model's own K: its halfspaces dv xi + Im K >= 0
+must keep every row as a facet.  When dv is corank 1 with primitive rows,
+the slack map carries that polyhedron onto {s >= 0 : q . s = beta}, q the
+charge vector (the free row of the class group, the Gale dual of the rays)
+and beta = q . Im K, so the answer is read off the signs of q and beta;
+other shapes go through the facet pass.  Over the line,
+q = (1, 1, a_1, ..., a_c) and bundle_model's K = i gives beta = 1: the two
 charges equal to 1 keep the interior and every row (row i is kept by
 q_i < 0, or by a charge 1 on another row, since beta + q_i >= 1 when
-q_i >= 0).  So the K step holds for every degree tuple at the first sign,
-and a YES verdict over the line rests on the matrix witness alone.
+q_i >= 0).  So the K step holds for every degree tuple, and a YES verdict
+over the line rests on the matrix witness alone.
 """
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .complexq import ComplexQ
 from .errors import (
     EmptyInteriorError,
     GroupMismatchError,
@@ -49,7 +48,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .lgmodel import bundle_model, canonical_class, dualize, linear_data, sum_models
+from .lgmodel import bundle_model, dualize, linear_data, sum_models
 from .linalg import IntMatrix, _cofactors, _integers, _scaled, block_diag, hnf_col_transform
 from .toric import _imprimitive_row, from_linear_data
 
@@ -318,28 +317,21 @@ def _keeps_every_row(dv, offset):
     return report.is_identity()
 
 
-def k_reconstruction_class(variety, group=None):
-    """A K class with value +-i per free generator whose halfspace data
-    reproduces the variety with the identity reconstruction map, or None.
+def k_reconstruction_class(variety, k_class):
+    """k_class when its halfspace data dv xi + Im K >= 0 reproduces the
+    variety with the identity reconstruction map, or None.
 
-    group is the variety's class group when the caller holds it, so it is
-    not computed again.  When dv is corank 1 with primitive rows each sign
-    is decided from the charge vector (_charge_k_step); otherwise by the
-    facet pass of from_linear_data.
+    k_class.group must be the variety's class group.  When dv is corank 1
+    with primitive rows the answer is read off the charge vector
+    (_charge_k_step); otherwise it is the facet pass of from_linear_data.
     """
-    if group is None:
-        group = variety.chow_group()
-    elif group.source != variety.dv:
+    group = k_class.group
+    if group.source != variety.dv:
         raise GroupMismatchError("class group is not the variety's divisor class group")
     q = _charge_row(variety.dv, group)
-    for signs in itertools.product((Fraction(1), Fraction(-1)), repeat=group.free_rank):
-        k = canonical_class(group, [ComplexQ(0, s) for s in signs])
-        if q is not None:
-            if _charge_k_step(q, k.im_lift()):
-                return k
-        elif _keeps_every_row(variety.dv, k.im_lift()):
-            return k
-    return None
+    lift = k_class.im_lift()
+    keeps = _keeps_every_row(variety.dv, lift) if q is None else _charge_k_step(q, lift)
+    return k_class if keeps else None
 
 
 # The two verdict types stay dataclasses, unlike the other value types
@@ -357,8 +349,8 @@ class SelfDualityWitness:
     def verify(self, dv, mon, check_k=True):
         """True when the witness replays against (dv, mon); False also for a
         malformed witness: a subset that is not strictly increasing within
-        mon's rows, a permutation of the wrong indices, or a basis change
-        of the wrong shape."""
+        mon's rows, a permutation of the wrong indices, a basis change of
+        the wrong shape, or a K lift of the wrong length."""
         subset, perm, u = self.monomial_subset, self.row_permutation, self.basis_change
         if list(subset) != sorted(set(subset)) or not all(0 <= i < mon.rows for i in subset):
             return False
@@ -368,7 +360,8 @@ class SelfDualityWitness:
             return False
         if not check_k:
             return True
-        return self.k_class is not None and _keeps_every_row(dv, self.k_class.im_lift())
+        k = self.k_class
+        return k is not None and len(k.lift) == dv.rows and _keeps_every_row(dv, k.im_lift())
 
 
 @dataclass(frozen=True, slots=True)
@@ -506,7 +499,7 @@ def self_dual_witness(m):
     found = _search_matrix_witness(dv, mon, m.k_class.group)
     if found is None:
         return None, "no-matrix-witness"
-    k = k_reconstruction_class(m.variety, m.k_class.group)
+    k = k_reconstruction_class(m.variety, m.k_class)
     if k is None:
         return None, "no-K-reconstruction"
     subset, perm, u = found

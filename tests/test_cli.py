@@ -12,9 +12,17 @@ import pytest
 
 from lgdual import cli, lgmodel, linalg, polyhedra
 from lgdual.cli import SWEEP_HEADER, main
-from lgdual.lgmodel import bundle_model
-from lgdual.modelfile import format_model, parse_model
-from lgdual.selfdual import classify_cy, sweep_line_bundles, sweep_rank_two
+from lgdual.complexq import ComplexQ, format_complex
+from lgdual.lgmodel import ChowClass, LGModel, Superpotential, bundle_model, default_k_class
+from lgdual.linalg import IntMatrix
+from lgdual.modelfile import format_model, load_model, parse_model
+from lgdual.selfdual import (
+    SelfDualityWitness,
+    classify_cy,
+    sweep_line_bundles,
+    sweep_rank_two,
+)
+from lgdual.toric import ToricData
 
 
 @pytest.fixture
@@ -688,13 +696,91 @@ def test_selfdual_file_without_enough_monomials(model_file, capsys):
 
 
 def test_selfdual_file_without_k_reconstruction(tmp_path, capsys):
-    # a matrix witness exists, but every K = +-i per free generator drops a row
+    # a matrix witness exists, but the model's default K (i, i) drops a row
     path = write_text(tmp_path, (
         "[variety]\ndv = -2 -1; -2 1; -1 -1; -1 0\n[potential]\n"
         "term = 1 : -2 1\nterm = 1 : -2 -1\nterm = 1 : -1 1\nterm = 1 : -1 0\n"
     ))
     assert main(["selfdual", path]) == 0
     assert capsys.readouterr() == ("self-dual: NO (no-K-reconstruction)\n", "")
+
+
+@pytest.mark.parametrize("value", ["i", "-i"])
+def test_selfdual_checks_the_files_own_k(tmp_path, capsys, value):
+    # q = (1, -1, -1): K = i drops row 0 and K = -i keeps every row, so the
+    # class the file states decides, not a search over both signs
+    path = write_text(tmp_path, (
+        "[variety]\ndv = 1 1; 1 0; 0 1\n[potential]\n"
+        "term = 1 : 1 1\nterm = 1 : 1 0\nterm = 1 : 0 1\n[kahler]\nclass = %s\n" % value
+    ))
+    assert main(["selfdual", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if value == "i":
+        assert out == "self-dual: NO (no-K-reconstruction)\n"
+    else:
+        assert out.splitlines() == [
+            "self-dual: YES",
+            "  monomial subset: [0, 1, 2]",
+            "  row permutation: [0, 1, 2]",
+            "  basis change U:",
+            "    1  0",
+            "    0  1",
+            "  K values: [0-1i]",
+            "  K lift: [0-1i, 0, 0]",
+        ]
+
+
+# the b = 6 reflexive triangle conv((-1,-1), (2,-1), (-1,1)): its boundary
+# points in cyclic order, and the seven lattice points of its polar
+TRIANGLE = [(-1, -1), (0, -1), (1, -1), (2, -1), (-1, 1), (-1, 0)]
+TRIANGLE_POLAR = [(0, 1), (1, 0), (0, -1), (-1, -2), (-2, -3), (-1, -1), (0, 0)]
+
+
+def triangle_model(base, lift, fiber=0):
+    """Tot(K_S) over the triangle's surface with rays (v, 1) for the base
+    points in the given order and (0, 0, 1) last, terms (m, 1) for m in the
+    polar, and K with Im lift[v] on ray (v, 1) and fiber on the last row."""
+    x = ToricData(
+        3,
+        tuple("v%d_%d" % v for v in base) + ("fiber",),
+        IntMatrix.from_rows([v + (1,) for v in base] + [(0, 0, 1)]),
+    )
+    k = ChowClass([ComplexQ(0, lift[v]) for v in base] + [ComplexQ(0, fiber)], x.chow_group())
+    return LGModel(x, Superpotential([(1, m + (1,)) for m in TRIANGLE_POLAR]), k)
+
+
+@pytest.mark.parametrize("lift", ["norm", "default"])
+def test_selfdual_triangle_verdict_survives_every_ray_order(tmp_path, capsys, lift):
+    # K's lift moves with the rays, so each of the 12 rotations and
+    # reflections of the base rays gets the same verdict: YES with
+    # b_v = |v|^2, and NO with the default class of the first order carried
+    if lift == "norm":
+        values, fiber = {v: v[0] ** 2 + v[1] ** 2 for v in TRIANGLE}, 0
+    else:
+        default = default_k_class(triangle_model(TRIANGLE, dict.fromkeys(TRIANGLE, 0)).variety)
+        values, fiber = {v: z.im for v, z in zip(TRIANGLE, default.lift)}, default.lift[-1].im
+        assert all(z.re == 0 for z in default.lift)
+    orders = [b[k:] + b[:k] for b in (TRIANGLE, TRIANGLE[::-1]) for k in range(6)]
+    for j, base in enumerate(orders):
+        text = format_model(triangle_model(base, values, fiber))
+        assert "\noffset = " in text and "\nclass = " in text
+        path = write_text(tmp_path, text, name="triangle%d.lg" % j)
+        assert main(["selfdual", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if lift == "default":
+            assert out == "self-dual: NO (no-K-reconstruction)\n"
+            continue
+        # replay the printed witness with the file's K
+        lines = out.splitlines()
+        m = load_model(path)
+        assert lines[0] == "self-dual: YES"
+        subset, perm = (tuple(map(int, line.split("[")[1][:-1].split(", "))) for line in lines[1:3])
+        u = IntMatrix.from_rows([tuple(map(int, line.split())) for line in lines[4:7]])
+        assert lines[8] == "  K lift: [%s]" % ", ".join(map(format_complex, m.k_class.lift))
+        witness = SelfDualityWitness(subset, perm, u, m.k_class)
+        assert witness.verify(m.variety.dv, m.mon(), check_k=True)
 
 
 def test_selfdual_requires_exactly_one_source(model_file, capsys):

@@ -12,20 +12,35 @@ other tests say.
   witness (S, P, U) replays, and so does (S, P, V^T U V) on the transformed
   pair, as P mon_S V^-T (V^T U V) = P mon_S U V = dv V.
 - The order matrix dv mon^T is unchanged by (dv, mon) -> (dv V, mon V^-T).
-
-The relations that reach the K step or the default class wait for that
-step to answer a question that does not depend on the order of dv's rows.
+- Permuting dv's rows, with the labels and K's lift carried along, leaves
+  the reason self_dual_witness gives and the first failing kopaseptic
+  condition unchanged.  K is carried as a lift: a class value, and the
+  default class, are relative to the class-group basis that cokernel
+  builds from the order of dv's rows, so they do not move with the rays.
 """
 
+import itertools
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lgdual.lgmodel import Superpotential, order_matrix
+from lgdual.complexq import ComplexQ
+from lgdual.lgmodel import (
+    ChowClass,
+    LGModel,
+    Superpotential,
+    default_k_class,
+    is_kopaseptic,
+    linear_data,
+    order_matrix,
+)
 from lgdual.linalg import IntMatrix, cokernel
+from lgdual.modelfile import parse_model
 from lgdual.polyhedra import HalfspaceSystem, facets
-from lgdual.selfdual import SelfDualityWitness, _search_matrix_witness
+from lgdual.selfdual import SelfDualityWitness, _search_matrix_witness, self_dual_witness
 from lgdual.toric import ToricData
 
 
@@ -177,3 +192,88 @@ def test_the_order_matrix_survives_a_change_of_basis(case):
         return order_matrix(x, Superpotential([(1, e) for e in mon.entries]))
 
     assert orders(dv @ v, mon @ v_inv.transpose()) == orders(dv, mon)
+
+
+# --- self-duality and the kopaseptic verdict under the order of dv's rows -----
+
+def _regular(rays, term):
+    return all(sum(map(mul, ray, term)) >= 0 for ray in rays)
+
+
+@st.composite
+def regular_models(draw):
+    """(model, perm): a regular model with n = 2 or 3 and n + 1 to 6 distinct
+    primitive rays, and a permutation of its rays.  In half the draws each
+    ray v is kept only if the term v V, for a V in GL(n, Z), stays regular
+    with the rays and terms kept so far, so that a matrix witness exists and
+    the K step is reached; the other draws keep the rays as drawn.  A few
+    random regular terms are added.  K is the default class or a random
+    rational lift."""
+    n = draw(st.integers(2, 3))
+    r = draw(st.integers(n + 1, 6))
+    v, _ = draw(unimodular(n))
+    planted = draw(st.booleans())
+    rays, terms = [], []
+    for ray in draw(_rows(n, 12, -2, 2)):
+        if len(rays) == r or gcd(*ray) != 1 or ray in rays:
+            continue
+        if planted:
+            term = (IntMatrix.from_rows([ray], n) @ v).entries[0]
+            if not (_regular(rays + [ray], term) and all(_regular([ray], t) for t in terms)):
+                continue
+            terms.append(term)
+        rays.append(ray)
+    dv = IntMatrix.from_rows(rays, n)
+    assume(len(rays) > n and dv.rank() == n)
+    terms += [t for t in draw(_rows(n, draw(st.integers(0, 4)), -2, 2)) if _regular(rays, t)]
+    x = ToricData(n, tuple("D%d" % i for i in range(dv.rows)), dv)
+    if draw(st.booleans()):
+        k = default_k_class(x)
+    else:
+        im = [Fraction(draw(st.integers(-2, 3)), draw(st.integers(1, 2))) for _ in rays]
+        k = ChowClass([ComplexQ(0, b) for b in im], x.chow_group())
+    m = LGModel(x, Superpotential([(1, t) for t in dict.fromkeys(terms)]), k)
+    return m, draw(st.permutations(range(dv.rows)))
+
+
+def _rays_permuted(m, perm):
+    """m with dv's rows in the order perm, each label and entry of K's lift
+    moving with its ray, and K on the permuted dv's class group."""
+    x = m.variety
+    moved = ToricData(x.rank, tuple(x.divisors[i] for i in perm), _permuted(x.dv, perm))
+    k = ChowClass(tuple(m.k_class.lift[i] for i in perm), moved.chow_group())
+    return LGModel(moved, m.potential, k)
+
+
+# dv @ diag(1, -1) is a matrix witness, and the model's default K keeps
+# every row in none of dv's 24 orders; a K step that searched K = +-i on
+# the class-group basis built from the row order said YES in 5 of them
+PINNED = parse_model(
+    "[variety]\ndv = -2 -1; -2 1; -1 -1; -1 0\n[potential]\n"
+    "term = 1 : -2 1\nterm = 1 : -2 -1\nterm = 1 : -1 1\nterm = 1 : -1 0\n"
+)
+
+
+@given(regular_models())
+@example((PINNED, (0, 1, 3, 2)))
+@settings(max_examples=150, deadline=None)
+def test_the_self_duality_reason_survives_dv_row_order(case):
+    m, perm = case
+    moved = _rays_permuted(m, perm)
+    witness, reason = self_dual_witness(moved)
+    assert reason == self_dual_witness(m)[1]
+    if witness is not None:
+        assert witness.verify(moved.variety.dv, moved.mon())
+
+
+def test_the_pinned_model_reads_no_in_every_row_order():
+    for perm in itertools.permutations(range(4)):
+        assert self_dual_witness(_rays_permuted(PINNED, perm)) == (None, "no-K-reconstruction")
+
+
+@given(regular_models())
+@settings(max_examples=150, deadline=None)
+def test_the_kopaseptic_verdict_survives_dv_row_order(case):
+    m, perm = case
+    report = is_kopaseptic(linear_data(_rays_permuted(m, perm)))
+    assert report.first_failure() == is_kopaseptic(linear_data(m)).first_failure()

@@ -23,6 +23,7 @@ from lgdual.errors import (
     ValidationError,
 )
 from lgdual.lgmodel import (
+    ChowClass,
     LGModel,
     Superpotential,
     bundle_model,
@@ -1156,17 +1157,22 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
 # --- K reconstruction ---------------------------------------------------------
 
 def test_k_reconstruction_for_the_two_self_dual_cases():
+    # the step checks the model's own K and hands it back
     for degrees in ([-2], [-1, -1]):
-        k = k_reconstruction_class(bundle_over_p1(degrees))
-        assert k is not None
-        assert k.values() == (ComplexQ(0, 1),)
+        m = bundle_model(degrees)
+        assert k_reconstruction_class(m.variety, m.k_class) is m.k_class
+        assert m.k_class.values() == (ComplexQ(0, 1),)
 
 
 def test_k_reconstruction_none_when_every_sign_fails():
     # rows (1), (-1), (2): either the interior dies or a row is dropped,
     # for every choice of signs on the two free generators
     x = ToricData(1, ("a", "b", "c"), IntMatrix.from_rows([(1,), (-1,), (2,)]))
-    assert k_reconstruction_class(x) is None
+    group = x.chow_group()
+    assert group.free_rank == 2
+    for signs in itertools.product((1, -1), repeat=2):
+        k = canonical_class(group, [ComplexQ(0, s) for s in signs])
+        assert k_reconstruction_class(x, k) is None
 
 
 def keeps_every_row(dv, offset):
@@ -1176,16 +1182,6 @@ def keeps_every_row(dv, offset):
     except (NotKopasepticError, EmptyInteriorError):
         return False
     return report.is_identity()
-
-
-def general_k_class(variety):
-    """k_reconstruction_class as the facet pass decides it, for every shape."""
-    group = variety.chow_group()
-    for signs in itertools.product((1, -1), repeat=group.free_rank):
-        k = canonical_class(group, [ComplexQ(0, s) for s in signs])
-        if keeps_every_row(variety.dv, k.im_lift()):
-            return k
-    return None
 
 
 def test_charge_k_step_matches_facets_on_bundles():
@@ -1237,7 +1233,9 @@ def test_charge_k_step_matches_facets_on_random_systems(case):
     dv, offset = case
     group = cokernel(dv)
     x = ToricData(dv.cols, tuple("D%d" % i for i in range(dv.rows)), dv)
-    assert k_reconstruction_class(x) == general_k_class(x)
+    k = ChowClass(tuple(ComplexQ(0, b) for b in offset), group)
+    assert k.im_lift() == offset
+    assert (k_reconstruction_class(x, k) is k) == keeps_every_row(dv, offset)
     q = _charge_row(dv, group)
     if q is None:
         # a zero or non-primitive row leaves the K step to the facet pass
@@ -1248,22 +1246,24 @@ def test_charge_k_step_matches_facets_on_random_systems(case):
 
 
 @pytest.mark.parametrize(
-    "rows, values",
+    "rows, kept",
     [
         # q = (1, -1, -1): K = i drops row 0, K = -i keeps every row
-        ([(1, 1), (1, 0), (0, 1)], (ComplexQ(0, -1),)),
+        ([(1, 1), (1, 0), (0, 1)], (-1,)),
         # q = (1, -1): either sign drops a row
-        ([(1,), (1,)], None),
+        ([(1,), (1,)], ()),
     ],
     ids=["second-sign", "no-sign"],
 )
-def test_charge_k_step_picks_the_sign_facets_picks(rows, values):
+def test_charge_k_step_picks_the_sign_facets_picks(rows, kept):
     dv = IntMatrix.from_rows(rows)
     x = ToricData(dv.cols, tuple("D%d" % i for i in range(dv.rows)), dv)
-    assert _charge_row(dv, x.chow_group()) is not None
-    k = k_reconstruction_class(x)
-    assert k == general_k_class(x)
-    assert (None if k is None else k.values()) == values
+    group = x.chow_group()
+    assert _charge_row(dv, group) is not None
+    for sign in (1, -1):
+        k = canonical_class(group, [ComplexQ(0, sign)])
+        assert keeps_every_row(dv, k.im_lift()) is (sign in kept)
+        assert k_reconstruction_class(x, k) is (k if sign in kept else None)
 
 
 @pytest.mark.parametrize(
@@ -1309,7 +1309,7 @@ def test_charge_row_replays_the_charge_vector():
     wrong = ChowGroup(group.free_rank, group.torsion, IntMatrix.from_rows([(1, 1, 1)]), group.source)
     with pytest.raises(AssertionError):
         _charge_row(dv, wrong)
-    other = cokernel(bundle_over_p1([-3]).dv)
+    other = canonical_class(cokernel(bundle_over_p1([-3]).dv), [ComplexQ(0, 1)])
     with pytest.raises(GroupMismatchError):
         k_reconstruction_class(bundle_over_p1([-2]), other)
 
@@ -1324,11 +1324,12 @@ def test_k_step_holds_for_every_bundle_at_the_first_sign(monkeypatch):
     for c in (1, 2, 3, 4):
         for degrees in itertools.product(range(-6, 7), repeat=c):
             x = bundle_over_p1(degrees)
-            group = x.chow_group()
+            k = lgmodel.default_k_class(x)  # bundle_model's K
+            group = k.group
             assert (group.free_rank, group.torsion) == (1, ())
             assert group.projection.entries == ((1, 1, *degrees),)
-            # bundle_model's default K
-            assert k_reconstruction_class(x, group) == canonical_class(group, [ComplexQ(0, 1)])
+            assert k.values() == (ComplexQ(0, 1),)
+            assert k_reconstruction_class(x, k) is k
 
 
 @pytest.mark.parametrize(
@@ -1490,14 +1491,17 @@ def test_verify_rejects_malformed_witness(change):
         )},
         lambda w: {"k_class": None},
         lambda w: {"k_class": canonical_class(w.k_class.group, [ComplexQ(0, -1)])},
+        # the (-1, -1) witness's K lifts 4 divisors, (-2,)'s dv has 3 rows
+        lambda w: {"k_class": model_self_dual((-1, -1)).witness.k_class},
     ],
-    ids=["basis-change-entry", "no-k-class", "k-minus-i"],
+    ids=["basis-change-entry", "no-k-class", "k-minus-i", "k-lift-length"],
 )
 def test_verify_rejects_witness_that_does_not_replay(change):
     """A well-formed witness is still rejected when U does not carry the
-    chosen rows onto dv, when it has no K class, or when its K class loses
-    a facet: K = -i over (-2,) has the strict interior of
-    {xi1 >= 0, -xi1 + 2 xi2 >= 1, xi2 >= 0} but drops the row xi2 >= 0."""
+    chosen rows onto dv, when it has no K class or a K lift of the wrong
+    length, or when its K class loses a facet: K = -i over (-2,) has the
+    strict interior of {xi1 >= 0, -xi1 + 2 xi2 >= 1, xi2 >= 0} but drops
+    the row xi2 >= 0."""
     dv, mon = bundle_over_p1([-2]).dv, bundle_model([-2]).mon()
     witness = model_self_dual((-2,)).witness
     assert witness.verify(dv, mon) is True
@@ -1509,7 +1513,8 @@ def test_verify_rejects_witness_that_does_not_replay(change):
 
 # dv's rows all have a negative first coordinate, and the terms are those
 # rows with the second coordinate negated, so dv @ diag(1, -1) is a matrix
-# witness; but every K = +-i per free generator drops a row of dv
+# witness; but the model's default K, (i, i) on the two free generators,
+# drops a row of dv
 NO_K_MODEL = (
     "[variety]\ndv = -2 -1; -2 1; -1 -1; -1 0\n[potential]\n"
     "term = 1 : -2 1\nterm = 1 : -2 -1\nterm = 1 : -1 1\nterm = 1 : -1 0\n"
@@ -1523,7 +1528,8 @@ def test_self_dual_witness_reason_strings():
     assert _search_matrix_witness(m.variety.dv, m.mon()) == (
         (0, 1, 2, 3), (0, 1, 2, 3), IntMatrix.from_rows([(1, 0), (0, -1)])
     )
-    assert k_reconstruction_class(m.variety) is None
+    assert m.k_class.values() == (ComplexQ(0, 1), ComplexQ(0, 1))
+    assert k_reconstruction_class(m.variety, m.k_class) is None
     assert self_dual_witness(m) == (None, "no-K-reconstruction")
 
 
