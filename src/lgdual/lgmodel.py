@@ -139,7 +139,10 @@ def generic_sections(degrees):
 
 
 # ---------------------------------------------------------------------------
-# Classes with C/Z coefficients
+# Classes with C/Z coefficients; ComplexQ is frozen, so default lifts share 0 and i
+
+_ZERO, _I = ComplexQ(0, 0), ComplexQ(0, 1)
+
 
 def _numerators(vec):
     """(d, re, im): the ComplexQ entries of vec as integer numerators over
@@ -213,7 +216,7 @@ def canonical_class(group, values):
         raise GroupMismatchError("%d class values for free rank %d" % (len(values), f))
     r = group.projection.cols
     proj = group.free_projection()
-    lift = [ComplexQ(0, 0)] * r
+    lift = [_ZERO] * r
     # a coordinate placed for one generator is nonzero in its row, so no
     # other generator can pick it
     for g, row in enumerate(proj):
@@ -236,7 +239,7 @@ def canonical_class(group, values):
 
 def _default_class(group):
     """The class with value i on every free generator of group."""
-    return canonical_class(group, [ComplexQ(0, 1)] * group.free_rank)
+    return canonical_class(group, [_I] * group.free_rank)
 
 
 def default_k_class(variety):

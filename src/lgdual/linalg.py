@@ -7,7 +7,7 @@ immutable after construction.
 """
 
 from math import gcd, lcm
-from operator import index
+from operator import add, index, sub
 
 from .complexq import _Frozen
 from .errors import ShapeMismatchError, ValidationError
@@ -206,16 +206,19 @@ class IntMatrix(_Frozen):
             raise ShapeMismatchError(
                 "cannot multiply %dx%d by %dx%d" % (self.rows, self.cols, other.rows, other.cols)
             )
-        ot = other.entries
+        # a sum of other's scaled rows: 1 takes a row as it is, -1 subtracts it
+        zero = (0,) * other.cols
         out = []
         for row in self.entries:
-            acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    orow = ot[k]
-                    for j in range(other.cols):
-                        acc[j] += a * orow[j]
-            out.append(tuple(acc))
+            acc = zero
+            for a, orow in zip(row, other.entries):
+                if a == -1:
+                    acc = list(map(sub, acc, orow))
+                elif a:
+                    if a != 1:
+                        orow = [a * x for x in orow]
+                    acc = orow if acc is zero else list(map(add, acc, orow))
+            out.append(acc)
         return IntMatrix._trusted(self.rows, other.cols, out)
 
     def transpose(self):
@@ -247,11 +250,7 @@ class IntMatrix(_Frozen):
 
 def block_diag(a, b):
     """Direct sum of two integer matrices."""
-    rows = []
-    for row in a.entries:
-        rows.append(row + (0,) * b.cols)
-    for row in b.entries:
-        rows.append((0,) * a.cols + row)
+    rows = [row + (0,) * b.cols for row in a.entries] + [(0,) * a.cols + row for row in b.entries]
     return IntMatrix._trusted(a.rows + b.rows, a.cols + b.cols, rows)
 
 

@@ -212,9 +212,9 @@ def facets(h):
     A row is dropped iff the other rows imply it: some lambda >= 0 over
     them has sum(lambda_i * row_i) = row_j and sum(lambda_i * offset_i) <=
     offset_j.  As P is nonempty, this is the affine Farkas lemma for "no
-    point keeps the other rows and violates row j".  Exact duplicate
-    halfspaces keep their first occurrence only.  Requires a nonempty
-    strict interior.
+    point keeps the other rows and violates row j".  Equal halfspaces keep
+    one row, the first of least gcd, so a primitive one wherever there is
+    one.  Requires a nonempty strict interior.
 
     A kept row is certified by a point that violates it alone.  Most such
     points come from the polar of P about the interior point x0, whose
@@ -238,7 +238,7 @@ def facets(h):
     seen = {}
     dup = set()
     primitive = {}
-    for i in range(r):
+    for i in sorted(range(r), key=h.c.row_gcd):
         g = h.c.row_gcd(i)
         if g == 0:
             continue  # zero rows fall to the implication test, which drops them

@@ -7,20 +7,21 @@ onto dv, and the model's K class reproduces the variety from its own
 halfspace data.
 
 One search decides every shape of dv.  A depth-first walk over the subsets of
-mon rows, in lexicographic order, reads maximal minors from one table of
-mon's n x n minors (its Plücker coordinates) per search, and reaches only the
-subsets whose |minors| are exactly dv's (_minor_walk), dv's read off the charge
-row of its class group when that group is Z.  The table keeps one
-row of minors per head H, the first n - 1 rows of a minor: det(H + (i,)) for
-every later row i, worked out when H is first read (_Minors).  A reached
-subset goes through one depth-first search over row orders, which places at
-each position a row with dv's key there: the charge when dv is corank 1,
-(n+1) x n with rows spanning Z^n as for every split bundle over the line (the
-signed maximal minors, which generate the charge lattice of the class-group
-sequence), and the row gcd otherwise, where each minor of the placed rows is
-also checked against dv's.  One Hermite-form solve decides each order, once
-Hermite forms bring a dv of column rank below n and its subsets to full
-column rank.
+mon rows, in lexicographic order, reaches only the subsets whose n x n minors
+have exactly the |values| of dv's (_minor_walk), dv's read off the charge row
+of its class group when that group is Z, mon's from one table of its minors
+(its Plücker coordinates) per search.  The table keeps one row of minors per
+head H, the first n - 1 rows of a minor: det(H + (i,)) for every later row i,
+worked out when H is first read (_Minors).  When dv and mon are both
+(n+1) x n, as for every self-dual bundle over the line, the one subset is all
+of mon, read directly (_square_walk).  A reached subset goes through one
+depth-first search over row orders, which places at each position a row with
+dv's key there: the charge when dv is corank 1, (n+1) x n with rows spanning
+Z^n as for every split bundle over the line (the signed maximal minors, which
+generate the charge lattice of the class-group sequence), and the row gcd
+otherwise, where each minor of the placed rows is also checked against dv's.
+One Hermite-form solve decides each order, once Hermite forms bring a dv of
+column rank below n and its subsets to full column rank.
 
 The K step checks the model's own K: its halfspaces dv xi + Im K >= 0
 must keep every row as a facet.  When dv is corank 1 with primitive rows,
@@ -121,7 +122,8 @@ class _Minors(dict):
 def _minor_walk(table, m, r, n, counts):
     """The r-subsets of range(m) whose n x n minors, read from table, have
     exactly the |values| counted by counts, in lexicographic order.  counts
-    holds C(r, n) values, as the |maximal minors| of an r-row dv do.
+    holds C(r, n) values, as the |maximal minors| of an r-row dv do.  For
+    r = m = n + 1 the search reads the one subset directly (_square_walk).
 
     Depth first over increasing indices: appending i to a prefix completes
     one minor per (n-1)-subset of the prefix, and each |minor| is taken off
@@ -168,6 +170,13 @@ def _extend_walk(table, m, r, n, counts, prefix, start):
             prefix.pop()
         for v in taken:
             counts[v] += 1
+
+
+def _square_walk(table, m, counts):
+    """_minor_walk(table, m, m, m - 1, counts) read directly: all m rows when
+    their |minors|, which the table holds from the elimination that filled it, are counts."""
+    s = tuple(range(m))
+    return [s] if Counter(map(abs, table.minors(s))) == counts else []
 
 
 def _basis_change(a, b, keep):
@@ -249,17 +258,6 @@ def _charge_row(dv, group):
     return q
 
 
-def _slack_holds(q, beta, s, den, cut=None):
-    """s / den is the slack vector C xi + b of a point of q . s = beta
-    (den > 0), s as {row: entry}, 0 on every row it omits: strictly inside
-    every row, or, for a row cut, past that row and inside every other."""
-    if den <= 0 or sum(q[k] * x for k, x in s.items()) != den * beta:
-        return False
-    if cut is None:
-        return len(s) == len(q) and min(s.values()) > 0
-    return s.get(cut, 0) < 0 and all(x >= 0 for k, x in s.items() if k != cut)
-
-
 def _charge_k_step(q, offset):
     """_keeps_every_row(dv, offset) for dv with the charge vector q of
     _charge_row, read off q: True when every row is kept, False also when
@@ -278,14 +276,13 @@ def _charge_k_step(q, offset):
     is replayed before its row is taken.
     """
     beta = sum(map(mul, q, _scaled(offset)[1]))
-    r = len(q)
     if beta:
-        j = next((j for j in range(r) if q[j] * beta > 0), None)
+        j = next((j for j in range(len(q)) if q[j] * beta > 0), None)
         if j is None:
             return False
         rest = sum(q) - q[j]
         d = abs(q[j]) * (abs(rest) + 1)
-        s = [abs(q[j])] * r
+        s = [abs(q[j])] * len(q)
         s[j] = (abs(rest) + 1) * abs(beta) - (rest if q[j] > 0 else -rest)
     else:
         pos = sum(x for x in q if x > 0)
@@ -293,16 +290,21 @@ def _charge_k_step(q, offset):
         if not (pos and neg):
             return False
         d, s = 1, [neg if x > 0 else pos if x < 0 else 1 for x in q]
-    assert _slack_holds(q, beta, dict(enumerate(s)), d)
-    for i in range(r):
-        if q[i] * beta < 0:
-            d, s = q[i] ** 2, {i: beta * q[i]}
+    assert d > 0 and min(s) > 0 and sum(map(mul, q, s)) == d * beta
+    ups = [j for j, x in enumerate(q) if x > 0][:2]
+    downs = [j for j, x in enumerate(q) if x < 0][:2]
+    for i, x in enumerate(q):
+        t = beta + x
+        if x * beta < 0:
+            j, d, cut, other = i, x * x, beta * x, 0
         else:
-            j = next((j for j in range(r) if j != i and q[j] and (beta + q[i]) * q[j] >= 0), None)
+            # the first j != i of the sign of t, of either sign when t = 0
+            pool = ups if t > 0 else downs if t < 0 else sorted(ups + downs)
+            j = next((j for j in pool if j != i), None)
             if j is None:
                 return False
-            d, s = q[j] ** 2, {i: -q[j] ** 2, j: (beta + q[i]) * q[j]}
-        assert _slack_holds(q, beta, s, d, cut=i)
+            d, cut, other = q[j] ** 2, -q[j] ** 2, t * q[j]
+        assert d > 0 and cut < 0 <= other and x * cut + q[j] * other == d * beta
     return True
 
 
@@ -406,10 +408,10 @@ def _search_matrix_witness(dv, mon, group=None):
     Unimodular right multiplication and row order leave the multiset of
     |maximal minors| unchanged, so a subset S whose n x n minors, read from
     one table of mon's minors, differ from dv's in absolute value cannot
-    match.  _minor_walk reaches only the other subsets, and _row_orders
-    lists the orders of each.  When dv is (n+1) x n with coprime minors
-    (rows spanning Z^n) the rows are keyed by the charges
-    q_i = (-1)^i det(S without s_i), which span the left kernel of S.
+    match.  _minor_walk, or _square_walk for two (n+1)-row matrices, reaches
+    only the other subsets, and _row_orders lists the orders of each.  When
+    dv is (n+1) x n with coprime minors (rows spanning Z^n) the rows are keyed
+    by the charges q_i = (-1)^i det(S without s_i), spanning S's left kernel.
     Surjections Z^(n+1) -> Z^n with equal kernels differ by a unique element
     of GL(n, Z), so an order matches exactly when its charges are +-those
     of dv.  Other shapes are keyed by row gcds, which u preserves.  When dv
@@ -426,7 +428,7 @@ def _search_matrix_witness(dv, mon, group=None):
         raise GroupMismatchError("class group is not the cokernel of dv")
     n = dv.cols
     corank_one = dv.rows == mon.rows == n + 1
-    # for two (n + 1)-row matrices the walk compares the minors, which hold the ranks
+    # for two (n + 1)-row matrices the square read compares the minors, which hold the ranks
     if not corank_one and mon.rank() < (dv.rank() if group is None else dv.rows - group.free_rank):
         return None
     # every minor of dv is used, so all are read at once
@@ -435,7 +437,11 @@ def _search_matrix_witness(dv, mon, group=None):
     minors = _charges(group.projection[0]) if charged else _Minors(dv.entries, n).minors(range(dv.rows))
     # with fewer rows than n a subset has no n-row minor to read
     table = _Minors(mon.entries, n) if dv.rows >= n else {}
-    walk = _minor_walk(table, mon.rows, dv.rows, n, Counter(map(abs, minors)))
+    counts = Counter(map(abs, minors))
+    if corank_one:
+        walk = _square_walk(table, n + 1, counts)
+    else:
+        walk = _minor_walk(table, mon.rows, dv.rows, n, counts)
     if not any(minors):
         # dv @ v == [h | 0] with h of full column rank r, and v^-1 tracked
         h, _, v_inv = hnf_col_transform(dv, with_u=False)
@@ -467,10 +473,7 @@ def _search_matrix_witness(dv, mon, group=None):
                     checks[t[-1]].append((t[:-1], abs(x)))
             nonzero = {t: abs(x) for t, x in zip(subsets, minors) if x}
             keep = min(reversed(nonzero), key=nonzero.get)
-        if spanning:
-            keys = table.charges or _charges(table.minors(s))
-        else:
-            keys = [gcds[i] for i in s]
+        keys = (table.charges or _charges(table.minors(s))) if spanning else [gcds[i] for i in s]
         ks = sorted(keys)
         runs = [_row_orders(keys, t, checks, table, s) for t in targets if sorted(t) == ks]
         if spanning:
@@ -530,13 +533,8 @@ def classify_cy(max_rank, degree_bound):
     out = []
     values = range(degree_bound, -degree_bound - 1, -1)
     for rank in range(1, max_rank + 1):
-        tuples = sorted(
-            tup
-            for tup in itertools.combinations_with_replacement(values, rank)
-            if sum(tup) == -2
-        )
-        for tup in tuples:
-            out.append(model_self_dual(tup))
+        tuples = itertools.combinations_with_replacement(values, rank)
+        out += [model_self_dual(tup) for tup in sorted(t for t in tuples if sum(t) == -2)]
     return out
 
 

@@ -2,9 +2,11 @@
 
 This is the exact-Fraction elimination that decided feasibility and facet
 redundancy before the simplex kernel, kept unchanged as an independent
-oracle.  Its cost grows doubly exponentially with the dimension, so the
-tests only call it on small systems.  Rows are (coef tuple, off, strict,
-cert) where cert holds rational multipliers over the original input rows.
+oracle but for its duplicate rule, which follows ``facets``: equal
+halfspaces keep the first row of least gcd.  Its cost grows doubly
+exponentially with the dimension, so the tests only call it on small
+systems.  Rows are (coef tuple, off, strict, cert) where cert holds
+rational multipliers over the original input rows.
 """
 
 from fractions import Fraction
@@ -162,16 +164,16 @@ def facets(h):
     """Geometric redundancy removal.
 
     A row is dropped iff strictly violating it while keeping every other
-    row is infeasible (the polyhedron does not change without it).  Exact
-    duplicate halfspaces keep their first occurrence only.  Requires a
-    nonempty strict interior.
+    row is infeasible (the polyhedron does not change without it).  Equal
+    halfspaces keep one row, the first of least gcd.  Requires a nonempty
+    strict interior.
     """
     if not strict_interior_nonempty(h):
         raise EmptyInteriorError("halfspace system has no strict interior point")
     r, n = h.c.rows, h.c.cols
     seen = {}
     dup = set()
-    for i in range(r):
+    for i in sorted(range(r), key=h.c.row_gcd):
         g = h.c.row_gcd(i)
         if g == 0:
             continue  # zero rows fall to the negation test

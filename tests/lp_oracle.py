@@ -7,7 +7,9 @@ Edmonds tableau under Bland's rule, but every row updated at every pivot,
 phase 2 run on a zero cost row, the interior point made Fractions and then
 cleared back to integers, and the Gram matrix filled entry by entry.  The
 integer kernel must give the same (lam, y, d) triples, the same facet
-reports and the same public interior points and certificates.
+reports and the same public interior points and certificates.  The
+duplicate rule follows ``facets``: equal halfspaces keep the first row
+of least gcd.
 """
 
 from fractions import Fraction
@@ -125,7 +127,7 @@ def facets(h):
     seen = {}
     dup = set()
     primitive = {}
-    for i in range(r):
+    for i in sorted(range(r), key=h.c.row_gcd):
         g = h.c.row_gcd(i)
         if g == 0:
             continue  # zero rows fall to the implication test, which drops them

@@ -17,6 +17,10 @@ other tests say.
   condition unchanged.  K is carried as a lift: a class value, and the
   default class, are relative to the class-group basis that cokernel
   builds from the order of dv's rows, so they do not move with the rays.
+- Permuting mon's rows (the terms), with L's lift carried along, leaves the
+  reason self_dual_witness gives and the first failing kopaseptic condition
+  of the swapped data (mon, L; dv, K) unchanged, and every YES witness of
+  the permuted model replays.
 """
 
 import itertools
@@ -32,7 +36,9 @@ from lgdual.lgmodel import (
     ChowClass,
     LGModel,
     Superpotential,
+    bundle_model,
     default_k_class,
+    default_l_class,
     is_kopaseptic,
     linear_data,
     order_matrix,
@@ -277,3 +283,62 @@ def test_the_kopaseptic_verdict_survives_dv_row_order(case):
     m, perm = case
     report = is_kopaseptic(linear_data(_rays_permuted(m, perm)))
     assert report.first_failure() == is_kopaseptic(linear_data(m)).first_failure()
+
+
+# --- self-duality and the swapped kopaseptic verdict under the order of terms --
+
+# bundles over the line whose mon is (n+1) x n like dv, so the search reads
+# its one subset directly: YES for the first three and (0, -1, -1), (0, 0, -2)
+SQUARE_BUNDLES = [(-2,), (-1, -1), (0, -2), (0, -1, -1), (0, 0, -2), (1, -3), (2, -3), (1, -1, -2)]
+
+
+@st.composite
+def models_and_term_orders(draw):
+    """(model, L, perm): a model of regular_models, sometimes with a multiple
+    of one of its terms added (a parallel row that is not primitive), or a
+    bundle model whose mon is square with dv; L the default class or a
+    random rational lift on mon's class group; a permutation of the terms."""
+    if draw(st.booleans()):
+        m = bundle_model(draw(st.sampled_from(SQUARE_BUNDLES)))
+    else:
+        m, _ = draw(regular_models())
+        terms = m.potential.terms
+        if terms and draw(st.booleans()):
+            (_, e), k = draw(st.sampled_from(terms)), draw(st.integers(2, 3))
+            multiple = tuple(k * x for x in e)
+            if multiple not in [t for _, t in terms]:
+                m = LGModel(m.variety, Superpotential(terms + ((1, multiple),)), m.k_class)
+    mon = m.mon()
+    if draw(st.booleans()):
+        l = default_l_class(mon)
+    else:
+        im = [Fraction(draw(st.integers(-2, 3)), draw(st.integers(1, 2))) for _ in range(mon.rows)]
+        l = ChowClass([ComplexQ(0, b) for b in im], cokernel(mon))
+    return m, l, draw(st.permutations(range(mon.rows)))
+
+
+def _terms_permuted(m, l, perm):
+    """m with its terms in the order perm, and L with each entry of its lift
+    moving with its term, on the permuted mon's class group."""
+    moved = LGModel(m.variety, Superpotential([m.potential.terms[i] for i in perm]), m.k_class)
+    return moved, ChowClass(tuple(l.lift[i] for i in perm), cokernel(moved.mon()))
+
+
+@given(models_and_term_orders())
+@settings(max_examples=150, deadline=None)
+def test_the_self_duality_reason_survives_term_order(case):
+    m, l, perm = case
+    moved, _ = _terms_permuted(m, l, perm)
+    witness, reason = self_dual_witness(moved)
+    assert reason == self_dual_witness(m)[1]
+    if witness is not None:
+        assert witness.verify(moved.variety.dv, moved.mon())
+
+
+@given(models_and_term_orders())
+@settings(max_examples=150, deadline=None)
+def test_the_swapped_kopaseptic_verdict_survives_term_order(case):
+    m, l, perm = case
+    moved, moved_l = _terms_permuted(m, l, perm)
+    report = is_kopaseptic(linear_data(moved, moved_l).swapped())
+    assert report.first_failure() == is_kopaseptic(linear_data(m, l).swapped()).first_failure()

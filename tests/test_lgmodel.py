@@ -422,6 +422,17 @@ def test_default_l_class_lives_on_exponent_cokernel():
     assert l.im_lift() == (0, 0, 1)
 
 
+def test_default_lifts_share_their_values():
+    # ComplexQ is frozen, so every default lift holds the same 0 and i:
+    # a kept YES verdict carries its K without values of its own
+    first, again, other = bundle_model((-2,)), bundle_model((-2,)), bundle_model((0, 0, 0, 0, 0, -2))
+    assert first.k_class.lift == (ComplexQ(0, 0), ComplexQ(0, 1), ComplexQ(0, 0))
+    assert all(a is b for a, b in zip(first.k_class.lift, again.k_class.lift))
+    assert all(a is b for a, b in zip(first.k_class.lift, other.k_class.lift))
+    lifts = first.k_class.lift + other.k_class.lift + default_l_class(other.mon()).lift
+    assert len({id(z) for z in lifts}) == 2
+
+
 # --- linear data and kopaseptic report ---------------------------------------
 
 def test_linear_data_packages_pairs():

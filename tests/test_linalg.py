@@ -115,6 +115,33 @@ def test_matmul_against_known_product():
     assert a @ b == IntMatrix.from_rows([(2, 1), (4, 3)])
 
 
+@st.composite
+def product_pairs(draw):
+    """(a, b) of shapes r x k and k x c, each of r, k and c in 0..4, with
+    entries weighted toward 0 and +-1, which the product takes apart."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-5, 5))
+
+    def matrix(rows, cols):
+        return IntMatrix(rows, cols, [[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+    return matrix(r, k), matrix(k, c)
+
+
+@given(product_pairs())
+@settings(max_examples=300, deadline=None)
+def test_matmul_matches_a_triple_loop(case):
+    a, b = case
+    want = [
+        [sum(a[i][t] * b[t][j] for t in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    got = a @ b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got == IntMatrix(a.rows, b.cols, want)
+    assert all(type(row) is tuple for row in got.entries)
+
+
 def test_identity_and_transpose():
     a = IntMatrix.from_rows([(1, 2, 3), (4, 5, 6)])
     assert a @ IntMatrix.identity(3) == a

@@ -28,6 +28,7 @@ from lgdual.polyhedra import (
     strict_interior_point,
 )
 from lgdual.svg import moment_polygon
+from lgdual.toric import from_linear_data
 
 
 def system(rows, offsets, cols=None):
@@ -162,6 +163,19 @@ def test_facets_scaled_duplicate_dropped():
     rep = facets(h)
     assert 1 not in rep.irredundant
     assert 0 in rep.irredundant
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 2, 3)], ids=["scaled-first", "primitive-first"])
+def test_facets_equal_halfspaces_keep_the_primitive_row(order):
+    # (2, 0) and (1, 0), both at offset 0, are one halfplane: whichever comes
+    # first, the row of least gcd stays, so a k-map to generators exists in
+    # either order (the scaled row first was kept, a k-map failure)
+    rows, offsets = [(2, 0), (1, 0), (0, 1), (-1, -1)], [0, 0, 0, 5]
+    h = system([rows[i] for i in order], [offsets[i] for i in order])
+    rep = facets(h)
+    assert [h.c[i] for i in rep.irredundant] == [(1, 0), (0, 1), (-1, -1)]
+    _, report = from_linear_data(h.c, h.offset)
+    assert report == rep
 
 
 def test_facets_need_strict_interior():

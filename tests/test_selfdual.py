@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lgdual import lgmodel, linalg, selfdual
@@ -57,6 +57,7 @@ from lgdual.toric import (
     projective_line,
     split_bundle_total_space,
 )
+import charge_k_oracle
 from row_order_oracle import _row_order_search
 
 UNIMODULAR_2X2 = [
@@ -582,6 +583,57 @@ def test_minor_walk_yields_every_matching_subset_in_order(case):
 
 
 @st.composite
+def square_tables(draw):
+    """(rows, n, key): n + 1 rows in Z^n, n <= 4, with entries in [-3, 3],
+    and n + 1 |minor| values: the rows' own, one of them raised, or random."""
+    n = draw(st.integers(0, 4))
+    rows = [tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))) for _ in range(n + 1)]
+    kind = draw(st.sampled_from(["own", "raised", "random"]))
+    if kind == "random":
+        return rows, n, [draw(st.integers(0, 4)) for _ in range(n + 1)]
+    key = [abs(fraction_det([rows[i] for i in t])) for t in itertools.combinations(range(n + 1), n)]
+    if kind == "raised":
+        key[draw(st.integers(0, n))] += draw(st.integers(1, 2))
+    return rows, n, key
+
+
+@given(square_tables())
+@settings(max_examples=400, deadline=None)
+def test_square_walk_takes_the_subsets_the_minor_walk_yields(case):
+    # two (n + 1)-row matrices have one subset, all rows, which the search
+    # reads off the table's charges instead of walking it index by index
+    rows, n, key = case
+    counts = Counter(key)
+    walked = list(selfdual._minor_walk(_Minors(rows, n), n + 1, n + 1, n, counts))
+    assert selfdual._square_walk(_Minors(rows, n), n + 1, counts) == walked
+    assert dict(counts) == dict(Counter(key))
+
+
+@st.composite
+def square_pairs(draw):
+    """(dv, mon): both (n+1) x n, n <= 5, entries in [-3, 3]; for n >= 1, in
+    half the draws mon is dv U with its rows shuffled, U unimodular."""
+    n = draw(st.integers(0, 5))
+    dv = draw(small_matrices(n + 1, n, 3))
+    return dv, planted(draw, dv) if n and draw(st.booleans()) else draw(small_matrices(n + 1, n, 3))
+
+
+@given(square_pairs(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_square_search_matches_the_row_order_oracle(case, with_group):
+    # with_group passes dv's class group, which gives dv's rank and, for a
+    # spanning dv, its minors; the oracle decides the one subset, all of mon,
+    # once its |minors| agree with dv's
+    dv, mon = case
+    found = _search_matrix_witness(dv, mon, cokernel(dv) if with_group else None)
+    assert oracle_key(found, dv) == oracle_key(per_subset_search(dv, mon), dv)
+    if found is not None:
+        subset, perm, u = found
+        assert subset == tuple(range(mon.rows))
+        assert mon.take_rows(perm) @ u == dv and u.is_unimodular()
+
+
+@st.composite
 def general_searches(draw):
     """(kind, planted, dv, mon) for dv that is not spanning corank 1."""
     kinds = ("planted-6x4", "planted-7x4", "planted-5x3", "sublattice", "short", "low-rank-dv")
@@ -877,6 +929,27 @@ def test_rank_six_yes_verdict_eliminates_each_matrix_once(bareiss_runs, monkeypa
     assert cofactors == [list(zip(*bundle_model((0, 0, 0, 0, 0, -2)).mon().entries))]
 
 
+def test_rank_six_yes_verdict_reads_its_one_subset_directly(bareiss_runs, monkeypatch):
+    # dv and mon are both 8 x 7, so the one subset, all of mon, is read off
+    # the charges of mon's table and never walked; the eliminations stay
+    # those of the test above
+    original, cofactors = selfdual._cofactors, []
+
+    def counted(rows, cols):
+        cofactors.append(rows)
+        return original(rows, cols)
+
+    def no_walk(*args):
+        raise AssertionError("the subset walk ran")
+
+    monkeypatch.setattr(selfdual, "_cofactors", counted)
+    monkeypatch.setattr(selfdual, "_extend_walk", no_walk)
+    verdict = model_self_dual((0, 0, 0, 0, 0, -2))
+    assert verdict.self_dual and verdict.witness.monomial_subset == tuple(range(8))
+    assert bareiss_runs == Counter(bareiss=4)
+    assert cofactors == [list(zip(*bundle_model((0, 0, 0, 0, 0, -2)).mon().entries))]
+
+
 class _PastPrecheck(Exception):
     pass
 
@@ -1143,8 +1216,9 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
     assert 3 * subsets == 21_945
     mons = [bundle_model((-k,)).mon().entries for k in range(21)]
     # O(-2)'s 3-row mon gives its charges from the cofactor vector that
-    # fills its table, with no read
-    assert sum(reads[rows] for rows in mons) == 2_888
+    # fills its table, and its one subset, square with dv, is read as those
+    # 3 charges rather than as the walk's 5 reads
+    assert sum(reads[rows] for rows in mons) == 2_886
     assert sum(fetches[rows] for rows in mons) == 399
     # dv's 3 minors are read off its class group, so dv has no table, and
     # O(0) and O(-1) have fewer monomials than dv has rows
@@ -1289,6 +1363,37 @@ def test_charge_k_step_planted_failures(rows, offset, reason):
     else:
         _, report = from_linear_data(dv, offset)
         assert report.irredundant == ((0, 1) if reason == "dropped" else (0,))
+
+
+@st.composite
+def charge_k_cases(draw):
+    """(q, offset): a vector q with entries in [-3, 3], up to two of them set
+    to 0, and rational offsets; in three draws of four, one offset is solved
+    for so that beta = q . offset is positive, negative or 0."""
+    q = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+    for i in draw(st.lists(st.integers(0, len(q) - 1), max_size=2)):
+        q[i] = 0
+    offset = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in q]
+    sign = draw(st.sampled_from([1, -1, 0, None]))
+    i = next((i for i, x in enumerate(q) if x), None)
+    if sign is not None and i is not None:
+        beta = sign * Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        rest = sum(x * y for k, (x, y) in enumerate(zip(q, offset)) if k != i)
+        offset[i] = (beta - rest) / q[i]
+    return tuple(q), tuple(offset)
+
+
+@given(charge_k_cases())
+# the charge vectors and offsets of test_charge_k_step_planted_failures
+@example(((1, 1, 1), (-1, 0, 0)))
+@example(((1, 1, -1), (0, 0, 1)))
+@example(((1, -1), (Fraction(1, 2), Fraction(1, 2))))
+@settings(max_examples=500, deadline=None)
+def test_charge_k_step_matches_the_dictionary_oracle(case):
+    # the one-pass K step against its earlier form, which replayed each
+    # slack vector through a dictionary (tests/charge_k_oracle.py)
+    q, offset = case
+    assert _charge_k_step(q, offset) == charge_k_oracle._charge_k_step(q, offset)
 
 
 def test_charge_k_step_keeps_a_zero_charge_row_at_beta_zero():
