@@ -8,18 +8,20 @@ halfspace data.
 
 One search decides every shape of dv.  A depth-first walk over the subsets of
 mon rows, in lexicographic order, reaches only the subsets whose n x n minors
-have exactly the |values| of dv's (_minor_walk), dv's read off the charge row
-of its class group when that group is Z, mon's from one table of its minors
-(its Plücker coordinates) per search.  The table keeps one row of minors per
-head H, the first n - 1 rows of a minor: det(H + (i,)) for every later row i,
-worked out when H is first read (_Minors).  When dv and mon are both
-(n+1) x n, as for every self-dual bundle over the line, the one subset is all
-of mon, read directly (_square_walk).  A reached subset goes through one
-depth-first search over row orders, which places at each position a row with
-dv's key there: the charge when dv is corank 1, (n+1) x n with rows spanning
-Z^n as for every split bundle over the line (the signed maximal minors, which
-generate the charge lattice of the class-group sequence), and the row gcd
-otherwise, where each minor of the placed rows is also checked against dv's.
+have exactly the |values| of dv's (_minor_walk), mon's from one table of its
+minors (its Plücker coordinates) per search.  An (n+1)-row dv gives its
+minors as its charges, read off the charge row of its class group when that
+group is Z.  The table keeps one row of minors per head H, the first n - 1
+rows of a minor: det(H + (i,)) for every later row i, worked out when H is
+first read (_Minors).  When dv and mon are both (n+1) x n and dv's rows span
+Z^n, as for every self-dual bundle over the line, the one subset is all of
+mon, decided by mon's charges with no table and no walk.  When dv is
+corank 1, (n+1) x n with rows spanning Z^n as for every split bundle over
+the line, a reached subset takes the first order that carries its charges
+(the signed maximal minors, which generate the charge lattice of the
+class-group sequence) onto +-dv's; otherwise one depth-first search over
+row orders places at each position a row with dv's row gcd there and
+checks each minor of the placed rows against dv's.
 One Hermite-form solve decides each order, once Hermite forms bring a dv of
 column rank below n and its subsets to full column rank.
 
@@ -90,22 +92,13 @@ class _Minors(dict):
     Expanding along the last row i, det(H + (i,)) = (-1)^(n-1) c(H) . rows[i]
     for the cofactors c(H) of H, so a head's row is one elimination and one
     comprehension, made at its first read: the walk reads one H with many i.
-    n + 1 rows fill every row at once from the cofactors c of their
-    n x (n + 1) transpose: det(without row j) = (-1)^j c_j, so c is their
-    charge vector, kept as charges (None for other row counts)."""
+    An (n+1)-row dv needs no table: its charges, one cofactor vector of its
+    transpose, are its minors up to one sign (_charges)."""
 
-    __slots__ = ("rows", "n", "charges")
+    __slots__ = ("rows", "n")
 
     def __init__(self, rows, n):
-        self.rows, self.n, self.charges = rows, n, None
-        m = len(rows)
-        if m == n + 1 and n:
-            c = self.charges = _cofactors(list(zip(*rows)), m)
-            # det(without row j) = (-1)^j c_j ends in row n, or in n - 1 for j = n
-            heads = itertools.combinations(range(n), n - 1)
-            filled = {h: [0] * n + [(-1) ** j * c[j]] for j, h in zip(reversed(range(n)), heads)}
-            filled[tuple(range(n - 1))][n - 1] = (-1) ** n * c[n]
-            self.update(filled)
+        self.rows, self.n = rows, n
 
     def __missing__(self, h):
         c = [(-1) ** (self.n - 1) * x for x in _cofactors([self.rows[k] for k in h], self.n)]
@@ -122,8 +115,7 @@ class _Minors(dict):
 def _minor_walk(table, m, r, n, counts):
     """The r-subsets of range(m) whose n x n minors, read from table, have
     exactly the |values| counted by counts, in lexicographic order.  counts
-    holds C(r, n) values, as the |maximal minors| of an r-row dv do.  For
-    r = m = n + 1 the search reads the one subset directly (_square_walk).
+    holds C(r, n) values, as the |maximal minors| of an r-row dv do.
 
     Depth first over increasing indices: appending i to a prefix completes
     one minor per (n-1)-subset of the prefix, and each |minor| is taken off
@@ -172,13 +164,6 @@ def _extend_walk(table, m, r, n, counts, prefix, start):
             counts[v] += 1
 
 
-def _square_walk(table, m, counts):
-    """_minor_walk(table, m, m, m - 1, counts) read directly: all m rows when
-    their |minors|, which the table holds from the elimination that filled it, are counts."""
-    s = tuple(range(m))
-    return [s] if Counter(map(abs, table.minors(s))) == counts else []
-
-
 def _basis_change(a, b, keep):
     """The unimodular u with b @ u == a, or None, for rows keep of b whose
     minor is nonzero: their Hermite form b_T @ ub = h is lower triangular,
@@ -203,8 +188,8 @@ def _row_orders(keys, target, checks, table, s):
     last position is k as its other positions and dv's |minor| there, read
     off mon's table once k is placed.  A loop over one candidate iterator
     per position: nested generators cost a YES verdict more.  With no check
-    (charge keys, or n = 0) the first order decides, so it alone is listed:
-    nothing cuts it, and it takes each key's rows in increasing order."""
+    (n = 0, or dv with no rows) the first order decides, so it alone is
+    listed: nothing cuts it, and it takes each key's rows in increasing order."""
     pools = {}
     for j, x in enumerate(keys):
         pools.setdefault(x, []).append(j)
@@ -232,6 +217,21 @@ def _row_orders(keys, target, checks, table, s):
                 break
         else:
             levels.pop()
+
+
+def _charge_order(qa, qb):
+    """The order perm with qb[perm] == +-qa that decides a spanning corank-1
+    subset with charges qb against dv's qa, or None.  For each sign of qa
+    that qb matches as a multiset, the first order takes each charge's rows
+    in increasing order: two stable sorts pair the k-th position of a charge
+    with its k-th row.  u is unique, so the smaller order decides."""
+    rows = sorted(range(len(qb)), key=qb.__getitem__)
+    perms = []
+    for t in (qa, [-x for x in qa]):
+        at = sorted(range(len(t)), key=t.__getitem__)
+        if all(t[i] == qb[j] for i, j in zip(at, rows)):
+            perms.append(tuple(j for _, j in sorted(zip(at, rows))))
+    return min(perms, default=None)
 
 
 def _charges(minors):
@@ -401,20 +401,24 @@ def _search_matrix_witness(dv, mon, group=None):
     order, so the reported witness is deterministic.  A subset's rank is at
     most mon's, so none matches when mon's rank is below dv's; group, dv's
     class group when the caller holds it, gives rank(dv) = dv.rows -
-    free_rank, and this precheck then eliminates mon alone.  For an (n+1) x n
-    dv with free rank 1 and no torsion, the group's charge row q gives dv's
-    minors too, up to one sign, so dv is not eliminated again (_charges).
+    free_rank, and this precheck then eliminates mon alone.  An (n+1) x n
+    dv gives its minors, up to one sign, as its charges (_charges): the
+    group's charge row q when the group is Z, so dv is not eliminated again,
+    else the cofactors of dv's transpose.
 
     Unimodular right multiplication and row order leave the multiset of
     |maximal minors| unchanged, so a subset S whose n x n minors, read from
     one table of mon's minors, differ from dv's in absolute value cannot
-    match.  _minor_walk, or _square_walk for two (n+1)-row matrices, reaches
-    only the other subsets, and _row_orders lists the orders of each.  When
-    dv is (n+1) x n with coprime minors (rows spanning Z^n) the rows are keyed
-    by the charges q_i = (-1)^i det(S without s_i), spanning S's left kernel.
-    Surjections Z^(n+1) -> Z^n with equal kernels differ by a unique element
-    of GL(n, Z), so an order matches exactly when its charges are +-those
-    of dv.  Other shapes are keyed by row gcds, which u preserves.  When dv
+    match, and _minor_walk reaches only the other subsets.  Two (n+1) x n
+    matrices, dv's rows spanning Z^n, have one subset, all of mon, taken
+    with no table and no walk.  When dv is (n+1) x n with coprime minors
+    (rows spanning Z^n) the rows of S are keyed by its charges q_i =
+    (-1)^i det(S without s_i), spanning S's left kernel: for all of mon,
+    the cofactors of its transpose.  Surjections Z^(n+1) -> Z^n with equal
+    kernels differ by a unique element of GL(n, Z), so an order matches
+    exactly when its charges are +-those of dv (_charge_order).  Other
+    shapes are keyed by row gcds, which u preserves, and _row_orders lists
+    the orders whose minors match too.  When dv
     has a nonzero maximal minor u is unique, and _basis_change solves for it
     on the rows of dv's smallest nonzero |minor| (the last such n-subset, so
     a corank-1 dv drops its first row of smallest |charge|).  Otherwise
@@ -427,21 +431,26 @@ def _search_matrix_witness(dv, mon, group=None):
     if group is not None and group.source != dv:
         raise GroupMismatchError("class group is not the cokernel of dv")
     n = dv.cols
-    corank_one = dv.rows == mon.rows == n + 1
-    # for two (n + 1)-row matrices the square read compares the minors, which hold the ranks
-    if not corank_one and mon.rank() < (dv.rank() if group is None else dv.rows - group.free_rank):
+    square = dv.rows == mon.rows == n + 1
+    # for two (n + 1)-row matrices the charges, or the walk's minors, hold the ranks
+    if not square and mon.rank() < (dv.rank() if group is None else dv.rows - group.free_rank):
         return None
     # every minor of dv is used, so all are read at once
     subsets = list(itertools.combinations(range(dv.rows), n))
-    charged = group is not None and dv.rows == n + 1 and group.free_rank == 1 and not group.torsion
-    minors = _charges(group.projection[0]) if charged else _Minors(dv.entries, n).minors(range(dv.rows))
-    # with fewer rows than n a subset has no n-row minor to read
-    table = _Minors(mon.entries, n) if dv.rows >= n else {}
-    counts = Counter(map(abs, minors))
-    if corank_one:
-        walk = _square_walk(table, n + 1, counts)
+    if dv.rows == n + 1:
+        charged = group is not None and group.free_rank == 1 and not group.torsion
+        qa = group.projection[0] if charged else _cofactors(list(zip(*dv.entries)), n + 1)
+        minors = _charges(qa)
     else:
-        walk = _minor_walk(table, mon.rows, dv.rows, n, counts)
+        minors = _Minors(dv.entries, n).minors(range(dv.rows))
+    spanning = dv.rows == n + 1 and gcd(*minors) == 1
+    if square and spanning:
+        # the one subset, all of mon, keyed by its charges: no table, no walk
+        qb, walk = _cofactors(list(zip(*mon.entries)), n + 1), [tuple(range(n + 1))]
+    else:
+        # with fewer rows than n a subset has no n-row minor to read
+        table = _Minors(mon.entries, n) if dv.rows >= n else {}
+        walk = _minor_walk(table, mon.rows, dv.rows, n, Counter(map(abs, minors)))
     if not any(minors):
         # dv @ v == [h | 0] with h of full column rank r, and v^-1 tracked
         h, _, v_inv = hnf_col_transform(dv, with_u=False)
@@ -455,31 +464,28 @@ def _search_matrix_witness(dv, mon, group=None):
             if found is not None:
                 return s, found[0], vs @ block_diag(found[1], IntMatrix.identity(n - r)) @ v_inv
         return None
-    targets = None
+    keep = None
     for s in walk:
-        if targets is None:
+        if keep is None:
             # built at the first subset reached, as most searches reach none
-            spanning = dv.rows == n + 1 and gcd(*minors) == 1
-            if spanning:
-                qa = _charges(minors)
-                targets = (qa, tuple(-x for x in qa))
-            else:
-                targets, gcds = (dv.row_gcds(),), mon.row_gcds()
-            # each minor is checked once its last row is placed; a charge is
-            # the |minor| without its row, so matching charges match them all
-            checks = [[] for _ in range(dv.rows)]
-            for t, x in zip(subsets, minors):
-                if t and not spanning:
-                    checks[t[-1]].append((t[:-1], abs(x)))
             nonzero = {t: abs(x) for t, x in zip(subsets, minors) if x}
             keep = min(reversed(nonzero), key=nonzero.get)
-        keys = (table.charges or _charges(table.minors(s))) if spanning else [gcds[i] for i in s]
-        ks = sorted(keys)
-        runs = [_row_orders(keys, t, checks, table, s) for t in targets if sorted(t) == ks]
+            if not spanning:
+                # each minor is checked once its last row is placed
+                target, gcds = dv.row_gcds(), mon.row_gcds()
+                checks = [[] for _ in range(dv.rows)]
+                for t, x in zip(subsets, minors):
+                    if t:
+                        checks[t[-1]].append((t[:-1], abs(x)))
         if spanning:
-            # u is unique, so the first order of either sign decides
-            runs = [sorted(p for p in (next(r, None) for r in runs) if p is not None)[:1]]
-        for perm in itertools.chain(*runs):
+            # a charge is the |minor| without its row, so matching charges
+            # match every minor, and u is unique: one order decides
+            perm = _charge_order(qa, qb if square else _charges(table.minors(s)))
+            runs = [] if perm is None else [perm]
+        else:
+            keys = [gcds[i] for i in s]
+            runs = _row_orders(keys, target, checks, table, s) if sorted(keys) == sorted(target) else []
+        for perm in runs:
             u = _basis_change(dv, mon.take_rows([s[p] for p in perm]), keep)
             if u is not None:
                 return s, perm, u

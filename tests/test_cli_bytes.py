@@ -152,6 +152,10 @@ DIGESTS = {
     "selfdual --degrees=-3": "45a61ad2121a2a3a28e850fa6c9b2deca63ffdd91441854622188497234f329d",
     "selfdual --degrees=2,-4": "435e48b45868b89b55a73a770e035df574675895be50c0a127a869b764ac5bea",
     "selfdual --degrees=-1,-1,-1,1": "c8cf01472bf548a5eacfdf0171191f950ac75b73f70fdd18e13eee9572942ab0",
+    # the rank-6 YES verdicts that set the cy-sweep tail, and a square NO
+    "selfdual --degrees=0,0,0,0,0,-2": "5439c66871764b2aa0e140c80b263698a79a03f6d30a6334dc43098e13a00013",
+    "selfdual --degrees=0,0,0,0,-1,-1": "3cc95b2764e998579d64762f9f45573300033b07fd7fc7ff74bfa676a2b171c7",
+    "selfdual --degrees=1,-3": "264c873085403271c8a0d748ff28e1cdeca08f6da67da5912819555ccfe7654b",
     "analyze readme.lg": "fc841f0199ba54894900193551cd54c4955f6c37183cc527b4a3dd84e0bd609d",
     "dualize --check-involution readme.lg": "e036f0c5195afe8b79750c3773981cbb9ad9ef64b869cbbcaa2770bce7f48bed",
     "selfdual readme.lg": "6101ed67e9351ce436d0e6ecdeb3f29a1ef81b72febe651c6fd4fee3532d7775",

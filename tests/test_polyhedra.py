@@ -477,16 +477,18 @@ def test_box_facets_need_no_row_lp(n, half, simplex_calls):
 def per_row_facets(h):
     """Redundancy removal with one LP per row: the interior LP, then every
     row that is not an exact duplicate halfspace against the others and the
-    slack, as the Farkas lemma in ``facets`` states it."""
+    slack, as the Farkas lemma in ``facets`` states it.  Of equal
+    halfspaces the first row of least gcd stays, as in ``facets``."""
     if not strict_interior_nonempty(h):
         raise EmptyInteriorError("no strict interior")
-    seen, base = set(), []
-    for i in range(h.c.rows):
+    seen, dup = set(), set()
+    for i in sorted(range(h.c.rows), key=h.c.row_gcd):
         g = h.c.row_gcd(i)
         key = None if g == 0 else (tuple(x // g for x in h.c[i]), h.offset[i] / g)
-        if key is None or key not in seen:
-            seen.add(key)
-            base.append(i)
+        if key in seen:
+            dup.add(i)
+        seen.add(key)
+    base = [i for i in range(h.c.rows) if i not in dup]
     scale = lcm(*(h.offset[i].denominator for i in base))
     cols = [h.c[i] + (int(h.offset[i] * scale),) for i in base]
     slack = (0,) * h.c.cols + (1,)
@@ -541,6 +543,8 @@ def polar_systems(draw):
 
 @given(polar_systems())
 @settings(max_examples=100, deadline=None)
+# equal halfspaces with the scaled row first: facets keeps the primitive row
+@example(system([(0, 0, 0), (-3, 0, 0), (-1, 0, 0)], [Fraction(1), Fraction(3), Fraction(1)], 3))
 def test_polar_certificates_match_per_row_lps(h):
     try:
         expected = per_row_facets(h)

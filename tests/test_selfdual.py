@@ -58,6 +58,7 @@ from lgdual.toric import (
     split_bundle_total_space,
 )
 import charge_k_oracle
+import square_read_oracle
 from row_order_oracle import _row_order_search
 
 UNIMODULAR_2X2 = [
@@ -327,56 +328,15 @@ def per_subset_table(rows, n):
 
 
 @st.composite
-def plucker_configurations(draw):
-    """(kind, rows, n): n + 1 rows of length n, n = 0..6, with entries up to
-    +-10^12 and rank below n, zero rows and duplicate rows among them."""
-    n = draw(st.integers(0, 6))
-    kind = draw(st.sampled_from(("random", "low-rank", "zero-row", "duplicate-row")))
-    bound = draw(st.sampled_from((2, 10**12)))
-    vectors = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
-    rows = [draw(vectors) for _ in range(n + 1)]
-    if kind == "low-rank" and n:
-        # combinations of k < n vectors
-        basis = [draw(vectors) for _ in range(draw(st.integers(0, n - 1)))]
-        coefficients = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
-        mix = [draw(coefficients) for _ in range(n + 1)]
-        rows = [[sum(c * v[j] for c, v in zip(cs, basis)) for j in range(n)] for cs in mix]
-    i, j = draw(st.permutations(range(n + 1)))[:2] if n else (0, 0)
-    vanish = set()  # rows over which every minor is 0
-    if kind == "zero-row":
-        rows[i], vanish = [0] * n, {i}
-    elif kind == "duplicate-row":
-        rows[i], vanish = rows[j], {i, j}
-    return kind, [tuple(row) for row in rows], n, vanish
-
-
-@given(plucker_configurations())
-@settings(max_examples=300, deadline=None)
-def test_one_elimination_table_matches_per_subset_determinants(case):
-    kind, rows, n, vanish = case
-    table = _Minors(rows, n)
-    # one row per (n-1)-subset of the first n rows, all filled at construction
-    assert sorted(table) == list(itertools.combinations(range(n), n - 1)) if n else not table
-    expected = per_subset_table(rows, n)
-    read = list(zip([t for t, _ in expected], table.minors(range(n + 1))))
-    assert read == expected
-    # the cofactor vector that fills the table is the rows' charge vector
-    assert table.charges == (list(_charges([x for _, x in read])) if n else None)
-    assert len(table) == n  # the reads built no row
-    if kind == "low-rank" and n:
-        assert not any(map(any, table.values()))
-    assert all(x == 0 for t, x in read if vanish and vanish <= set(t))
-
-
-@st.composite
 def minor_configurations(draw):
-    """(rows, n, low, need): m rows of length n, n = 0..5 and m = 0..9 other
-    than n + 1, with entries up to +-10^12, where every minor over need or
-    more of the rows low is 0.  The low-rank-head kind puts n - 1 or more rows
-    in the span of fewer than n - 1 vectors, so the heads among them have
-    rank below n - 1 and no cofactors; zero and duplicate rows are there."""
+    """(rows, n, low, need): m rows of length n, n = 0..5 and m = 0..9, with
+    m = n + 1, the rows of a square search, drawn as often as any other m,
+    and entries up to +-10^12, where every minor over need or more of the
+    rows low is 0.  The low-rank-head kind puts n - 1 or more rows in the
+    span of fewer than n - 1 vectors, so the heads among them have rank
+    below n - 1 and no cofactors; zero and duplicate rows are there."""
     n = draw(st.integers(0, 5))
-    m = draw(st.integers(0, 9).filter(lambda m: m != n + 1))
+    m = draw(st.just(n + 1) | st.integers(0, 9))
     kind = draw(st.sampled_from(("random", "low-rank-head", "zero-row", "duplicate-row")))
     bound = draw(st.sampled_from((2, 10**12)))
     vectors = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
@@ -514,7 +474,7 @@ def fraction_det(rows):
 @st.composite
 def minor_rows(draw, max_m, max_n, entries):
     """(rows, n): m <= max_m integer rows of length n <= max_n, with m = n + 1
-    (the table filled at construction) drawn as often as any other m."""
+    (the rows of a square search) drawn as often as any other m."""
     n = draw(st.integers(0, max_n))
     m = draw(st.just(n + 1) | st.integers(0, max_m))
     vectors = st.lists(entries, min_size=n, max_size=n).map(tuple)
@@ -583,30 +543,59 @@ def test_minor_walk_yields_every_matching_subset_in_order(case):
 
 
 @st.composite
-def square_tables(draw):
-    """(rows, n, key): n + 1 rows in Z^n, n <= 4, with entries in [-3, 3],
-    and n + 1 |minor| values: the rows' own, one of them raised, or random."""
-    n = draw(st.integers(0, 4))
-    rows = [tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))) for _ in range(n + 1)]
-    kind = draw(st.sampled_from(["own", "raised", "random"]))
-    if kind == "random":
-        return rows, n, [draw(st.integers(0, 4)) for _ in range(n + 1)]
-    key = [abs(fraction_det([rows[i] for i in t])) for t in itertools.combinations(range(n + 1), n)]
-    if kind == "raised":
-        key[draw(st.integers(0, n))] += draw(st.integers(1, 2))
-    return rows, n, key
+def square_oracle_pairs(draw):
+    """(kind, dv, mon): both (n+1) x n, n = 1..5, entries in [-3, 3].  A
+    planted witness dv = P mon U, with ties and negated charges when the
+    entries are in {-1, 0, 1}; a spanning dv against a random mon, mostly
+    NO; dv with every maximal minor even (gcd > 1) and dv of rank below n,
+    each against a planted or a random mon."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("planted", "ties", "spanning-no", "gcd", "low-rank")))
+    if kind == "ties":
+        dv = stacked(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+        return kind, dv @ draw(unimodular(n)), planted(draw, dv)
+    dv = draw(small_matrices(n + 1, n))
+    if kind in ("gcd", "low-rank"):
+        # doubling the last column leaves every maximal minor even; zeroing it, all 0
+        dv = IntMatrix.from_rows([row[:-1] + (2 * row[-1] if kind == "gcd" else 0,) for row in dv])
+    elif kind == "spanning-no":
+        assume(spans_corank_one(dv))
+        return kind, dv, draw(small_matrices(n + 1, n))
+    plant = kind == "planted" or draw(st.booleans())
+    return kind, dv, planted(draw, dv) if plant else draw(small_matrices(n + 1, n))
 
 
-@given(square_tables())
-@settings(max_examples=400, deadline=None)
-def test_square_walk_takes_the_subsets_the_minor_walk_yields(case):
-    # two (n + 1)-row matrices have one subset, all rows, which the search
-    # reads off the table's charges instead of walking it index by index
-    rows, n, key = case
-    counts = Counter(key)
-    walked = list(selfdual._minor_walk(_Minors(rows, n), n + 1, n + 1, n, counts))
-    assert selfdual._square_walk(_Minors(rows, n), n + 1, counts) == walked
-    assert dict(counts) == dict(Counter(key))
+@given(square_oracle_pairs())
+@settings(max_examples=300, deadline=None)
+def test_square_read_matches_the_eager_table_oracle(case):
+    # a spanning square pair is decided from its two charge vectors, every
+    # other square pair by the walk over mon's table: both must return what
+    # the eager table read returned, (S, pi, U) or None, with dv's class
+    # group and without
+    kind, dv, mon = case
+    n = dv.cols
+    if kind in ("ties", "spanning-no"):
+        assert spans_corank_one(dv)
+    if kind == "gcd":
+        assert gcd(*abs_minors(dv)) != 1
+    if kind == "low-rank":
+        assert dv.rank() < n
+    found = _search_matrix_witness(dv, mon)
+    assert found == square_read_oracle.square_search(dv, mon)
+    assert _search_matrix_witness(dv, mon, cokernel(dv)) == found
+    assert square_read_oracle.square_search(dv, mon, cokernel(dv)) == found
+    if kind in ("planted", "ties"):
+        assert found is not None
+    if found is not None:
+        subset, perm, u = found
+        assert subset == tuple(range(n + 1))
+        assert mon.take_rows(perm) @ u == dv and u.is_unimodular()
+    # the eager table's one subset is exactly what the prefix walk yields
+    counts = Counter(abs_minors(dv))
+    table = square_read_oracle._EagerMinors(mon.entries, n)
+    walked = list(selfdual._minor_walk(_Minors(mon.entries, n), n + 1, n + 1, n, counts))
+    assert square_read_oracle._square_walk(table, n + 1, counts) == walked
+    assert counts == Counter(abs_minors(dv))
 
 
 @st.composite
@@ -850,27 +839,31 @@ LINE_MON = bundle_model([-20]).mon()
 
 
 @pytest.mark.parametrize(
-    "dv, mon, bareiss, ranks",
+    "dv, mon, tables, bareiss, ranks",
     [
-        # 6 x 4 (corank 2): 7 subsets through the row-order path; one
-        # elimination per head, the first 3 rows of a minor read: dv's
-        # C(5, 3), as all its minors are read, and mon's C(4, 3) within the
-        # rows 0..3 the walk reads, not C(6, 4) + C(7, 4); and the two ranks
-        (IntMatrix.from_rows(DENSE_A.entries[:6]), DENSE_B, comb(5, 3) + comb(4, 3), 2),
-        # O(-20): 1,330 subsets through the charge path; dv's 3 minors from
-        # one elimination of its transpose, mon's from one elimination per
-        # head row, rows 0..18, not one per pair of rows
-        (bundle_over_p1([-20]).dv, LINE_MON, 1 + 19, 2),
-        # two 4 x 3 tables, one elimination each, stand in for both ranks
-        (bundle_over_p1([-1, -1]).dv, bundle_over_p1([0, -2]).dv, 2, 0),
-        # O(1) + O(-3): mon's table is all zero, so its rank is below dv's
-        (bundle_over_p1([1, -3]).dv, bundle_model([1, -3]).mon(), 2, 0),
+        # 6 x 4 (corank 2): 7 subsets through the row-order path; a table of
+        # dv and of mon, one elimination per head, the first 3 rows of a minor
+        # read: dv's C(5, 3), as all its minors are read, and mon's C(4, 3)
+        # within the rows 0..3 the walk reads, not C(6, 4) + C(7, 4); and the
+        # two ranks
+        (IntMatrix.from_rows(DENSE_A.entries[:6]), DENSE_B, 2, comb(5, 3) + comb(4, 3), 2),
+        # O(-20): 1,330 subsets through the charge path; dv's 3 minors are its
+        # charges, from one elimination of its transpose and no table, mon's
+        # from one elimination per head row, rows 0..18, not one per pair of rows
+        (bundle_over_p1([-20]).dv, LINE_MON, 1, 1 + 19, 2),
+        # two 4 x 3 matrices: their charge vectors, one elimination each and no
+        # table, stand in for both ranks
+        (bundle_over_p1([-1, -1]).dv, bundle_over_p1([0, -2]).dv, 0, 2, 0),
+        # O(1) + O(-3): mon's charges are all 0, so its rank is below dv's
+        (bundle_over_p1([1, -3]).dv, bundle_model([1, -3]).mon(), 0, 2, 0),
     ],
     ids=["corank-two", "line-bundle", "corank-one-pair", "rank-below"],
 )
-def test_search_takes_two_minor_tables(dv, mon, bareiss, ranks, minor_tables, eliminations):
+def test_search_takes_two_minor_tables(dv, mon, tables, bareiss, ranks, minor_tables, eliminations):
+    # at most two: one of dv when it has other than n + 1 rows, then one of
+    # mon unless dv and mon are both (n+1) x n with dv's rows spanning Z^n
     assert _search_matrix_witness(dv, mon) is None
-    assert minor_tables == [dv.entries, mon.entries]
+    assert minor_tables == [dv.entries, mon.entries][2 - tables:]
     assert eliminations == Counter(bareiss=bareiss, rank=ranks)
 
 
@@ -914,9 +907,9 @@ def test_precheck_reads_dv_rank_from_the_class_group(sweep, ranks, bareiss, bare
 
 def test_rank_six_yes_verdict_eliminates_each_matrix_once(bareiss_runs, monkeypatch):
     # one elimination each: dv's transpose in cokernel, whose charge row also
-    # gives dv's minors; mon's transpose, whose cofactors fill its minor
-    # table and give its charges; the basis change's det, and _charge_row's
-    # replayed minor of dv (5 and 2 when dv's minors were eliminated again)
+    # gives dv's charges; mon's transpose, whose cofactors are mon's charges;
+    # the basis change's det, and _charge_row's replayed minor of dv (5 and
+    # 2 when dv's minors were eliminated again)
     original, cofactors = selfdual._cofactors, []
 
     def counted(rows, cols):
@@ -929,25 +922,38 @@ def test_rank_six_yes_verdict_eliminates_each_matrix_once(bareiss_runs, monkeypa
     assert cofactors == [list(zip(*bundle_model((0, 0, 0, 0, 0, -2)).mon().entries))]
 
 
-def test_rank_six_yes_verdict_reads_its_one_subset_directly(bareiss_runs, monkeypatch):
-    # dv and mon are both 8 x 7, so the one subset, all of mon, is read off
-    # the charges of mon's table and never walked; the eliminations stay
-    # those of the test above
-    original, cofactors = selfdual._cofactors, []
+def test_rank_six_yes_verdict_reads_its_one_subset_directly(
+    bareiss_runs, minor_tables, hermite_transforms, monkeypatch
+):
+    # dv and mon are both 8 x 7 with dv's rows spanning Z^7, so the one
+    # subset, all of mon, is decided by two charge vectors: dv's from
+    # cokernel and mon's from the search, 2 cofactor eliminations in all,
+    # with no minor table and no walk; the eliminations stay those of the
+    # test above, and the basis change takes one Hermite form
+    cofactors = []
 
-    def counted(rows, cols):
-        cofactors.append(rows)
-        return original(rows, cols)
+    def counted(original):
+        return lambda rows, cols: cofactors.append(rows) or original(rows, cols)
 
     def no_walk(*args):
         raise AssertionError("the subset walk ran")
 
-    monkeypatch.setattr(selfdual, "_cofactors", counted)
-    monkeypatch.setattr(selfdual, "_extend_walk", no_walk)
-    verdict = model_self_dual((0, 0, 0, 0, 0, -2))
-    assert verdict.self_dual and verdict.witness.monomial_subset == tuple(range(8))
-    assert bareiss_runs == Counter(bareiss=4)
-    assert cofactors == [list(zip(*bundle_model((0, 0, 0, 0, 0, -2)).mon().entries))]
+    monkeypatch.setattr(selfdual, "_minor_walk", no_walk)
+    for degrees in ((0, 0, 0, 0, 0, -2), (0, 0, 0, 0, -1, -1)):
+        m = bundle_model(degrees)
+        transposes = [list(zip(*m.variety.dv.entries)), list(zip(*m.mon().entries))]
+        cofactors.clear()
+        bareiss_runs.clear()
+        hermite_transforms.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selfdual, "_cofactors", counted(selfdual._cofactors))
+            mp.setattr(linalg, "_cofactors", counted(linalg._cofactors))
+            verdict = model_self_dual(degrees)
+        assert verdict.self_dual and verdict.witness.monomial_subset == tuple(range(8))
+        assert cofactors == transposes
+        assert minor_tables == []
+        assert bareiss_runs == Counter(bareiss=4)
+        assert [h.rows for h in hermite_transforms] == [7]
 
 
 class _PastPrecheck(Exception):
@@ -956,8 +962,10 @@ class _PastPrecheck(Exception):
 
 def test_precheck_with_the_class_group_decides_as_without(monkeypatch):
     # every degree tuple of rank <= 4 with entries in [-4, 3]: the search
-    # reads the group in its precheck alone, so a search that gets past it
-    # stops at its first minor table, and both searches stop alike
+    # reads the group in its precheck and for dv's charges alone, so a search
+    # that gets past it stops at its first minor table, or is decided by two
+    # charge vectors when dv and mon are both (n+1) x n and dv's rows span
+    # Z^n, and both searches stop alike
     def stop(rows, n):
         raise _PastPrecheck
 
@@ -1035,7 +1043,7 @@ def class_group_searches(draw):
 def test_minors_read_off_the_class_group_match_dv_table(case):
     # the fast path reads dv's minors off its class group when cokernel took
     # its cofactor path (free rank 1, no torsion); the slow path eliminates
-    # dv's transpose again in _Minors(dv), which every other dv still takes
+    # dv's transpose again, as every other dv still does
     kind, dv, mon = case
     n, group = dv.cols, cokernel(dv)
     minors = _Minors(dv.entries, n).minors(range(n + 1))
@@ -1186,11 +1194,6 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
             return list.__getitem__(self, i)
 
     class CountedReads(original):
-        def __init__(self, rows, n):
-            super().__init__(rows, n)
-            for h in list(self):
-                self[h] = self.counted(dict.__getitem__(self, h))
-
         def counted(self, row):
             row = CountedRow(row)
             row.rows = self.rows
@@ -1215,11 +1218,10 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
     subsets = sum(comb(bundle_model((-k,)).mon().rows, 3) for k in range(21))
     assert 3 * subsets == 21_945
     mons = [bundle_model((-k,)).mon().entries for k in range(21)]
-    # O(-2)'s 3-row mon gives its charges from the cofactor vector that
-    # fills its table, and its one subset, square with dv, is read as those
-    # 3 charges rather than as the walk's 5 reads
-    assert sum(reads[rows] for rows in mons) == 2_886
-    assert sum(fetches[rows] for rows in mons) == 399
+    # O(-2)'s 3-row mon, square with dv, is decided by its charges from one
+    # elimination of its transpose, so it has no table and reads no minor
+    assert sum(reads[rows] for rows in mons) == 2_883
+    assert sum(fetches[rows] for rows in mons) == 396
     # dv's 3 minors are read off its class group, so dv has no table, and
     # O(0) and O(-1) have fewer monomials than dv has rows
     dvs = [bundle_over_p1([-k]).dv.entries for k in range(21)]
