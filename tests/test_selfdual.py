@@ -328,6 +328,49 @@ def per_subset_table(rows, n):
 
 
 @st.composite
+def plucker_configurations(draw):
+    """(kind, rows, n, vanish): n + 1 rows of length n, n = 0..6, with entries
+    up to +-10^12 and rank below n, zero rows and duplicate rows among them."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("random", "low-rank", "zero-row", "duplicate-row")))
+    bound = draw(st.sampled_from((2, 10**12)))
+    vectors = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    rows = [draw(vectors) for _ in range(n + 1)]
+    if kind == "low-rank" and n:
+        # combinations of k < n vectors
+        basis = [draw(vectors) for _ in range(draw(st.integers(0, n - 1)))]
+        coefficients = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+        mix = [draw(coefficients) for _ in range(n + 1)]
+        rows = [[sum(c * v[j] for c, v in zip(cs, basis)) for j in range(n)] for cs in mix]
+    i, j = draw(st.permutations(range(n + 1)))[:2] if n else (0, 0)
+    vanish = set()  # rows over which every minor is 0
+    if kind == "zero-row":
+        rows[i], vanish = [0] * n, {i}
+    elif kind == "duplicate-row":
+        rows[i], vanish = rows[j], {i, j}
+    return kind, [tuple(row) for row in rows], n, vanish
+
+
+@given(plucker_configurations())
+@settings(max_examples=300, deadline=None)
+def test_one_elimination_table_matches_per_subset_determinants(case):
+    # n + 1 rows: one cofactor elimination of the transpose, the charge
+    # vector a square search reads, gives all n + 1 minors at once
+    kind, rows, n, vanish = case
+    expected = per_subset_table(rows, n)
+    q = selfdual._cofactors([list(col) for col in zip(*rows)], n + 1)
+    minors = [(-1) ** n * x for x in _charges(q)]
+    assert list(zip([t for t, _ in expected], minors)) == expected
+    # the on-demand table reads the same minors, and q back off them
+    table = _Minors(rows, n)
+    assert table.minors(range(n + 1)) == minors
+    assert _charges(minors) == tuple(q)
+    if kind == "low-rank" and n:
+        assert not any(q)
+    assert all(x == 0 for t, x in expected if vanish and vanish <= set(t))
+
+
+@st.composite
 def minor_configurations(draw):
     """(rows, n, low, need): m rows of length n, n = 0..5 and m = 0..9, with
     m = n + 1, the rows of a square search, drawn as often as any other m,
