@@ -20,15 +20,23 @@ class _Frozen:
     whose generated methods cost more than half of an import to build.
     Equality (between instances of one class only), hashing and repr read
     the fields that the class names in ``_fields``; assigning or deleting an
-    attribute raises FrozenInstanceError, so each ``__init__`` sets its
-    fields with object.__setattr__; pickling and copying carry every
-    attribute, including any an unslotted type keeps besides its fields."""
+    attribute raises FrozenInstanceError, so fields are set with
+    object.__setattr__: by this ``__init__``, one value per field in order,
+    or by a type's own that checks or coerces them; pickling and copying
+    carry every attribute, including any an unslotted type keeps besides
+    its fields."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)
         cls.__match_args__ = cls._fields
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %d values" % (type(self).__qualname__, len(self._fields)))
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -333,13 +333,6 @@ class KopasepticReport(_Frozen):
         "interior_nonempty", "kmap_exists", "order_nonneg", "facet_report", "negative_orders"
     )
 
-    def __init__(self, interior_nonempty, kmap_exists, order_nonneg, facet_report, negative_orders):
-        object.__setattr__(self, "interior_nonempty", interior_nonempty)
-        object.__setattr__(self, "kmap_exists", kmap_exists)
-        object.__setattr__(self, "order_nonneg", order_nonneg)
-        object.__setattr__(self, "facet_report", facet_report)
-        object.__setattr__(self, "negative_orders", negative_orders)
-
     @property
     def passed(self):
         return self.interior_nonempty and self.kmap_exists and self.order_nonneg

@@ -259,11 +259,6 @@ class SmithDecomposition(_Frozen):
 
     _fields = ("u", "s", "v")
 
-    def __init__(self, u, s, v):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "v", v)
-
     def diagonal(self):
         return tuple(self.s[i][i] for i in range(min(self.s.rows, self.s.cols)))
 
@@ -365,12 +360,6 @@ class ChowGroup(_Frozen):
     """
 
     __slots__ = _fields = ("free_rank", "torsion", "projection", "source")
-
-    def __init__(self, free_rank, torsion, projection, source):
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "source", source)
 
     def free_projection(self):
         return self.projection.take_rows(range(self.free_rank))

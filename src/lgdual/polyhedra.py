@@ -58,11 +58,6 @@ class FacetReport(_Frozen):
 
     _fields = ("irredundant", "primitive_normals", "kmap")
 
-    def __init__(self, irredundant, primitive_normals, kmap):
-        object.__setattr__(self, "irredundant", irredundant)
-        object.__setattr__(self, "primitive_normals", primitive_normals)
-        object.__setattr__(self, "kmap", kmap)
-
     def is_identity(self):
         return all(k is not None for k in self.kmap)
 

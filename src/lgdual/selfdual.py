@@ -21,9 +21,9 @@ the line, a reached subset takes the first order that carries its charges
 (the signed maximal minors, which generate the charge lattice of the
 class-group sequence) onto +-dv's; otherwise one depth-first search over
 row orders places at each position a row with dv's row gcd there and
-checks each minor of the placed rows against dv's.
-One Hermite-form solve decides each order, once Hermite forms bring a dv of
-column rank below n and its subsets to full column rank.
+checks each minor of the placed rows against dv's.  One Hermite-form solve
+decides each order, once Hermite forms bring a dv of column rank below n and
+its subsets to full column rank.  With no columns, mon's first rows decide.
 
 The K step checks the model's own K: its halfspaces dv xi + Im K >= 0
 must keep every row as a facet.  When dv is corank 1 with primitive rows,
@@ -108,8 +108,8 @@ class _Minors(dict):
 
     def minors(self, s):
         """det of every n-subset of the increasing indices s, in lexicographic
-        order; the empty subset of n = 0 has det 1."""
-        return [self[t[:-1]][t[-1]] for t in itertools.combinations(s, self.n)] if self.n else [1]
+        order, for n >= 1."""
+        return [self[t[:-1]][t[-1]] for t in itertools.combinations(s, self.n)]
 
 
 def _minor_walk(table, m, r, n, counts):
@@ -122,11 +122,10 @@ def _minor_walk(table, m, r, n, counts):
     counts.  A value that counts no longer holds cuts i with every extension
     of that prefix.  A complete subset has taken off all C(r, n) of its
     minors, so its |minors| are the multiset counts started with.  counts is
-    restored before the walk returns."""
-    if n == 0 or r < n:
-        # a subset has no minor to read (r < n), or only the empty one, det 1
-        if set(counts.elements()) <= {1}:
-            yield from itertools.combinations(range(m), r)
+    restored before the walk returns.  n >= 1; with r < n a subset has no
+    minor to read, so every r-subset is listed."""
+    if r < n:
+        yield from itertools.combinations(range(m), r)
         return
     # the first n - 1 indices complete no minor: each head starts a prefix
     for h in itertools.combinations(range(m - r + n - 1), n - 1):
@@ -186,17 +185,12 @@ def _row_orders(keys, target, checks, table, s):
     matching |maximal minors|, in lexicographic order, depth first, for keys
     equal to target as multisets.  checks[k] lists each maximal minor whose
     last position is k as its other positions and dv's |minor| there, read
-    off mon's table once k is placed.  A loop over one candidate iterator
-    per position: nested generators cost a YES verdict more.  With no check
-    (n = 0, or dv with no rows) the first order decides, so it alone is
-    listed: nothing cuts it, and it takes each key's rows in increasing order."""
+    off mon's table once k is placed, for n >= 1 and at least one row.  A
+    loop over one candidate iterator per position: nested generators cost a
+    YES verdict more."""
     pools = {}
     for j, x in enumerate(keys):
         pools.setdefault(x, []).append(j)
-    if not any(checks):
-        firsts = {x: iter(p) for x, p in pools.items()}
-        yield tuple(next(firsts[t]) for t in target)
-        return
     perm, levels = [], [iter(pools[target[0]])]
 
     def fits(j, head, v):
@@ -431,6 +425,10 @@ def _search_matrix_witness(dv, mon, group=None):
     if group is not None and group.source != dv:
         raise GroupMismatchError("class group is not the cokernel of dv")
     n = dv.cols
+    if n == 0:
+        # with no columns any dv.rows rows of mon match dv: the first, in order
+        r = dv.rows
+        return None if mon.rows < r else (tuple(range(r)), tuple(range(r)), IntMatrix.identity(0))
     square = dv.rows == mon.rows == n + 1
     # for two (n + 1)-row matrices the charges, or the walk's minors, hold the ranks
     if not square and mon.rank() < (dv.rank() if group is None else dv.rows - group.free_rank):

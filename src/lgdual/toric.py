@@ -2,9 +2,10 @@
 
 A variety is stored as its lattice rank, ordered divisor labels, and the
 integer matrix whose rows are the primitive ray generators (one row per
-torus-invariant divisor).  Constructors cover the projective line, total
-spaces of split bundles over it, finite products, and reconstruction from
-halfspace linear data.
+torus-invariant divisor).  Constructors cover the projective line, the
+total space of a split bundle over any base, given as the base and one
+divisor column per summand (bundle_over_p1 over the line), finite products,
+and reconstruction from halfspace linear data.
 """
 
 from functools import cache
@@ -16,7 +17,6 @@ from .polyhedra import HalfspaceSystem, facets
 
 __all__ = [
     "ToricData",
-    "BundleSpec",
     "projective_line",
     "split_bundle_total_space",
     "bundle_over_p1",
@@ -59,35 +59,22 @@ def projective_line():
     return ToricData(1, ("f0", "fInf"), IntMatrix.from_rows([(1,), (-1,)]))
 
 
-class BundleSpec(_Frozen):
-    """Split-bundle data: one column per summand, giving the divisor D_j
-    (as coefficients over the base divisors) with X = Tot(O(-D_1) + ...)."""
-
-    _fields = ("base", "divisor_columns")
-
-    def __init__(self, base, divisor_columns):
-        if divisor_columns.rows != base.dv.rows:
-            raise ShapeMismatchError(
-                "divisor columns have %d rows, base has %d divisors"
-                % (divisor_columns.rows, base.dv.rows)
-            )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "divisor_columns", divisor_columns)
-
-
-def split_bundle_total_space(spec):
-    """Total space of a split bundle as a block ray matrix.
+def split_bundle_total_space(base, divisor_columns):
+    """Total space X = Tot(O(-D_1) + ... + O(-D_c)) of a split bundle over
+    base as a block ray matrix, divisor_columns holding one column per
+    summand: the divisor D_j as coefficients over the base divisors.
 
     The rays of the total space over base rays v_k are (v_k, D_1[k], ...,
     D_c[k]) together with one new fiber ray e_j per summand.
     """
-    base = spec.base
-    cols = spec.divisor_columns
-    c = cols.cols
+    if divisor_columns.rows != base.dv.rows:
+        raise ShapeMismatchError(
+            "divisor columns have %d rows, base has %d divisors"
+            % (divisor_columns.rows, base.dv.rows)
+        )
+    c = divisor_columns.cols
     n = base.rank + c
-    rows = []
-    for k in range(base.dv.rows):
-        rows.append(tuple(base.dv[k]) + tuple(cols[k]))
+    rows = [v + d for v, d in zip(base.dv.entries, divisor_columns.entries)]
     for j in range(c):
         rows.append((0,) * base.rank + tuple(1 if i == j else 0 for i in range(c)))
     labels = base.divisors + tuple("X%d" % (j + 1) for j in range(c))
@@ -109,7 +96,7 @@ def bundle_over_p1(degrees):
         raise ValueError("at least one summand degree is required")
     base = projective_line()
     columns = IntMatrix._trusted(2, len(degrees), [(0,) * len(degrees), [-a for a in degrees]])
-    return split_bundle_total_space(BundleSpec(base, columns))
+    return split_bundle_total_space(base, columns)
 
 
 def product(x, y):

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from call_log import log_calls
 from lgdual import cli, lgmodel, linalg, polyhedra
 from lgdual.cli import SWEEP_HEADER, main
 from lgdual.complexq import ComplexQ, format_complex
@@ -394,14 +395,7 @@ class = 0+1i
 
 
 def test_dense_model_prints_the_solved_k_lift(tmp_path, capsys, monkeypatch):
-    solves = []
-    original = lgmodel._bareiss_solve
-
-    def counted(a, rhs):
-        solves.append(a.rows)
-        return original(a, rhs)
-
-    monkeypatch.setattr(lgmodel, "_bareiss_solve", counted)
+    solves = log_calls(monkeypatch, lgmodel, "_bareiss_solve", [], lambda a, rhs: a.rows)
     path = write_text(tmp_path, DENSE_MODEL, "m003.lg")
     assert main(["analyze", path]) == 0
     assert capsys.readouterr().out == DENSE_ANALYZE
@@ -413,10 +407,7 @@ def test_dense_model_prints_the_solved_k_lift(tmp_path, capsys, monkeypatch):
 @pytest.fixture
 def smith_forms(monkeypatch):
     """The matrices that linalg.snf is called on, in call order."""
-    calls = []
-    real = linalg.snf
-    monkeypatch.setattr(linalg, "snf", lambda a: calls.append(a) or real(a))
-    return calls
+    return log_calls(monkeypatch, linalg, "snf", [], lambda a: a)
 
 
 def test_analyze_and_involution_take_four_smith_forms(tmp_path, smith_forms, capsys):
@@ -484,9 +475,7 @@ def test_dualize_takes_a_fresh_group_where_a_row_drops(tmp_path, smith_forms, ca
 def test_analyze_forms_the_order_matrix_twice(tmp_path, monkeypatch, capsys):
     # once for the model's regularity check, which analyze prints, and once
     # for the kopaseptic order condition of the linear data
-    calls = []
-    real = lgmodel._orders
-    monkeypatch.setattr(lgmodel, "_orders", lambda a, b: calls.append(1) or real(a, b))
+    calls = log_calls(monkeypatch, lgmodel, "_orders", [], lambda a, b: 1)
     path = write_text(tmp_path, DENSE_MODEL, "m003.lg")
     assert main(["analyze", path]) == 0
     assert capsys.readouterr().out == DENSE_ANALYZE
@@ -583,20 +572,14 @@ def test_trusted_matrices_match_the_validating_constructor_in_the_cli(
 def facet_pass_calls(monkeypatch):
     """Calls of facets and of the interior LP ``_interior``, counted in every
     lgdual namespace that binds them."""
-    counts = {}
+    counts = {"facets": 0, "_interior": 0}
     spaces = [m for k, m in sys.modules.items() if k == "lgdual" or k.startswith("lgdual.")]
-    for name in ("facets", "_interior"):
+    for name in counts:
         original = getattr(polyhedra, name)
-        counts[name] = 0
-
-        def counted(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
-
-        for space in spaces:
-            for attr, val in list(vars(space).items()):
-                if val is original:
-                    monkeypatch.setattr(space, attr, counted)
+        # every namespace binds each of them under its own name
+        assert not any(v is original for m in spaces for k, v in vars(m).items() if k != name)
+        owners = tuple(m for m in spaces if vars(m).get(name) is original)
+        log_calls(monkeypatch, owners, name, counts, lambda *args, _name=name: _name)
     return counts
 
 
@@ -991,14 +974,7 @@ def test_no_subcommand_is_a_usage_error():
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    calls = []
-    original = cli.build_parser
-
-    def counted():
-        calls.append(1)
-        return original()
-
-    monkeypatch.setattr(cli, "build_parser", counted)
+    calls = log_calls(monkeypatch, cli, "build_parser", [], lambda: 1)
     cli._parser.cache_clear()
     runs = []
     for _ in range(2):

@@ -21,6 +21,13 @@ other tests say.
   reason self_dual_witness gives and the first failing kopaseptic condition
   of the swapped data (mon, L; dv, K) unchanged, and every YES witness of
   the permuted model replays.
+- dualize commutes with each relation.  Permuting dv's rows, with K's lift
+  carried, permutes the dual's terms the same way and leaves its rays and
+  K unchanged; permuting mon's rows, with L's lift carried, permutes the
+  dual's rays and K lift together and leaves its terms unchanged; and
+  (dv V, mon V^-T) maps the dual to (dv_dual V^-T, mon_dual V), with equal
+  coefficients and lifts.  Where the swapped data is not kopaseptic, both
+  sides raise NotKopasepticError with the same condition.
 """
 
 import itertools
@@ -32,13 +39,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lgdual.complexq import ComplexQ
+from lgdual.errors import NotKopasepticError
 from lgdual.lgmodel import (
     ChowClass,
     LGModel,
+    LinearData,
     Superpotential,
     bundle_model,
     default_k_class,
     default_l_class,
+    dualize,
     is_kopaseptic,
     linear_data,
     order_matrix,
@@ -293,6 +303,15 @@ SQUARE_BUNDLES = [(-2,), (-1, -1), (0, -2), (0, -1, -1), (0, 0, -2), (1, -3), (2
 
 
 @st.composite
+def l_classes(draw, mon):
+    """The default class on mon's cokernel, or a random rational lift on it."""
+    if draw(st.booleans()):
+        return default_l_class(mon)
+    im = [Fraction(draw(st.integers(-2, 3)), draw(st.integers(1, 2))) for _ in range(mon.rows)]
+    return ChowClass([ComplexQ(0, b) for b in im], cokernel(mon))
+
+
+@st.composite
 def models_and_term_orders(draw):
     """(model, L, perm): a model of regular_models, sometimes with a multiple
     of one of its terms added (a parallel row that is not primitive), or a
@@ -309,12 +328,7 @@ def models_and_term_orders(draw):
             if multiple not in [t for _, t in terms]:
                 m = LGModel(m.variety, Superpotential(terms + ((1, multiple),)), m.k_class)
     mon = m.mon()
-    if draw(st.booleans()):
-        l = default_l_class(mon)
-    else:
-        im = [Fraction(draw(st.integers(-2, 3)), draw(st.integers(1, 2))) for _ in range(mon.rows)]
-        l = ChowClass([ComplexQ(0, b) for b in im], cokernel(mon))
-    return m, l, draw(st.permutations(range(mon.rows)))
+    return m, draw(l_classes(mon)), draw(st.permutations(range(mon.rows)))
 
 
 def _terms_permuted(m, l, perm):
@@ -342,3 +356,81 @@ def test_the_swapped_kopaseptic_verdict_survives_term_order(case):
     moved, moved_l = _terms_permuted(m, l, perm)
     report = is_kopaseptic(linear_data(moved, moved_l).swapped())
     assert report.first_failure() == is_kopaseptic(linear_data(m, l).swapped()).first_failure()
+
+
+# --- dualize under the three relations ------------------------------------------
+
+@st.composite
+def dual_cases(draw):
+    """(model, L, ray perm, term perm, (V, V^-1)): a model of regular_models,
+    L of l_classes, a permutation of dv's rows, one of mon's rows and a V in
+    GL(n, Z)."""
+    m, ray_perm = draw(regular_models())
+    mon = m.mon()
+    l, term_perm = draw(l_classes(mon)), draw(st.permutations(range(mon.rows)))
+    return m, l, ray_perm, term_perm, draw(unimodular(m.variety.rank))
+
+
+def _dual(d):
+    """dualize(d), or the condition of the NotKopasepticError it raises."""
+    try:
+        return dualize(d)
+    except NotKopasepticError as e:
+        return e.condition
+
+
+@given(dual_cases())
+@settings(max_examples=100, deadline=None)
+def test_dualize_carries_dv_row_order_to_the_dual_terms(case):
+    # the dual's terms are dv's rows with coefficients exp(2 pi i K_j), so
+    # they move with dv's rows and K's lift; the rays and K come from
+    # (mon, L) alone
+    m, l, perm, _, _ = case
+    dual = _dual(linear_data(m, l))
+    moved = _dual(linear_data(_rays_permuted(m, perm), l))
+    if isinstance(dual, str):
+        assert moved == dual
+        return
+    assert moved.potential.terms == tuple(dual.potential.terms[i] for i in perm)
+    assert moved.variety == dual.variety and moved.k_class == dual.k_class
+
+
+@given(dual_cases())
+@settings(max_examples=100, deadline=None)
+def test_dualize_carries_term_order_to_the_dual_rays(case):
+    # the dual's rays are mon's kept rows, labelled m<i> by their term and
+    # lifted by L's entries there, so rays, labels and K's lift move
+    # together with the terms; the dual's terms come from (dv, K) alone
+    m, l, _, perm, _ = case
+    dual = _dual(linear_data(m, l))
+    moved = _dual(linear_data(*_terms_permuted(m, l, perm)))
+    if isinstance(dual, str):
+        assert moved == dual
+        return
+    ray = {label: j for j, label in enumerate(dual.variety.divisors)}
+    sigma = [ray["m%d" % (perm[int(label[1:]) - 1] + 1)] for label in moved.variety.divisors]
+    assert sorted(sigma) == list(range(dual.variety.dv.rows))
+    assert moved.variety.dv == dual.variety.dv.take_rows(sigma)
+    assert moved.k_class.lift == tuple(dual.k_class.lift[j] for j in sigma)
+    assert moved.potential == dual.potential
+
+
+@given(dual_cases())
+@settings(max_examples=100, deadline=None)
+def test_dualize_commutes_with_a_change_of_basis(case):
+    # (dv V, mon V^-T) leaves the order matrix and every facet in place, so
+    # its dual is (dv_dual V^-T, mon_dual V) with the same coefficients,
+    # labels and K lift
+    m, l, _, _, (v, v_inv) = case
+    d = linear_data(m, l)
+    a, b = d.a @ v, d.b @ v_inv.transpose()
+    k, l = ChowClass(d.k.lift, cokernel(a)), ChowClass(l.lift, cokernel(b))
+    dual, moved = _dual(d), _dual(LinearData(a, k, b, l))
+    if isinstance(dual, str):
+        assert moved == dual
+        return
+    assert moved.variety.dv == dual.variety.dv @ v_inv.transpose()
+    assert moved.variety.divisors == dual.variety.divisors
+    assert moved.mon() == dual.mon() @ v
+    assert [c for c, _ in moved.potential.terms] == [c for c, _ in dual.potential.terms]
+    assert moved.k_class.lift == dual.k_class.lift

@@ -35,6 +35,7 @@ from lgdual.lgmodel import (
     order_matrix,
     sum_models,
 )
+from call_log import log_calls
 from lgdual import lgmodel, linalg, toric
 from lgdual.linalg import IntMatrix, cokernel
 from lgdual.toric import bundle_over_p1, projective_line
@@ -377,15 +378,8 @@ def class_group_calls(monkeypatch):
     """The matrices passed to cokernel and to snf, in every namespace that
     binds cokernel."""
     calls = {"cokernel": [], "snf": []}
-    real_cokernel, real_snf = linalg.cokernel, linalg.snf
-
-    def counted_cokernel(a):
-        calls["cokernel"].append(a)
-        return real_cokernel(a)
-
-    for space in (linalg, lgmodel, toric):
-        monkeypatch.setattr(space, "cokernel", counted_cokernel)
-    monkeypatch.setattr(linalg, "snf", lambda a: calls["snf"].append(a) or real_snf(a))
+    log_calls(monkeypatch, (linalg, lgmodel, toric), "cokernel", calls["cokernel"], lambda a: a)
+    log_calls(monkeypatch, linalg, "snf", calls["snf"], lambda a: a)
     return calls
 
 

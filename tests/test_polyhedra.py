@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from call_log import log_calls
 import fm_oracle
 import lp_oracle
 from polygon_oracle import contains
@@ -429,15 +430,7 @@ def test_facets_of_dense_systems(seed, n, kept, implied):
 
 @pytest.fixture
 def simplex_calls(monkeypatch):
-    calls = []
-    original = polyhedra._simplex
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(polyhedra, "_simplex", counted)
-    return calls
+    return log_calls(monkeypatch, polyhedra, "_simplex", [])
 
 
 @pytest.mark.parametrize(

@@ -50,13 +50,13 @@ from lgdual.selfdual import (
     sweep_rank_two,
 )
 from lgdual.toric import (
-    BundleSpec,
     ToricData,
     bundle_over_p1,
     from_linear_data,
     projective_line,
     split_bundle_total_space,
 )
+from call_log import log_calls
 import charge_k_oracle
 import square_read_oracle
 from row_order_oracle import _row_order_search
@@ -329,9 +329,10 @@ def per_subset_table(rows, n):
 
 @st.composite
 def plucker_configurations(draw):
-    """(kind, rows, n, vanish): n + 1 rows of length n, n = 0..6, with entries
-    up to +-10^12 and rank below n, zero rows and duplicate rows among them."""
-    n = draw(st.integers(0, 6))
+    """(kind, rows, n, vanish): n + 1 rows of length n, n = 1..6, with entries
+    up to +-10^12 and rank below n, zero rows and duplicate rows among them.
+    A search with n = 0 reads no minor (test_zero_columns)."""
+    n = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(("random", "low-rank", "zero-row", "duplicate-row")))
     bound = draw(st.sampled_from((2, 10**12)))
     vectors = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
@@ -372,13 +373,13 @@ def test_one_elimination_table_matches_per_subset_determinants(case):
 
 @st.composite
 def minor_configurations(draw):
-    """(rows, n, low, need): m rows of length n, n = 0..5 and m = 0..9, with
+    """(rows, n, low, need): m rows of length n, n = 1..5 and m = 0..9, with
     m = n + 1, the rows of a square search, drawn as often as any other m,
     and entries up to +-10^12, where every minor over need or more of the
     rows low is 0.  The low-rank-head kind puts n - 1 or more rows in the
     span of fewer than n - 1 vectors, so the heads among them have rank
     below n - 1 and no cofactors; zero and duplicate rows are there."""
-    n = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 5))
     m = draw(st.just(n + 1) | st.integers(0, 9))
     kind = draw(st.sampled_from(("random", "low-rank-head", "zero-row", "duplicate-row")))
     bound = draw(st.sampled_from((2, 10**12)))
@@ -410,7 +411,7 @@ def test_minors_on_demand_match_per_subset_determinants(case, data):
     shuffled = data.draw(st.permutations(expected))
     assert [(t, *table.minors(t)) for t, _ in shuffled] == shuffled
     # one row per head read, and a second read returns the kept value
-    assert sorted(table) == sorted({t[:-1] for t, _ in expected}) if n else not table
+    assert sorted(table) == sorted({t[:-1] for t, _ in expected})
     assert [(t, *table.minors(t)) for t, _ in expected] == expected
     assert all(x == 0 for t, x in expected if len(low & set(t)) >= need)
 
@@ -516,9 +517,9 @@ def fraction_det(rows):
 
 @st.composite
 def minor_rows(draw, max_m, max_n, entries):
-    """(rows, n): m <= max_m integer rows of length n <= max_n, with m = n + 1
-    (the rows of a square search) drawn as often as any other m."""
-    n = draw(st.integers(0, max_n))
+    """(rows, n): m <= max_m integer rows of length 1 <= n <= max_n, with
+    m = n + 1 (the rows of a square search) drawn as often as any other m."""
+    n = draw(st.integers(1, max_n))
     m = draw(st.just(n + 1) | st.integers(0, max_m))
     vectors = st.lists(entries, min_size=n, max_size=n).map(tuple)
     return draw(st.lists(vectors, min_size=m, max_size=m)), n
@@ -535,24 +536,23 @@ def test_minor_reads_match_fraction_determinants(case, data):
     dets = [fraction_det([rows[i] for i in t]) for t in subsets]
     for t, det in data.draw(st.permutations(list(zip(subsets, dets)))):
         assert table.minors(t) == [det]
-        if t:
-            assert table[t[:-1]][t[-1]] == det
+        assert table[t[:-1]][t[-1]] == det
     assert table.minors(range(len(rows))) == dets
 
 
 @st.composite
 def minor_walks(draw):
     """(rows, m, r, n, key): m integer rows of length n and the |minors| key
-    of r-subsets to find, planted from one subset or drawn at random; entries
-    in [-2, 2] give zeros and repeated |minors| throughout."""
-    n = draw(st.integers(0, 3))
+    of r-subsets to find, n >= 1, planted from one subset or drawn at random;
+    entries in [-2, 2] give zeros and repeated |minors| throughout."""
+    n = draw(st.integers(1, 3))
     m = draw(st.integers(n, 7))
     shape = draw(st.sampled_from(("any", "r == n", "r == m", "r < n")))
     if shape == "r == n":
         r = n
     elif shape == "r == m":
         r = m
-    elif shape == "r < n" and n > 0:
+    elif shape == "r < n":
         r = draw(st.integers(0, n - 1))
     else:
         r = draw(st.integers(0, m))
@@ -761,8 +761,9 @@ def test_all_zero_dv_matches_only_zero_rows():
 
 @pytest.mark.parametrize("rows", range(5))
 def test_zero_columns(rows):
-    # with n = 0 every row is zero and the one minor, the empty determinant,
-    # is 1, so a 1 x 0 dv takes the charge path and the others the row orders
+    # with n = 0 every row is zero, so the search answers before any minor is
+    # read: the first dv.rows rows of mon in order with the 0 x 0 U, or None
+    # when mon has fewer rows; with dv's class group as without
     dv = IntMatrix(rows, 0, [()] * rows)
     mon = IntMatrix(3, 0, [()] * 3)
     found = _search_matrix_witness(dv, mon)
@@ -770,6 +771,7 @@ def test_zero_columns(rows):
         assert found is None
     else:
         assert found == (tuple(range(rows)), tuple(range(rows)), IntMatrix(0, 0, []))
+    assert _search_matrix_witness(dv, mon, cokernel(dv)) == found
 
 
 @pytest.mark.parametrize(
@@ -795,14 +797,7 @@ def test_zero_and_duplicate_mon_rows(dv, mon, subset):
 def right_equivalent_calls(monkeypatch):
     # selfdual does not bind the name, so any call goes through linalg
     assert not hasattr(selfdual, "right_equivalent")
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return right_equivalent(a, b)
-
-    monkeypatch.setattr(linalg, "right_equivalent", counted)
-    return calls
+    return log_calls(monkeypatch, linalg, "right_equivalent", [])
 
 
 DENSE_A = IntMatrix.from_rows([
@@ -817,15 +812,7 @@ DENSE_B = IntMatrix.from_rows([
 
 @pytest.fixture
 def minor_tables(monkeypatch):
-    seen = []
-    original = selfdual._Minors
-
-    def counted(rows, n):
-        seen.append(rows)
-        return original(rows, n)
-
-    monkeypatch.setattr(selfdual, "_Minors", counted)
-    return seen
+    return log_calls(monkeypatch, selfdual, "_Minors", [], lambda rows, n: rows)
 
 
 def test_dense_pair_without_match_makes_no_leaf_test(right_equivalent_calls):
@@ -863,19 +850,8 @@ def eliminations(monkeypatch):
     """Counts of selfdual's own eliminations, one per cofactor vector, and of
     IntMatrix.rank calls."""
     counts = Counter()
-    original, rank = selfdual._cofactors, IntMatrix.rank
-
-    def counted(rows, cols):
-        counts["bareiss"] += 1
-        return original(rows, cols)
-
-    def counted_rank(m):
-        counts["rank"] += 1
-        return rank(m)
-
-    monkeypatch.setattr(selfdual, "_cofactors", counted)
-    monkeypatch.setattr(IntMatrix, "rank", counted_rank)
-    return counts
+    log_calls(monkeypatch, selfdual, "_cofactors", counts, lambda rows, cols: "bareiss")
+    return log_calls(monkeypatch, IntMatrix, "rank", counts, lambda m: "rank")
 
 
 LINE_MON = bundle_model([-20]).mon()
@@ -915,19 +891,8 @@ def bareiss_runs(monkeypatch):
     """Counts of every Bareiss elimination, in linalg and selfdual alike, and
     of IntMatrix.rank calls."""
     counts = Counter()
-    original, rank = linalg._bareiss, IntMatrix.rank
-
-    def counted(entries, cols):
-        counts["bareiss"] += 1
-        return original(entries, cols)
-
-    def counted_rank(m):
-        counts["rank"] += 1
-        return rank(m)
-
-    monkeypatch.setattr(linalg, "_bareiss", counted)
-    monkeypatch.setattr(IntMatrix, "rank", counted_rank)
-    return counts
+    log_calls(monkeypatch, linalg, "_bareiss", counts, lambda entries, cols: "bareiss")
+    return log_calls(monkeypatch, IntMatrix, "rank", counts, lambda m: "rank")
 
 
 @pytest.mark.parametrize(
@@ -953,13 +918,7 @@ def test_rank_six_yes_verdict_eliminates_each_matrix_once(bareiss_runs, monkeypa
     # gives dv's charges; mon's transpose, whose cofactors are mon's charges;
     # the basis change's det, and _charge_row's replayed minor of dv (5 and
     # 2 when dv's minors were eliminated again)
-    original, cofactors = selfdual._cofactors, []
-
-    def counted(rows, cols):
-        cofactors.append(rows)
-        return original(rows, cols)
-
-    monkeypatch.setattr(selfdual, "_cofactors", counted)
+    cofactors = log_calls(monkeypatch, selfdual, "_cofactors", [], lambda rows, cols: rows)
     assert model_self_dual((0, 0, 0, 0, 0, -2)).self_dual
     assert bareiss_runs == Counter(bareiss=4)
     assert cofactors == [list(zip(*bundle_model((0, 0, 0, 0, 0, -2)).mon().entries))]
@@ -975,9 +934,6 @@ def test_rank_six_yes_verdict_reads_its_one_subset_directly(
     # test above, and the basis change takes one Hermite form
     cofactors = []
 
-    def counted(original):
-        return lambda rows, cols: cofactors.append(rows) or original(rows, cols)
-
     def no_walk(*args):
         raise AssertionError("the subset walk ran")
 
@@ -989,8 +945,7 @@ def test_rank_six_yes_verdict_reads_its_one_subset_directly(
         bareiss_runs.clear()
         hermite_transforms.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(selfdual, "_cofactors", counted(selfdual._cofactors))
-            mp.setattr(linalg, "_cofactors", counted(linalg._cofactors))
+            log_calls(mp, (selfdual, linalg), "_cofactors", cofactors, lambda rows, cols: rows)
             verdict = model_self_dual(degrees)
         assert verdict.self_dual and verdict.witness.monomial_subset == tuple(range(8))
         assert cofactors == transposes
@@ -1095,16 +1050,10 @@ def test_minors_read_off_the_class_group_match_dv_table(case):
     if fast:
         read = list(_charges(group.projection[0]))
         assert read in (minors, [-x for x in minors])
-    original, calls, found = selfdual._cofactors, {}, {}
+    calls, found = {}, {}
     for with_group in (True, False):
-        seen = calls[with_group] = []
-
-        def counted(rows, cols, seen=seen):
-            seen.append(rows)
-            return original(rows, cols)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(selfdual, "_cofactors", counted)
+            calls[with_group] = log_calls(mp, selfdual, "_cofactors", [], lambda rows, cols: rows)
             found[with_group] = _search_matrix_witness(dv, mon, group if with_group else None)
     assert found[True] == found[False]
     if found[True] is not None:
@@ -1142,15 +1091,7 @@ def test_short_dv_builds_no_mon_minor_table(minor_tables):
 
 @pytest.fixture
 def hermite_transforms(monkeypatch):
-    calls = []
-    original = selfdual.hnf_col_transform
-
-    def counted(a, **tracked):
-        calls.append(a)
-        return original(a, **tracked)
-
-    monkeypatch.setattr(selfdual, "hnf_col_transform", counted)
-    return calls
+    return log_calls(monkeypatch, selfdual, "hnf_col_transform", [], lambda a, **tracked: a)
 
 
 @pytest.mark.parametrize("degrees", [(-2,), (-1, -1), (0, 0, 0, -2), (0, 0, 0, -1, -1)])
@@ -1201,19 +1142,10 @@ def test_line_bundle_takes_each_minor_once(monkeypatch):
     # elimination: not one per pair of rows nor 3 per 3-row subset; dv's 3
     # minors are read off the charge row of its class group, which cokernel
     # took from one elimination of dv's 2 x 3 transpose
-    calls, built = [], []
-    original, missing = selfdual._cofactors, selfdual._Minors.__missing__
-
-    def counted(rows, cols):
-        calls.append(tuple(map(tuple, rows)))
-        return original(rows, cols)
-
-    def counted_missing(table, h):
-        built.append(h)
-        return missing(table, h)
-
-    monkeypatch.setattr(selfdual, "_cofactors", counted)
-    monkeypatch.setattr(selfdual._Minors, "__missing__", counted_missing)
+    calls = log_calls(
+        monkeypatch, selfdual, "_cofactors", [], lambda rows, cols: tuple(map(tuple, rows))
+    )
+    built = log_calls(monkeypatch, selfdual._Minors, "__missing__", [], lambda table, h: h)
     mon = bundle_model([-20]).mon()
     assert model_self_dual((-20,)).failure == "no-matrix-witness"
     assert len(calls) == 19 < comb(mon.rows, 2)
@@ -1228,8 +1160,8 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
     # It fetches each head's row once per prefix and reads the row's minors:
     # the first head's over every next index, the others' for the indices
     # that the first keeps.  Each row is built on its first fetch
-    reads, fetches, eliminations = Counter(), Counter(), []
-    original, cofactors = selfdual._Minors, selfdual._cofactors
+    reads, fetches = Counter(), Counter()
+    original = selfdual._Minors
 
     class CountedRow(list):
         def __getitem__(self, i):
@@ -1250,12 +1182,8 @@ def test_line_bundle_sweep_cuts_prefixes(monkeypatch):
             fetches[self.rows] += 1
             return super().__getitem__(h)
 
-    def counted(rows, cols):
-        eliminations.append(rows)
-        return cofactors(rows, cols)
-
     monkeypatch.setattr(selfdual, "_Minors", CountedReads)
-    monkeypatch.setattr(selfdual, "_cofactors", counted)
+    eliminations = log_calls(monkeypatch, selfdual, "_cofactors", [], lambda rows, cols: rows)
     verdicts = sweep_line_bundles(20)
     assert [v.degrees for v in verdicts if v.self_dual] == [(-2,)]
     subsets = sum(comb(bundle_model((-k,)).mon().rows, 3) for k in range(21))
@@ -1755,18 +1683,8 @@ def test_classify_cy_validates_no_integers_it_made(monkeypatch):
     # (once per model, in generic_sections) pass through lgmodel._integers
     projective_line()
     calls = Counter()
-    real_init, real_integers = IntMatrix.__init__, lgmodel._integers
-
-    def counted_init(self, rows, cols, entries):
-        calls["IntMatrix.__init__"] += 1
-        real_init(self, rows, cols, entries)
-
-    def counted_integers(values, what):
-        calls[what] += 1
-        return real_integers(values, what)
-
-    monkeypatch.setattr(IntMatrix, "__init__", counted_init)
-    monkeypatch.setattr(lgmodel, "_integers", counted_integers)
+    log_calls(monkeypatch, IntMatrix, "__init__", calls, lambda *args: "IntMatrix.__init__")
+    log_calls(monkeypatch, lgmodel, "_integers", calls, lambda values, what: what)
     verdicts = classify_cy(4, 4)
     assert {v.degrees for v in verdicts if v.self_dual and v.strong_cy} == {(-2,), (-1, -1)}
     assert calls == {"degrees": len(verdicts)}
@@ -1783,7 +1701,7 @@ def projective_bundle_model(n, degrees):
     rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
     base = ToricData(n, tuple("D%d" % k for k in range(n + 1)), IntMatrix.from_rows(rays))
     columns = IntMatrix.from_rows([(0,) * len(degrees)] * n + [tuple(-a for a in degrees)])
-    variety = split_bundle_total_space(BundleSpec(base, columns))
+    variety = split_bundle_total_space(base, columns)
     fiber = [tuple(int(t == i) for t in range(len(degrees))) for i in range(len(degrees))]
     terms = [
         (1, m + fiber[i])
@@ -1841,14 +1759,7 @@ def test_p3_bundle_reads_minors_on_demand(monkeypatch):
     m = projective_bundle_model(3, (0, 0, -4))
     dv, mon = m.variety.dv, m.mon()
     assert (mon.rows, dv.rows, dv.cols) == (37, 7, 6)
-    calls = []
-    original = selfdual._cofactors
-
-    def counted(rows, cols):
-        calls.append(len(rows))
-        return original(rows, cols)
-
-    monkeypatch.setattr(selfdual, "_cofactors", counted)
+    calls = log_calls(monkeypatch, selfdual, "_cofactors", [], lambda rows, cols: len(rows))
     witness, failure = self_dual_witness(m)
     assert failure is None and witness.verify(dv, mon)
     assert len(calls) == 1_206

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from call_log import log_calls
 import polygon_oracle
 from lgdual import polyhedra
 from lgdual.errors import DimensionMismatchError, EmptyInteriorError, ValidationError
@@ -222,13 +223,6 @@ def test_facet_walk_matches_oracle(case):
     ],
 )
 def test_polygon_takes_one_facet_pass(dv, offset, monkeypatch):
-    calls = []
-    original = polyhedra.facets
-
-    def counted(h):
-        calls.append(h)
-        return original(h)
-
-    monkeypatch.setattr(polyhedra, "facets", counted)
+    calls = log_calls(monkeypatch, polyhedra, "facets", [], lambda h: h)
     moment_polygon(dv, offset)
     assert len(calls) == 1

@@ -15,7 +15,6 @@ from lgdual.errors import (
 )
 from lgdual.linalg import IntMatrix
 from lgdual.toric import (
-    BundleSpec,
     ToricData,
     bundle_over_p1,
     from_linear_data,
@@ -125,15 +124,17 @@ def test_projective_line_is_one_immutable_base():
 
 def test_bundle_spec_row_check():
     base = projective_line()
-    with pytest.raises(ShapeMismatchError):
-        BundleSpec(base, IntMatrix.from_rows([(1,)]))
+    with pytest.raises(ShapeMismatchError) as raised:
+        split_bundle_total_space(base, IntMatrix.from_rows([(1,)]))
+    assert str(raised.value) == "divisor columns have 1 rows, base has 2 divisors"
 
 
 def test_split_bundle_rejects_imprimitive_rays():
     base = ToricData(1, ("d",), IntMatrix.from_rows([(2,)]))
-    spec = BundleSpec(base, IntMatrix.from_rows([(0,)]))
-    with pytest.raises(NotKopasepticError):
-        split_bundle_total_space(spec)
+    with pytest.raises(NotKopasepticError) as raised:
+        split_bundle_total_space(base, IntMatrix.from_rows([(0,)]))
+    assert str(raised.value) == "ray row 0 is non-primitive (gcd 2)"
+    assert raised.value.condition == "k-map"
 
 
 def test_product_blocks():
